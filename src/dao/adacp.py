@@ -18,18 +18,6 @@ from .errors import EmptyCalibrationSet
 
 
 @dataclass(frozen=True)
-class CalibrationSet:
-    """Annotated (input, gold answer) pairs with optionally cached risks."""
-
-    pairs: tuple[tuple[str, str], ...]
-    risks: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.risks is not None and len(self.risks) != len(self.pairs):
-            raise ValueError("cached risks must align one-to-one with pairs")
-
-
-@dataclass(frozen=True)
 class AdaCPConfig:
     """Gate parameters.
 

@@ -63,6 +63,12 @@ class ScoringBackend(Protocol):
 # HTTP plumbing
 
 
+def _bearer(api_key_env: str | None) -> dict[str, str] | None:
+    """The Authorization header for the key in `api_key_env`, when set."""
+    key = os.environ.get(api_key_env, "") if api_key_env else ""
+    return {"Authorization": f"Bearer {key}"} if key else None
+
+
 def _post_json(
     url: str,
     body: dict,
@@ -108,13 +114,6 @@ class HttpChatBackend:
     max_attempts: int = 5
     backoff: float = 0.5
 
-    def _headers(self) -> dict[str, str] | None:
-        if self.api_key_env:
-            key = os.environ.get(self.api_key_env, "")
-            if key:
-                return {"Authorization": f"Bearer {key}"}
-        return None
-
     def complete(self, messages: Sequence[ChatMessage], temperature: float = 0.0) -> str:
         body = {
             "model": self.model,
@@ -127,7 +126,7 @@ class HttpChatBackend:
             timeout=self.timeout,
             max_attempts=self.max_attempts,
             backoff=self.backoff,
-            headers=self._headers(),
+            headers=_bearer(self.api_key_env),
         )
         try:
             content = data["choices"][0]["message"]["content"]
@@ -157,18 +156,13 @@ class HttpEmbeddingBackend:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmptyText("cannot embed the empty string")
-        headers = None
-        if self.api_key_env:
-            key = os.environ.get(self.api_key_env, "")
-            if key:
-                headers = {"Authorization": f"Bearer {key}"}
         data = _post_json(
             self.endpoint,
             {"model": self.model, "input": text},
             timeout=self.timeout,
             max_attempts=self.max_attempts,
             backoff=self.backoff,
-            headers=headers,
+            headers=_bearer(self.api_key_env),
         )
         try:
             vector = np.asarray(data["data"][0]["embedding"], dtype=np.float64)

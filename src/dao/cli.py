@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .adacp import AdaCPConfig, CalibrationSet, calibrate, risk_score
+from .adacp import AdaCPConfig, calibrate, risk_score
 from .backends import (
     EmbeddingBackend,
     HttpChatBackend,
@@ -76,12 +76,8 @@ _DEFAULT_BACKENDS = {
 
 @dataclasses.dataclass
 class RunConfig:
-    """Run settings; every default matches the engine's standard values
-    (K=128, M=10, radius 1.35 decaying by 0.9, threshold decay 0.5,
-    initial thresholds 1 for detection and 3 for argument extraction,
-    three rounds)."""
+    """Run settings; the defaults are the engine's standard operating point."""
 
-    seed: int = 0
     max_rounds: int = 3
     workers: int = 1
     use_llm_summarizer: bool = False
@@ -93,59 +89,24 @@ class RunConfig:
     backends: dict = dataclasses.field(default_factory=lambda: json.loads(json.dumps(_DEFAULT_BACKENDS)))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "max_rounds": self.max_rounds,
-            "workers": self.workers,
-            "use_llm_summarizer": self.use_llm_summarizer,
-            "ontology": self.ontology,
-            "reference_corpus": self.reference_corpus,
-            "reference_split": self.reference_split,
-            "drag": {
-                "top_k": self.drag.top_k,
-                "max_examples": self.drag.max_examples,
-                "initial_radius": self.drag.initial_radius,
-                "radius_decay": self.drag.radius_decay,
-                "freeze_topk": self.drag.freeze_topk,
-            },
-            "adacp": {
-                "delta": self.adacp.delta,
-                "beta": self.adacp.beta,
-                "initial_threshold": dict(self.adacp.initial_threshold),
-            },
-            "backends": self.backends,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        drag_data = data.get("drag", {})
-        adacp_data = data.get("adacp", {})
-        backends = json.loads(json.dumps(_DEFAULT_BACKENDS))
-        backends.update(data.get("backends", {}))
-        return cls(
-            seed=data.get("seed", 0),
-            max_rounds=data.get("max_rounds", 3),
-            workers=data.get("workers", 1),
-            use_llm_summarizer=data.get("use_llm_summarizer", False),
-            ontology=data.get("ontology", "ontology.jsonl"),
-            reference_corpus=data.get("reference_corpus", "reference.jsonl"),
-            reference_split=data.get("reference_split", "train"),
-            drag=DragConfig(
-                top_k=drag_data.get("top_k", 128),
-                max_examples=drag_data.get("max_examples", 10),
-                initial_radius=drag_data.get("initial_radius", 1.35),
-                radius_decay=drag_data.get("radius_decay", 0.9),
-                freeze_topk=drag_data.get("freeze_topk", False),
-            ),
-            adacp=AdaCPConfig(
-                delta=adacp_data.get("delta", 0.1),
-                beta=adacp_data.get("beta", 0.5),
-                initial_threshold=dict(
-                    adacp_data.get("initial_threshold", {"ed": 1.0, "eae": 3.0})
-                ),
-            ),
-            backends=backends,
-        )
+        """Every field the file sets; unset fields keep their defaults and
+        unknown keys (such as ones older versions wrote) are ignored.
+        `backends` is merged one level deep over the default sections."""
+
+        def known(kind, section: dict) -> dict:
+            names = {f.name for f in dataclasses.fields(kind)}
+            return {key: value for key, value in section.items() if key in names}
+
+        fields = known(cls, data)
+        fields["drag"] = DragConfig(**known(DragConfig, data.get("drag", {})))
+        fields["adacp"] = AdaCPConfig(**known(AdaCPConfig, data.get("adacp", {})))
+        fields["backends"] = json.loads(json.dumps(_DEFAULT_BACKENDS))
+        fields["backends"].update(data.get("backends", {}))
+        return cls(**fields)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -174,29 +135,26 @@ class _Runtime:
         if self.bundle is not None:
             return self.bundle.team_for(sentence_id)
         chat = self.config.backends["chat"]
+
+        def client(model: str) -> HttpChatBackend:
+            return HttpChatBackend(
+                endpoint=chat["endpoint"],
+                model=model,
+                api_key_env=chat.get("api_key_env"),
+                timeout=chat.get("timeout", 30.0),
+                max_attempts=chat.get("max_attempts", 5),
+                backoff=chat.get("backoff", 0.5),
+            )
+
         debaters = tuple(
             DebaterBinding(
                 name=spec.get("name", "AB"[i] if i < 2 else str(i)),
-                backend=HttpChatBackend(
-                    endpoint=chat["endpoint"],
-                    model=spec.get("model") or chat["model"],
-                    api_key_env=chat.get("api_key_env"),
-                    timeout=chat.get("timeout", 30.0),
-                    max_attempts=chat.get("max_attempts", 5),
-                    backoff=chat.get("backoff", 0.5),
-                ),
+                backend=client(spec.get("model") or chat["model"]),
                 temperature=spec.get("temperature", 0.0),
             )
             for i, spec in enumerate(self.config.backends.get("debaters", []))
         )
-        shared = HttpChatBackend(
-            endpoint=chat["endpoint"],
-            model=chat["model"],
-            api_key_env=chat.get("api_key_env"),
-            timeout=chat.get("timeout", 30.0),
-            max_attempts=chat.get("max_attempts", 5),
-            backoff=chat.get("backoff", 0.5),
-        )
+        shared = client(chat["model"])
         return AgentTeam(debaters=debaters, critic=shared, judge=shared, summarizer=shared)
 
 
@@ -283,18 +241,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
-        calibration = CalibrationSet(
-            pairs=tuple(pairs),
-            risks=tuple(
-                risk_score(runtime.scorer, prompt, "", answer) for prompt, answer in pairs
-            ),
-        )
-        threshold = calibrate(list(calibration.risks), config.adacp.delta)
+        risks = [risk_score(runtime.scorer, prompt, "", answer) for prompt, answer in pairs]
+        threshold = calibrate(risks, config.adacp.delta)
         thresholds[task] = threshold.value
-        print(
-            f"task={task} n={len(calibration.risks)} delta={config.adacp.delta} "
-            f"q0={threshold.value}"
-        )
+        print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={threshold.value}")
     config.adacp = AdaCPConfig(
         delta=config.adacp.delta, beta=config.adacp.beta, initial_threshold=thresholds
     )

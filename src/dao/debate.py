@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import drag
 from .adacp import AdaCPConfig, RiskThreshold, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
 from .corpus import EmbeddedIndex, ReferenceEntry, Sentence, l2_normalize
@@ -272,19 +273,21 @@ class RiskRecord:
 
 @dataclass
 class DebateState:
-    """Mutable per-debate state; one instance per task per session."""
+    """Mutable per-debate state; one instance per task per session.
+
+    `candidates` are the sentence's top-K neighbors, shared by all of its
+    debates; `packet_text` is the current round's retrieval packet, the
+    context every answer of the round is scored in.
+    """
 
     task: str
-    query_vector: np.ndarray
+    candidates: list[Candidate]
     radius: float
     threshold: RiskThreshold
-    max_rounds: int = 3
     round_index: int = 0
     live_opinions: dict[int, TriggerAnswer | ArgumentAnswer | None] = field(default_factory=dict)
     gated_out: set[int] = field(default_factory=set)
-    transcript: list[TranscriptEntry] = field(default_factory=list)
-    risk_log: list[RiskRecord] = field(default_factory=list)
-    cached_candidates: list[Candidate] | None = None
+    packet_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -383,12 +386,10 @@ class _Session:
         self,
         sentence: Sentence,
         ontology: EventOntology,
-        index: EmbeddedIndex,
         config: SessionConfig,
     ):
         self.sentence = sentence
         self.ontology = ontology
-        self.index = index
         self.config = config
         self.transcript: list[TranscriptEntry] = []
         self.risk_log: list[RiskRecord] = []
@@ -565,13 +566,13 @@ class _Session:
         packet = gather_event_info(
             opinions,
             self.ontology,
-            self.index,
-            state,
+            state.candidates,
+            state.radius,
             self.config.drag,
             event_type_filter=ctx.event_type if ctx.task == "eae" else None,
         )
-        packet_text = render_packet(packet, ctx, self.ontology)
-        self._note(rnd, stage("retrieval"), "engine", packet_text)
+        state.packet_text = render_packet(packet, ctx, self.ontology)
+        self._note(rnd, stage("retrieval"), "engine", state.packet_text)
         self._note(
             rnd,
             stage("retrieval"),
@@ -593,7 +594,7 @@ class _Session:
             answer = state.live_opinions.get(i)
             if self._is_exempt(ctx, answer):
                 continue
-            if not self._gate(state, ctx, rnd, binding, answer, risk_base, packet_text):
+            if not self._gate(state, ctx, rnd, binding, answer, risk_base):
                 state.gated_out.add(i)
 
         # (4) Cross-examination: survivors defend or update, gated debaters
@@ -601,7 +602,7 @@ class _Session:
         statements: dict[int, str] = {}
         for i, binding in enumerate(team.debaters):
             gated = i in state.gated_out
-            prompt = self._ce_prompt(ctx, binding, i, state.live_opinions, packet_text, gated)
+            prompt = self._ce_prompt(ctx, binding, i, state.live_opinions, state.packet_text, gated)
             reply = self._chat(
                 binding.backend,
                 rnd,
@@ -624,7 +625,7 @@ class _Session:
             if not gated:
                 statements[i] = reply
             elif self._is_exempt(ctx, revised) or self._gate(
-                state, ctx, rnd, binding, revised, risk_base, packet_text
+                state, ctx, rnd, binding, revised, risk_base
             ):
                 state.gated_out.discard(i)
                 statements[i] = reply
@@ -633,7 +634,7 @@ class _Session:
             rnd,
             stage("cross_examination"),
             "critic",
-            self._critic_prompt(ctx, state.live_opinions, packet_text),
+            self._critic_prompt(ctx, state.live_opinions, state.packet_text),
         )
 
         # (5) Judgement on this round's admissible statements only.
@@ -657,6 +658,28 @@ class _Session:
         state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
         return verdict
 
+    def _score(
+        self,
+        state: DebateState,
+        ctx: TaskContext,
+        rnd: int,
+        threshold: RiskThreshold,
+        binding: DebaterBinding,
+        answer: TriggerAnswer | ArgumentAnswer | None,
+        risk_base: str,
+    ) -> tuple[RiskRecord, str]:
+        """Score one answer in the round's context (task prompt plus packet)
+        against `threshold`; the record and its note text. The gate and
+        adjudication both score here, so they score in the same context."""
+        serialized = self._serialize(ctx, answer)
+        risk = risk_score(self.config.scorer, risk_base, state.packet_text, serialized)
+        ok = accept(risk, threshold)
+        note = (
+            f"debater_{binding.name} answer {serialized!r} risk={risk:.6f} "
+            f"threshold={threshold.value:.6f} accepted={ok}"
+        )
+        return RiskRecord(ctx.task, rnd, binding.name, serialized, risk, ok), note
+
     def _gate(
         self,
         state: DebateState,
@@ -665,25 +688,15 @@ class _Session:
         binding: DebaterBinding,
         answer: TriggerAnswer | ArgumentAnswer | None,
         risk_base: str,
-        packet_text: str,
     ) -> bool:
-        serialized = self._serialize(ctx, answer)
-        risk = risk_score(self.config.scorer, risk_base, packet_text, serialized)
-        ok = accept(risk, state.threshold)
-        record = RiskRecord(ctx.task, rnd, binding.name, serialized, risk, ok)
-        state.risk_log.append(record)
+        record, note = self._score(state, ctx, rnd, state.threshold, binding, answer, risk_base)
         self.risk_log.append(record)
         self._note(
-            rnd,
-            f"{ctx.task}.gate",
-            "scorer",
-            f"debater_{binding.name} answer {serialized!r} risk={risk:.6f} "
-            f"threshold={state.threshold.value:.6f} accepted={ok}",
-            prompt=f"{risk_base}\n\n{packet_text}" if packet_text else risk_base,
+            rnd, f"{ctx.task}.gate", "scorer", note, prompt=f"{risk_base}\n\n{state.packet_text}"
         )
-        return ok
+        return record.accepted
 
-    def run_debate(self, ctx: TaskContext, query_vector: np.ndarray) -> _DebateOutcome:
+    def run_debate(self, ctx: TaskContext, candidates: list[Candidate]) -> _DebateOutcome:
         """Run one task's debate to verdict or to the round cap."""
         threshold0 = self.config.adacp.initial_threshold.get(ctx.task)
         if threshold0 is None:
@@ -692,15 +705,13 @@ class _Session:
             )
         state = DebateState(
             task=ctx.task,
-            query_vector=query_vector,
+            candidates=candidates,
             radius=self.config.drag.initial_radius,
             threshold=RiskThreshold(value=float(threshold0), round_index=0),
-            max_rounds=self.config.max_rounds,
-            transcript=self.transcript,
         )
         last_threshold = state.threshold
         verdict = JudgeVerdict(VerdictKind.CONTINUE)
-        while state.round_index < state.max_rounds:
+        while state.round_index < self.config.max_rounds:
             last_threshold = state.threshold
             verdict = self.run_round(state, ctx)
             if verdict.kind is not VerdictKind.CONTINUE:
@@ -721,27 +732,15 @@ class _Session:
         that passes the final round's gate, otherwise fail closed."""
         rnd = state.round_index
         best: tuple[float, int] | None = None
-        packet_entries = [
-            e for e in self.transcript if e.stage == f"{ctx.task}.retrieval" and e.role == "engine"
-        ]
-        packet_text = packet_entries[-1].text if packet_entries else ""
         risk_base = self._base_prompt(ctx)
         for i, binding in enumerate(self.config.team.debaters):
             answer = state.live_opinions.get(i)
             if self._is_exempt(ctx, answer):
                 continue
-            serialized = self._serialize(ctx, answer)
-            risk = risk_score(self.config.scorer, risk_base, packet_text, serialized)
-            ok = accept(risk, threshold)
-            self._note(
-                rnd,
-                f"{ctx.task}.adjudication",
-                "scorer",
-                f"debater_{binding.name} answer {serialized!r} risk={risk:.6f} "
-                f"threshold={threshold.value:.6f} accepted={ok}",
-            )
-            if ok and (best is None or risk < best[0]):
-                best = (risk, i)
+            record, note = self._score(state, ctx, rnd, threshold, binding, answer, risk_base)
+            self._note(rnd, f"{ctx.task}.adjudication", "scorer", note)
+            if record.accepted and (best is None or record.risk < best[0]):
+                best = (record.risk, i)
         if best is None:
             self._note(
                 rnd,
@@ -835,7 +834,7 @@ def run_session(
     never available to this code path. A no-event outcome skips argument
     extraction entirely.
     """
-    session = _Session(sentence, ontology, index, config)
+    session = _Session(sentence, ontology, config)
     try:
         query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)))
         session._note(
@@ -845,7 +844,10 @@ def run_session(
             f"query embedded, dim={config.embedder.dimension()}",
             prompt=sentence.text,
         )
-        ed_outcome = session.run_debate(TaskContext(task="ed"), query_vector)
+        # One top-K scan per sentence: every debate queries with the
+        # sentence embedding; only radius and type filter vary.
+        candidates = drag.retrieve_topk(index, query_vector, config.drag.top_k)
+        ed_outcome = session.run_debate(TaskContext(task="ed"), candidates)
         records: list[EventRecord] = []
         if ed_outcome.kind == "agreement":
             for answer in ed_outcome.trigger_answers:
@@ -869,7 +871,7 @@ def run_session(
                     trigger=answer.trigger,
                     roles=roles,
                 )
-                eae_outcome = session.run_debate(eae_ctx, query_vector)
+                eae_outcome = session.run_debate(eae_ctx, candidates)
                 rows = eae_outcome.argument_rows if eae_outcome.kind == "agreement" else ()
                 records.append(session._summarize(answer, rows))
     except BackendError as exc:

@@ -24,9 +24,6 @@ class DragConfig:
     max_examples: int = 10
     initial_radius: float = 1.35
     radius_decay: float = 0.9
-    # When set, the top-K candidate list is computed once per debate and
-    # only re-clustered at the decayed radius in later rounds.
-    freeze_topk: bool = False
 
     def __post_init__(self):
         if self.top_k < 1 or self.max_examples < 1:
@@ -72,14 +69,6 @@ class Opinion(Protocol):
     """Anything carrying an event type mention (possibly None)."""
 
     event_type: str | None
-
-
-class RetrievalState(Protocol):
-    """The slice of debate state the retriever reads and caches into."""
-
-    query_vector: np.ndarray
-    radius: float
-    cached_candidates: list[Candidate] | None
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -181,8 +170,8 @@ def _entry_mentions_type(entry: ReferenceEntry, event_type: EventTypeId) -> bool
 def gather_event_info(
     opinions: Sequence[Opinion],
     ontology: EventOntology,
-    index: EmbeddedIndex,
-    state: RetrievalState,
+    candidates: Sequence[Candidate],
+    radius: float,
     config: DragConfig,
     event_type_filter: EventTypeId | None = None,
 ) -> RetrievalResult:
@@ -190,7 +179,7 @@ def gather_event_info(
 
     Definitions cover every distinct event type mentioned in the current
     opinions (unknown types are recorded, not fatal). Examples come from
-    top-K retrieval, leader clustering at the state's current radius, and
+    the sentence's top-K `candidates`, leader clustering at `radius`, and
     diversity selection. During argument extraction, `event_type_filter`
     narrows candidates to entries mentioning the identified type before
     clustering; if that leaves nothing, the unfiltered list is used.
@@ -208,17 +197,11 @@ def gather_event_info(
         else:
             unknown.append(type_id)
 
-    if config.freeze_topk and state.cached_candidates is not None:
-        candidates = state.cached_candidates
-    else:
-        candidates = retrieve_topk(index, state.query_vector, config.top_k)
-        if config.freeze_topk:
-            state.cached_candidates = candidates
     if event_type_filter is not None:
         filtered = [c for c in candidates if _entry_mentions_type(c.entry, event_type_filter)]
         if filtered:
             candidates = filtered
-    clusters = cluster_candidates(candidates, state.radius)
+    clusters = cluster_candidates(candidates, radius)
     examples = select_diverse(
         clusters,
         config.max_examples,
@@ -227,6 +210,6 @@ def gather_event_info(
     return RetrievalResult(
         examples=tuple(examples),
         definitions=tuple(definitions),
-        radius_used=state.radius,
+        radius_used=radius,
         unknown_types=tuple(unknown),
     )

@@ -89,8 +89,3 @@ def load_ontology(path: str | Path) -> EventOntology:
                 raise DuplicateType(definition.type_id)
             definitions[definition.type_id] = definition
     return EventOntology(definitions)
-
-
-def lookup_definition(ontology: EventOntology, type_id: EventTypeId) -> EventDefinition:
-    """Return the stored definition for `type_id` or raise UnknownEventType."""
-    return ontology.lookup(type_id)

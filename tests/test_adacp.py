@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from dao.adacp import (
     AdaCPConfig,
-    CalibrationSet,
     RiskThreshold,
     accept,
     calibrate,
@@ -176,11 +175,6 @@ def test_accepted_sets_shrink_as_threshold_decays(risks, beta, start):
 
 
 # -- config plumbing
-
-
-def test_calibration_set_risk_length_checked():
-    with pytest.raises(ValueError):
-        CalibrationSet(pairs=(("x", "y"),), risks=(0.1, 0.2))
 
 
 def test_adacp_config_validation():

@@ -13,6 +13,7 @@ from dao.backends import (
     HttpEmbeddingBackend,
     HttpScoringBackend,
     KeyedScorer,
+    _bearer,
     hash_embedder,
     scripted_chat,
 )
@@ -90,6 +91,16 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+
+
+def test_bearer_header_only_when_key_is_set(monkeypatch):
+    monkeypatch.setenv("DAO_TEST_KEY", "secret")
+    assert _bearer("DAO_TEST_KEY") == {"Authorization": "Bearer secret"}
+    monkeypatch.setenv("DAO_TEST_KEY", "")
+    assert _bearer("DAO_TEST_KEY") is None
+    monkeypatch.delenv("DAO_TEST_KEY")
+    assert _bearer("DAO_TEST_KEY") is None
+    assert _bearer(None) is None
 
 
 def test_http_chat_returns_first_choice_content(stub_server):

@@ -1,14 +1,16 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import helpers
-from dao.cli import RunConfig, main
+from dao.cli import RunConfig, _Runtime, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _read_jsonl(path):
@@ -35,6 +37,69 @@ def test_config_defaults_match_standard_values():
     assert config.adacp.beta == 0.5
     assert config.adacp.initial_threshold == {"ed": 1.0, "eae": 3.0}
     assert config.max_rounds == 3
+
+
+def test_config_with_removed_keys_loads_and_saves_without_them(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"seed": 7, "max_rounds": 2, "drag": {"freeze_topk": True, "top_k": 64}}),
+        encoding="utf-8",
+    )
+    config = RunConfig.load(path)
+    assert config.max_rounds == 2
+    assert config.drag.top_k == 64
+    assert config.drag.max_examples == 10
+    for data in (config.to_dict(), RunConfig().to_dict()):
+        assert "seed" not in data
+        assert "freeze_topk" not in data["drag"]
+
+
+def test_readme_configuration_table_matches_defaults():
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", section, re.MULTILINE)
+    assert len(rows) >= 10
+    defaults = RunConfig().to_dict()
+    for key, default in rows:
+        value = defaults
+        for part in key.split("."):
+            assert part in value, key
+            value = value[part]
+        assert value == json.loads(default), key
+
+
+# -- live backend construction
+
+
+def _live_runtime(backends: dict) -> _Runtime:
+    config = RunConfig.from_dict({"backends": backends})
+    return _Runtime(config, ontology=None, reference_entries=[], embedder=None, scorer=None, bundle=None)
+
+
+def test_team_for_without_bundle_binds_debater_models():
+    runtime = _live_runtime(
+        {
+            "chat": {"endpoint": "http://localhost:9/chat", "model": "base", "timeout": 7.0},
+            "debaters": [{"name": "A", "model": "model-a", "temperature": 0.3}, {"name": "B"}],
+        }
+    )
+    team = runtime.team_for("s1")
+    assert [d.name for d in team.debaters] == ["A", "B"]
+    assert [d.backend.model for d in team.debaters] == ["model-a", "base"]
+    assert [d.temperature for d in team.debaters] == [0.3, 0.0]
+    # A partial chat section replaces the default one; the client keeps its
+    # fallbacks for what the section leaves out.
+    for backend in [d.backend for d in team.debaters] + [team.critic]:
+        assert backend.endpoint == "http://localhost:9/chat"
+        assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
+        assert backend.api_key_env is None
+
+
+def test_team_for_shares_one_client_for_critic_judge_summarizer():
+    team = _live_runtime({}).team_for("s1")
+    assert team.critic is team.judge is team.summarizer
+    assert team.critic.model == ""
+    assert team.critic.api_key_env == "DAO_API_KEY"
+    assert all(d.backend is not team.critic for d in team.debaters)
 
 
 # -- calibrate

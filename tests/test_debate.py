@@ -177,6 +177,36 @@ def test_round_cap_never_exceeded(ontology, train_index, embedder):
             assert len(rounds) <= 3
 
 
+def test_adjudication_scores_with_last_gate_prompt(ontology, train_index, embedder):
+    scenario, config, result = _run_scenario(3, ontology, train_index, embedder)
+    assert scenario.flow == "cap_disagree"
+    scorings = [e for e in result.transcript if e.role == "scorer"]
+    assert len(scorings) == len(config.scorer.calls)
+    last_gate_prompt = {}
+    adjudicated = 0
+    for entry, (prompt, _, _) in zip(scorings, config.scorer.calls):
+        task, kind = entry.stage.split(".")
+        if kind == "gate":
+            assert prompt == entry.prompt
+            last_gate_prompt[task] = entry.prompt
+        else:
+            assert kind == "adjudication"
+            assert prompt == last_gate_prompt[task]
+            adjudicated += task == "ed"
+    assert adjudicated >= 1
+
+
+def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index):
+    from dao.backends import hash_embedder
+    from dao.errors import DimensionMismatch
+
+    scenario = helpers.build_scenario(0, ontology)
+    config = scenario.build_config(hash_embedder(32))  # the index is D64
+    with pytest.raises(DimensionMismatch):
+        run_session(scenario.sentence, ontology, train_index, config)
+    assert all(binding.backend.calls == [] for binding in config.team.debaters)
+
+
 # -- replay fixtures
 
 

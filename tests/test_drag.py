@@ -1,13 +1,15 @@
 import itertools
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dao.drag
+import helpers
 from dao.backends import hash_embedder
 from dao.corpus import EmbeddedIndex, build_index, l2_normalize
+from dao.debate import run_session
 from dao.drag import (
     Candidate,
     DragConfig,
@@ -19,13 +21,6 @@ from dao.drag import (
     select_diverse,
 )
 from dao.errors import DimensionMismatch
-
-
-@dataclass
-class FakeState:
-    query_vector: np.ndarray
-    radius: float
-    cached_candidates: list | None = None
 
 
 def _entry(entry_id, text="placeholder text .", polarity_positive=True):
@@ -287,8 +282,8 @@ def test_definitions_for_mentioned_types(ontology, train_index):
         SimpleNamespace(event_type="Personnel:End-Position"),
         SimpleNamespace(event_type="Personnel:Start-Position"),
     ]
-    state = FakeState(query_vector=train_index.vectors[0], radius=1.35)
-    result = gather_event_info(opinions, ontology, train_index, state, DragConfig())
+    candidates = retrieve_topk(train_index, train_index.vectors[0], 128)
+    result = gather_event_info(opinions, ontology, candidates, 1.35, DragConfig())
     assert [d.type_id for d in result.definitions] == [
         "Personnel:Start-Position",
         "Personnel:End-Position",
@@ -299,16 +294,16 @@ def test_definitions_for_mentioned_types(ontology, train_index):
 
 def test_no_event_opinions_still_retrieve(ontology, train_index):
     opinions = [SimpleNamespace(event_type=None), SimpleNamespace(event_type=None)]
-    state = FakeState(query_vector=train_index.vectors[3], radius=1.35)
-    result = gather_event_info(opinions, ontology, train_index, state, DragConfig())
+    candidates = retrieve_topk(train_index, train_index.vectors[3], 128)
+    result = gather_event_info(opinions, ontology, candidates, 1.35, DragConfig())
     assert result.definitions == ()
     assert len(result.examples) >= 1
 
 
 def test_unknown_types_recorded_not_fatal(ontology, train_index):
     opinions = [SimpleNamespace(event_type="Made:Up")]
-    state = FakeState(query_vector=train_index.vectors[0], radius=1.35)
-    result = gather_event_info(opinions, ontology, train_index, state, DragConfig())
+    candidates = retrieve_topk(train_index, train_index.vectors[0], 128)
+    result = gather_event_info(opinions, ontology, candidates, 1.35, DragConfig())
     assert result.unknown_types == ("Made:Up",)
 
 
@@ -323,12 +318,11 @@ def test_decayed_radius_tightens_leaders(ontology, train_index, embedder):
 
 def test_event_type_filter_narrows_examples(ontology, train_index):
     opinions = [SimpleNamespace(event_type="Personnel:End-Position")]
-    state = FakeState(query_vector=train_index.vectors[0], radius=0.2)
     result = gather_event_info(
         opinions,
         ontology,
-        train_index,
-        state,
+        retrieve_topk(train_index, train_index.vectors[0], 128),
+        0.2,
         DragConfig(),
         event_type_filter="Personnel:End-Position",
     )
@@ -340,12 +334,11 @@ def test_event_type_filter_narrows_examples(ontology, train_index):
 
 def test_filter_falls_back_when_type_absent(ontology, train_index):
     opinions = [SimpleNamespace(event_type="Justice:Pardon")]
-    state = FakeState(query_vector=train_index.vectors[0], radius=1.35)
     result = gather_event_info(
         opinions,
         ontology,
-        train_index,
-        state,
+        retrieve_topk(train_index, train_index.vectors[0], 128),
+        1.35,
         DragConfig(),
         event_type_filter="Justice:Pardon",
     )
@@ -356,23 +349,28 @@ def test_retrieval_deterministic(ontology, train_index):
     opinions = [SimpleNamespace(event_type="Life:Die")]
     results = []
     for _ in range(2):
-        state = FakeState(query_vector=train_index.vectors[7], radius=1.215)
-        results.append(gather_event_info(opinions, ontology, train_index, state, DragConfig()))
+        candidates = retrieve_topk(train_index, train_index.vectors[7], 128)
+        results.append(gather_event_info(opinions, ontology, candidates, 1.215, DragConfig()))
     first, second = results
     assert [e.sentence.id for e in first.examples] == [e.sentence.id for e in second.examples]
     assert first.definitions == second.definitions
 
 
-def test_freeze_topk_caches_candidates(ontology, train_index):
-    opinions = [SimpleNamespace(event_type=None)]
-    state = FakeState(query_vector=train_index.vectors[2], radius=1.35)
-    config = DragConfig(freeze_topk=True)
-    gather_event_info(opinions, ontology, train_index, state, config)
-    assert state.cached_candidates is not None
-    cached = state.cached_candidates
-    state.radius = 0.9
-    gather_event_info(opinions, ontology, train_index, state, config)
-    assert state.cached_candidates is cached
+def test_topk_runs_once_per_sentence(ontology, train_index, embedder, monkeypatch):
+    real = dao.drag.retrieve_topk
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dao.drag, "retrieve_topk", counting)
+    scenario = helpers.build_scenario(1, ontology)  # agree_round2, then an EAE debate
+    result = run_session(scenario.sentence, ontology, train_index, scenario.build_config(embedder))
+    ed_rounds = {e.round_index for e in result.transcript if e.stage == "ed.judgement"}
+    assert len(ed_rounds) >= 2
+    assert any(e.stage.startswith("eae.") for e in result.transcript)
+    assert len(calls) == 1
 
 
 def test_config_validation():

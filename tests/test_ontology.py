@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dao.errors import DuplicateType, FormatError, UnknownEventType
-from dao.ontology import EventDefinition, load_ontology, lookup_definition
+from dao.ontology import EventDefinition, load_ontology
 
 
 def test_load_ontology_fixture_record_count(ontology_path, ontology):
@@ -15,7 +15,7 @@ def test_load_ontology_fixture_record_count(ontology_path, ontology):
 
 
 def test_lookup_life_die_roles(ontology):
-    definition = lookup_definition(ontology, "Life:Die")
+    definition = ontology.lookup("Life:Die")
     assert definition.roles == ("Agent", "Victim", "Instrument", "Place")
 
 
@@ -63,7 +63,7 @@ def test_missing_file_is_io_error(tmp_path):
 
 def test_unknown_lookup_raises(ontology):
     with pytest.raises(UnknownEventType):
-        lookup_definition(ontology, "Nonsense:Type")
+        ontology.lookup("Nonsense:Type")
 
 
 def test_round_trip_preserves_every_field(ontology_path, ontology):

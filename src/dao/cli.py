@@ -33,6 +33,7 @@ from .debate import (
     DebaterBinding,
     SessionConfig,
     SessionResult,
+    TranscriptEntry,
     TriggerAnswer,
     canonical_argument_rows,
     detection_risk_input,
@@ -95,7 +96,8 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """Every field the file sets; unset fields keep their defaults and
         unknown keys (such as ones older versions wrote) are ignored.
-        `backends` is merged one level deep over the default sections."""
+        Each dict-valued `backends` section is merged over its default
+        section, so a partial section keeps the defaults it leaves out."""
 
         def known(kind, section: dict) -> dict:
             names = {f.name for f in dataclasses.fields(kind)}
@@ -104,8 +106,12 @@ class RunConfig:
         fields = known(cls, data)
         fields["drag"] = DragConfig(**known(DragConfig, data.get("drag", {})))
         fields["adacp"] = AdaCPConfig(**known(AdaCPConfig, data.get("adacp", {})))
-        fields["backends"] = json.loads(json.dumps(_DEFAULT_BACKENDS))
-        fields["backends"].update(data.get("backends", {}))
+        backends = fields["backends"] = json.loads(json.dumps(_DEFAULT_BACKENDS))
+        for key, value in data.get("backends", {}).items():
+            default = backends.get(key)
+            if isinstance(default, dict) and isinstance(value, dict):
+                value = {**default, **value}
+            backends[key] = value
         return cls(**fields)
 
     @classmethod
@@ -140,10 +146,10 @@ class _Runtime:
             return HttpChatBackend(
                 endpoint=chat["endpoint"],
                 model=model,
-                api_key_env=chat.get("api_key_env"),
-                timeout=chat.get("timeout", 30.0),
-                max_attempts=chat.get("max_attempts", 5),
-                backoff=chat.get("backoff", 0.5),
+                api_key_env=chat["api_key_env"],
+                timeout=chat["timeout"],
+                max_attempts=chat["max_attempts"],
+                backoff=chat["backoff"],
             )
 
         debaters = tuple(
@@ -152,7 +158,7 @@ class _Runtime:
                 backend=client(spec.get("model") or chat["model"]),
                 temperature=spec.get("temperature", 0.0),
             )
-            for i, spec in enumerate(self.config.backends.get("debaters", []))
+            for i, spec in enumerate(self.config.backends["debaters"])
         )
         shared = client(chat["model"])
         return AgentTeam(debaters=debaters, critic=shared, judge=shared, summarizer=shared)
@@ -161,7 +167,7 @@ class _Runtime:
 def _build_runtime(config: RunConfig, replay_path: str | None) -> _Runtime:
     ontology = load_ontology(config.ontology)
     reference_entries = load_corpus(config.reference_corpus)
-    bundle_path = replay_path or config.backends.get("replay_bundle")
+    bundle_path = replay_path or config.backends["replay_bundle"]
     if bundle_path:
         bundle = ReplayBundle.load(bundle_path)
         embedder: EmbeddingBackend = bundle.embedder()
@@ -173,7 +179,7 @@ def _build_runtime(config: RunConfig, replay_path: str | None) -> _Runtime:
             endpoint=emb["endpoint"],
             model=emb["model"],
             dim=emb["dimension"],
-            api_key_env=emb.get("api_key_env"),
+            api_key_env=emb["api_key_env"],
         )
         scorer = HttpScoringBackend(endpoint=config.backends["scoring"]["endpoint"])
     return _Runtime(
@@ -261,6 +267,21 @@ def _prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16] if prompt else ""
 
 
+def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -> None:
+    """One sentence's `transcripts.jsonl` rows; an aborted run writes the
+    failed sentence's rows in the same form."""
+    for entry in transcript:
+        row = {
+            "id": sentence_id,
+            "round": entry.round_index,
+            "stage": entry.stage,
+            "role": entry.role,
+            "prompt_digest": _prompt_digest(entry.prompt),
+            "text": entry.text,
+        }
+        fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def _histograms(results: list[SessionResult], bins: int = 20) -> dict:
     """Per-(task, round) histogram of observed risks: 20 equal-width bins
     over [0, max risk seen in that round]."""
@@ -330,21 +351,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             aborted = out_dir / "aborted_transcript.jsonl"
             with open(aborted, "w", encoding="utf-8") as fh:
-                for entry in transcript:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "id": getattr(exc, "sentence_id", ""),
-                                "round": entry.round_index,
-                                "stage": entry.stage,
-                                "role": entry.role,
-                                "prompt_digest": _prompt_digest(entry.prompt),
-                                "text": entry.text,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+                _write_transcript(fh, getattr(exc, "sentence_id", ""), transcript)
             print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
         raise
 
@@ -375,21 +382,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     with open(out_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
         for result in results:
-            for entry in result.transcript:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": result.sentence.id,
-                            "round": entry.round_index,
-                            "stage": entry.stage,
-                            "role": entry.role,
-                            "prompt_digest": _prompt_digest(entry.prompt),
-                            "text": entry.text,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            _write_transcript(fh, result.sentence.id, result.transcript)
     (out_dir / "risk_histogram.json").write_text(
         json.dumps(_histograms(results), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -433,16 +426,6 @@ def _argument_items(rows: list[dict]) -> list[tuple[str, str, str, str]]:
     ]
 
 
-def _argument_overlap_items(rows: list[dict]) -> list[tuple[str, tuple, str]]:
-    return [
-        (row["id"], (event["type"], arg["role"]), arg["content"])
-        for row in rows
-        for event in row.get("events", [])
-        for arg in event.get("arguments", [])
-        if arg.get("content") is not None
-    ]
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     pred_rows = _read_predictions(args.pred)
     gold_rows = _read_predictions(args.gold)
@@ -461,9 +444,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.metric == "exact":
             score = trigger_f1(preds, golds)
         elif args.metric == "head":
-            head_preds = [(s, t, w) for s, t, w in preds]
             score = argument_head_f1(
-                [(s, t, "trigger", w) for s, t, w in head_preds],
+                [(s, t, "trigger", w) for s, t, w in preds],
                 [(s, t, "trigger", w) for s, t, w in golds],
                 sentences,
                 head_extractor=lenient_head_of_span,
@@ -472,22 +454,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             score = type_overlap_f1(preds, golds, texts)
             note = "span-overlap stand-in metric"
     else:
+        preds, golds = _argument_items(pred_rows), _argument_items(gold_rows)
+        slots = [[(s, (t, r), c) for s, t, r, c in items] for items in (preds, golds)]
         if args.metric == "exact":
-            score = trigger_f1(
-                [(s, (t, r), c) for s, t, r, c in _argument_items(pred_rows)],
-                [(s, (t, r), c) for s, t, r, c in _argument_items(gold_rows)],
-            )
+            score = trigger_f1(*slots)
         elif args.metric == "head":
-            score = argument_head_f1(
-                _argument_items(pred_rows),
-                _argument_items(gold_rows),
-                sentences,
-                head_extractor=lenient_head_of_span,
-            )
+            score = argument_head_f1(preds, golds, sentences, head_extractor=lenient_head_of_span)
         else:
-            score = type_overlap_f1(
-                _argument_overlap_items(pred_rows), _argument_overlap_items(gold_rows), texts
-            )
+            score = type_overlap_f1(*slots, texts)
             note = "span-overlap stand-in metric"
 
     _print_score(args.task, args.metric, score, note)

@@ -5,7 +5,7 @@ chains one argument-extraction debate per agreed (type, trigger). Each
 round renders opinions, broadcasts a retrieval packet to debaters and
 critic (never the judge), gates answers through the conformal threshold,
 runs cross-examination, and asks the judge for a verdict; the retrieval
-radius and the acceptance threshold tighten after every round.
+radius and the acceptance threshold tighten from round to round.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -271,31 +271,34 @@ class RiskRecord:
     accepted: bool
 
 
-@dataclass
-class DebateState:
-    """Mutable per-debate state; one instance per task per session.
-
-    `candidates` are the sentence's top-K neighbors, shared by all of its
-    debates; `packet_text` is the current round's retrieval packet, the
-    context every answer of the round is scored in.
-    """
-
-    task: str
-    candidates: list[Candidate]
-    radius: float
-    threshold: RiskThreshold
-    round_index: int = 0
-    live_opinions: dict[int, TriggerAnswer | ArgumentAnswer | None] = field(default_factory=dict)
-    gated_out: set[int] = field(default_factory=set)
-    packet_text: str = ""
-
-
 @dataclass(frozen=True)
 class TaskContext:
     task: str  # "ed" or "eae"
     event_type: str | None = None
     trigger: str | None = None
     roles: tuple[str, ...] = ()
+
+
+@dataclass
+class DebateState:
+    """Mutable per-debate state; one instance per task per session.
+
+    `candidates` are the sentence's top-K neighbors, shared by all of its
+    debates. Answers are scored in `risk_base` (the task prompt) plus
+    `packet_text` (the round's retrieval packet) against `threshold`, the
+    one in force; it decays when a later round starts, so round-cap
+    adjudication applies the last round's threshold.
+    """
+
+    ctx: TaskContext
+    candidates: list[Candidate]
+    risk_base: str
+    radius: float
+    threshold: RiskThreshold
+    round_index: int = 0
+    live_opinions: dict[int, TriggerAnswer | ArgumentAnswer | None] = field(default_factory=dict)
+    gated_out: set[int] = field(default_factory=set)
+    packet_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -312,13 +315,6 @@ class SessionResult:
     records: list[EventRecord]
     transcript: list[TranscriptEntry]
     risk_log: list[RiskRecord]
-
-
-@dataclass
-class _DebateOutcome:
-    kind: str  # "agreement" | "no_event"
-    trigger_answers: tuple[TriggerAnswer, ...] = ()
-    argument_rows: tuple[tuple[str, str | None], ...] = ()
 
 
 def detection_risk_input(
@@ -369,13 +365,12 @@ def render_packet(result: RetrievalResult, ctx: TaskContext, ontology: EventOnto
 def _example_answer(entry: ReferenceEntry, ctx: TaskContext) -> str:
     events = entry.annotation.events
     if ctx.task == "ed":
-        if not events:
-            return "[]"
-        return "; ".join(f'["{e.event_type}", "{e.trigger}"]' for e in events)
+        answers = (serialize_trigger_answer(TriggerAnswer(e.event_type, e.trigger)) for e in events)
+        return "; ".join(answers) or "[]"
     for event in events:
         if event.event_type == ctx.event_type:
             filled = {role: content for role, content in event.arguments}
-            return "\n" + serialize_argument_table(event.event_type, tuple(filled.items()) or ())
+            return "\n" + serialize_argument_table(event.event_type, tuple(filled.items()))
     return "[]"
 
 
@@ -441,15 +436,9 @@ class _Session:
         filled = dict(answer.rows)
         return serialize_argument_table(answer.event_type, canonical_argument_rows(ctx.roles, filled))
 
-    def _ce_prompt(
-        self,
-        ctx: TaskContext,
-        binding: DebaterBinding,
-        index: int,
-        answers: dict[int, TriggerAnswer | ArgumentAnswer | None],
-        packet_text: str,
-        gated: bool,
-    ) -> str:
+    def _ce_prompt(self, state: DebateState, index: int, gated: bool) -> str:
+        ctx, answers = state.ctx, state.live_opinions
+        binding = self.config.team.debaters[index]
         parts = [self._base_prompt(ctx, binding.name)]
         own = self._serialize(ctx, answers.get(index))
         parts.append(f"Your current answer: {own}")
@@ -458,24 +447,19 @@ class _Session:
                 parts.append(
                     f"Debater {other.name}'s current answer: {self._serialize(ctx, answers.get(j))}"
                 )
-        parts.append(packet_text)
+        parts.append(state.packet_text)
         parts.append(render_prompt("debater_revise" if gated else "debater_ce", {}))
         parts.append(self._format_reminder(ctx, binding.name))
         return "\n\n".join(parts)
 
-    def _critic_prompt(
-        self,
-        ctx: TaskContext,
-        answers: dict[int, TriggerAnswer | ArgumentAnswer | None],
-        packet_text: str,
-    ) -> str:
-        template = "critic_ed" if ctx.task == "ed" else "critic_eae"
-        parts = [render_prompt(template, {"SENT": self.sentence.text})]
+    def _critic_prompt(self, state: DebateState) -> str:
+        ctx, answers = state.ctx, state.live_opinions
+        parts = [render_prompt(f"critic_{ctx.task}", {"SENT": self.sentence.text})]
         for j, binding in enumerate(self.config.team.debaters):
             parts.append(
                 f"Debater {binding.name}'s current answer: {self._serialize(ctx, answers.get(j))}"
             )
-        parts.append(packet_text)
+        parts.append(state.packet_text)
         return "\n\n".join(parts)
 
     def _judge_prompt(self, ctx: TaskContext, statements: dict[int, str], critic_text: str) -> str:
@@ -484,7 +468,7 @@ class _Session:
             if j in statements:
                 parts.append(f"Debater {binding.name}'s statement: {statements[j]}")
         parts.append(f"Critic's assessment: {critic_text}")
-        parts.append(render_prompt("judge_ed" if ctx.task == "ed" else "judge_eae", {}))
+        parts.append(render_prompt(f"judge_{ctx.task}", {}))
         return "\n\n".join(parts)
 
     # -- answer parsing
@@ -532,11 +516,16 @@ class _Session:
 
     # -- the round state machine
 
-    def run_round(self, state: DebateState, ctx: TaskContext) -> JudgeVerdict:
-        """One debate round; advances round counter, radius, and threshold."""
+    def run_round(self, state: DebateState) -> JudgeVerdict:
+        """One debate round; decays radius and threshold before every round
+        after the first, and advances the round counter at its end."""
         team = self.config.team
+        ctx = state.ctx
         rnd = state.round_index
         stage = lambda name: f"{ctx.task}.{name}"  # noqa: E731
+        if rnd > 0:
+            state.radius = decay_radius(state.radius, self.config.drag.radius_decay)
+            state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
 
         # (1) Opinions: rendered fresh in the first round, carried from the
         # previous cross-examination afterwards.
@@ -588,13 +577,12 @@ class _Session:
             )
 
         # (3) Gate every extraction answer against the current threshold.
-        risk_base = self._base_prompt(ctx)
         state.gated_out = set()
         for i, binding in enumerate(team.debaters):
             answer = state.live_opinions.get(i)
             if self._is_exempt(ctx, answer):
                 continue
-            if not self._gate(state, ctx, rnd, binding, answer, risk_base):
+            if not self._gate(state, binding, answer):
                 state.gated_out.add(i)
 
         # (4) Cross-examination: survivors defend or update, gated debaters
@@ -602,13 +590,12 @@ class _Session:
         statements: dict[int, str] = {}
         for i, binding in enumerate(team.debaters):
             gated = i in state.gated_out
-            prompt = self._ce_prompt(ctx, binding, i, state.live_opinions, state.packet_text, gated)
             reply = self._chat(
                 binding.backend,
                 rnd,
                 stage("cross_examination"),
                 f"debater_{binding.name}",
-                prompt,
+                self._ce_prompt(state, i, gated),
                 binding.temperature,
             )
             revised = self._parse_answer(ctx, reply)
@@ -624,9 +611,7 @@ class _Session:
             state.live_opinions[i] = revised
             if not gated:
                 statements[i] = reply
-            elif self._is_exempt(ctx, revised) or self._gate(
-                state, ctx, rnd, binding, revised, risk_base
-            ):
+            elif self._is_exempt(ctx, revised) or self._gate(state, binding, revised):
                 state.gated_out.discard(i)
                 statements[i] = reply
         critic_reply = self._chat(
@@ -634,7 +619,7 @@ class _Session:
             rnd,
             stage("cross_examination"),
             "critic",
-            self._critic_prompt(ctx, state.live_opinions, state.packet_text),
+            self._critic_prompt(state),
         )
 
         # (5) Judgement on this round's admissible statements only.
@@ -654,90 +639,78 @@ class _Session:
             verdict = JudgeVerdict(VerdictKind.CONTINUE)
 
         state.round_index += 1
-        state.radius = decay_radius(state.radius, self.config.drag.radius_decay)
-        state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
         return verdict
 
     def _score(
         self,
         state: DebateState,
-        ctx: TaskContext,
-        rnd: int,
-        threshold: RiskThreshold,
         binding: DebaterBinding,
         answer: TriggerAnswer | ArgumentAnswer | None,
-        risk_base: str,
     ) -> tuple[RiskRecord, str]:
-        """Score one answer in the round's context (task prompt plus packet)
-        against `threshold`; the record and its note text. The gate and
-        adjudication both score here, so they score in the same context."""
-        serialized = self._serialize(ctx, answer)
-        risk = risk_score(self.config.scorer, risk_base, state.packet_text, serialized)
-        ok = accept(risk, threshold)
+        """Score one answer in the round's context against the threshold in
+        force; the record and its note text. The gate and adjudication both
+        score here, so they score in the same context."""
+        serialized = self._serialize(state.ctx, answer)
+        risk = risk_score(self.config.scorer, state.risk_base, state.packet_text, serialized)
+        ok = accept(risk, state.threshold)
         note = (
             f"debater_{binding.name} answer {serialized!r} risk={risk:.6f} "
-            f"threshold={threshold.value:.6f} accepted={ok}"
+            f"threshold={state.threshold.value:.6f} accepted={ok}"
         )
-        return RiskRecord(ctx.task, rnd, binding.name, serialized, risk, ok), note
+        record = RiskRecord(state.ctx.task, state.round_index, binding.name, serialized, risk, ok)
+        return record, note
 
     def _gate(
         self,
         state: DebateState,
-        ctx: TaskContext,
-        rnd: int,
         binding: DebaterBinding,
         answer: TriggerAnswer | ArgumentAnswer | None,
-        risk_base: str,
     ) -> bool:
-        record, note = self._score(state, ctx, rnd, state.threshold, binding, answer, risk_base)
+        record, note = self._score(state, binding, answer)
         self.risk_log.append(record)
         self._note(
-            rnd, f"{ctx.task}.gate", "scorer", note, prompt=f"{risk_base}\n\n{state.packet_text}"
+            state.round_index,
+            f"{state.ctx.task}.gate",
+            "scorer",
+            note,
+            prompt=f"{state.risk_base}\n\n{state.packet_text}",
         )
         return record.accepted
 
-    def run_debate(self, ctx: TaskContext, candidates: list[Candidate]) -> _DebateOutcome:
-        """Run one task's debate to verdict or to the round cap."""
+    def run_debate(self, ctx: TaskContext, candidates: list[Candidate]) -> JudgeVerdict:
+        """Run one task's debate to an agreement or no-event verdict, by the
+        judge or, at the round cap, by adjudication."""
         threshold0 = self.config.adacp.initial_threshold.get(ctx.task)
         if threshold0 is None:
             raise ValueError(
                 f"no initial acceptance threshold for task {ctx.task!r}; calibrate first"
             )
         state = DebateState(
-            task=ctx.task,
+            ctx=ctx,
             candidates=candidates,
+            risk_base=self._base_prompt(ctx),
             radius=self.config.drag.initial_radius,
             threshold=RiskThreshold(value=float(threshold0), round_index=0),
         )
-        last_threshold = state.threshold
-        verdict = JudgeVerdict(VerdictKind.CONTINUE)
         while state.round_index < self.config.max_rounds:
-            last_threshold = state.threshold
-            verdict = self.run_round(state, ctx)
+            verdict = self.run_round(state)
+            if verdict.kind is VerdictKind.AGREEMENT and ctx.task == "eae":
+                cleaned = self._clean_argument_rows(verdict.argument_rows, ctx.roles)
+                return replace(verdict, argument_rows=cleaned)
             if verdict.kind is not VerdictKind.CONTINUE:
-                break
-        if verdict.kind is VerdictKind.NO_EVENT:
-            return _DebateOutcome("no_event")
-        if verdict.kind is VerdictKind.AGREEMENT:
-            if ctx.task == "ed":
-                return _DebateOutcome("agreement", trigger_answers=verdict.trigger_answers)
-            cleaned = self._clean_argument_rows(verdict.argument_rows, ctx.roles)
-            return _DebateOutcome("agreement", argument_rows=cleaned)
-        return self._adjudicate(state, ctx, last_threshold)
+                return verdict
+        return self._adjudicate(state)
 
-    def _adjudicate(
-        self, state: DebateState, ctx: TaskContext, threshold: RiskThreshold
-    ) -> _DebateOutcome:
+    def _adjudicate(self, state: DebateState) -> JudgeVerdict:
         """Round cap reached without agreement: adopt the lowest-risk answer
         that passes the final round's gate, otherwise fail closed."""
-        rnd = state.round_index
+        ctx, rnd = state.ctx, state.round_index
         best: tuple[float, int] | None = None
-        risk_base = self._base_prompt(ctx)
         for i, binding in enumerate(self.config.team.debaters):
             answer = state.live_opinions.get(i)
             if self._is_exempt(ctx, answer):
                 continue
-            record, note = self._score(state, ctx, rnd, threshold, binding, answer, risk_base)
+            record, note = self._score(state, binding, answer)
             self._note(rnd, f"{ctx.task}.adjudication", "scorer", note)
             if record.accepted and (best is None or record.risk < best[0]):
                 best = (record.risk, i)
@@ -748,7 +721,7 @@ class _Session:
                 "engine",
                 "round cap reached with no acceptable answer; emitting empty result",
             )
-            return _DebateOutcome("no_event")
+            return JudgeVerdict(VerdictKind.NO_EVENT)
         answer = state.live_opinions[best[1]]
         self._note(
             rnd,
@@ -758,9 +731,9 @@ class _Session:
         )
         if ctx.task == "ed":
             assert isinstance(answer, TriggerAnswer)
-            return _DebateOutcome("agreement", trigger_answers=(answer,))
+            return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=(answer,))
         assert isinstance(answer, ArgumentAnswer)
-        return _DebateOutcome("agreement", argument_rows=answer.rows)
+        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=answer.rows)
 
     # -- summarization
 
@@ -847,33 +820,23 @@ def run_session(
         # One top-K scan per sentence: every debate queries with the
         # sentence embedding; only radius and type filter vary.
         candidates = drag.retrieve_topk(index, query_vector, config.drag.top_k)
-        ed_outcome = session.run_debate(TaskContext(task="ed"), candidates)
+        ed_verdict = session.run_debate(TaskContext(task="ed"), candidates)
         records: list[EventRecord] = []
-        if ed_outcome.kind == "agreement":
-            for answer in ed_outcome.trigger_answers:
-                if answer.event_type not in ontology:
-                    session._note(
-                        0,
-                        "session.summary",
-                        "engine",
-                        f"agreed type {answer.event_type!r} unknown to the ontology; "
-                        "emitting record without arguments",
-                    )
-                    records.append(session._summarize(answer, ()))
-                    continue
-                roles = ontology.lookup(answer.event_type or "").roles
-                if not roles:
-                    records.append(session._summarize(answer, ()))
-                    continue
-                eae_ctx = TaskContext(
-                    task="eae",
-                    event_type=answer.event_type,
-                    trigger=answer.trigger,
-                    roles=roles,
+        # A no-event verdict carries no answers or rows.
+        for answer in ed_verdict.trigger_answers:
+            rows: tuple[tuple[str, str | None], ...] = ()
+            if answer.event_type not in ontology:
+                session._note(
+                    0,
+                    "session.summary",
+                    "engine",
+                    f"agreed type {answer.event_type!r} unknown to the ontology; "
+                    "emitting record without arguments",
                 )
-                eae_outcome = session.run_debate(eae_ctx, candidates)
-                rows = eae_outcome.argument_rows if eae_outcome.kind == "agreement" else ()
-                records.append(session._summarize(answer, rows))
+            elif roles := ontology.lookup(answer.event_type).roles:
+                eae_ctx = TaskContext("eae", answer.event_type, answer.trigger, roles)
+                rows = session.run_debate(eae_ctx, candidates).argument_rows
+            records.append(session._summarize(answer, rows))
     except BackendError as exc:
         # Abort the session but keep everything recorded so far inspectable.
         exc.transcript = session.transcript  # type: ignore[attr-defined]

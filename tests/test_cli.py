@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -86,12 +87,11 @@ def test_team_for_without_bundle_binds_debater_models():
     assert [d.name for d in team.debaters] == ["A", "B"]
     assert [d.backend.model for d in team.debaters] == ["model-a", "base"]
     assert [d.temperature for d in team.debaters] == [0.3, 0.0]
-    # A partial chat section replaces the default one; the client keeps its
-    # fallbacks for what the section leaves out.
+    # A partial chat section keeps the defaults for the keys it leaves out.
     for backend in [d.backend for d in team.debaters] + [team.critic]:
         assert backend.endpoint == "http://localhost:9/chat"
         assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
-        assert backend.api_key_env is None
+        assert backend.api_key_env == "DAO_API_KEY"
 
 
 def test_team_for_shares_one_client_for_critic_judge_summarizer():
@@ -248,6 +248,41 @@ def test_run_replay_table_3b_empty_prediction(tmp_path):
     assert main(["run", "-c", str(config_path), "--input", str(input_path), "--out", str(out_dir)]) == 0
     (prediction,) = _read_jsonl(out_dir / "predictions.jsonl")
     assert prediction["events"] == []
+
+
+# sha256 prefixes of predictions.jsonl / transcripts.jsonl / risk_histogram.json.
+# A change that alters the artifacts on purpose updates these and says why.
+REPLAY_DIGESTS = {
+    "replay_table3a": ("c1064c84d4fce771", "258139095f6c0523", "c8c4b273a5588d32"),
+    "replay_table3b": ("db4f415b9051d07e", "6e4c638b1eba5bb5", "01e4452de778145c"),
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))
+def test_run_replay_artifacts_byte_identical_to_recorded_digests(tmp_path, bundle):
+    bundle_path = FIXTURES / f"{bundle}.json"
+    sessions = json.loads(bundle_path.read_text())["sessions"]
+    rows = [row for row in _read_jsonl(FIXTURES / "corpus_small.jsonl") if row["id"] in sessions]
+    input_path = tmp_path / "input.jsonl"
+    input_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "ontology": str(FIXTURES / "ontology_ace.jsonl"),
+                "reference_corpus": str(FIXTURES / "corpus_small.jsonl"),
+                "backends": {"replay_bundle": str(bundle_path)},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(config_path), "--input", str(input_path), "--out", str(out_dir)]) == 0
+    digests = tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
+        for name in ("predictions.jsonl", "transcripts.jsonl", "risk_histogram.json")
+    )
+    assert digests == REPLAY_DIGESTS[bundle]
 
 
 def test_run_outputs_byte_identical_across_runs(tmp_path):
@@ -408,6 +443,39 @@ def test_eval_argument_head_metric(tmp_path):
     assert json.loads(report_path.read_text())["f1"] == 1.0
 
 
+@pytest.mark.parametrize("metric, counts", [("exact", (1, 1, 1)), ("types", (2, 0, 0))])
+def test_eval_argument_exact_and_types_metrics(tmp_path, metric, counts):
+    text = "Rebels attacked the town at dawn ."
+
+    def row(arguments):
+        event = {"type": "Conflict:Attack", "trigger": "attacked", "arguments": arguments}
+        return _row("s1", text, [event])
+
+    golds = [row([{"role": "Attacker", "content": "Rebels"}, {"role": "Place", "content": "the town"}])]
+    preds = [
+        row(
+            [
+                {"role": "Attacker", "content": "Rebels"},
+                {"role": "Place", "content": "town"},
+                {"role": "Target", "content": None},
+            ]
+        )
+    ]
+    pred_path, gold_path = _eval_files(tmp_path, preds, golds)
+    report_path = tmp_path / "report.json"
+    assert (
+        main(
+            [
+                "eval", "--pred", str(pred_path), "--gold", str(gold_path),
+                "--task", "eae", "--metric", metric, "--report", str(report_path),
+            ]
+        )
+        == 0
+    )
+    report = json.loads(report_path.read_text())
+    assert (report["tp"], report["fp"], report["fn"]) == counts
+
+
 def test_eval_types_metric_labeled_as_standin(tmp_path):
     rows = [
         _row("s1", "Rebels attacked the town .", [{"type": "Conflict:Attack", "trigger": "Rebels attacked", "arguments": []}])
@@ -443,6 +511,24 @@ def test_run_aborted_session_writes_partial_transcript(tmp_path):
     assert aborted.exists()
     rows = _read_jsonl(aborted)
     assert any(row["stage"] == "ed.opinion" for row in rows)
+
+
+TRANSCRIPT_KEYS = {"id", "round", "stage", "role", "prompt_digest", "text"}
+
+
+def test_aborted_transcript_rows_match_transcript_rows(tmp_path):
+    paths = helpers.build_replay_run(tmp_path, 2, FIXTURES)
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    assert all(set(row) == TRANSCRIPT_KEYS for row in _read_jsonl(out_dir / "transcripts.jsonl"))
+    bundle = json.loads(paths["bundle"].read_text())
+    bundle["sessions"]["gen-001"]["debaters"][1] = [["*", 'B: ["Contact:Meet", "met"]']]
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    aborted_dir = tmp_path / "aborted"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(aborted_dir)]) == 2
+    rows = _read_jsonl(aborted_dir / "aborted_transcript.jsonl")
+    assert rows
+    assert all(set(row) == TRANSCRIPT_KEYS and row["id"] == "gen-001" for row in rows)
 
 
 def test_run_reference_split_all_uses_whole_corpus(tmp_path):

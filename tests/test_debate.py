@@ -196,6 +196,26 @@ def test_adjudication_scores_with_last_gate_prompt(ontology, train_index, embedd
     assert adjudicated >= 1
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, embedder):
+    scenario, _, result = _run_scenario(seed, ontology, train_index, embedder)
+    assert scenario.flow == ("cap_disagree", "all_rejected")[seed - 3]
+    last_gate: dict[str, str] = {}
+    adjudicated = 0
+    for entry in result.transcript:
+        if entry.role != "scorer":
+            continue
+        task, kind = entry.stage.split(".")
+        threshold = re.search(r"threshold=(\S+)", entry.text).group(1)
+        if kind == "gate":
+            last_gate[task] = threshold
+        else:
+            assert threshold == last_gate[task]
+            adjudicated += task == "ed"
+    assert adjudicated >= 1
+    assert last_gate["ed"] == "0.250000"
+
+
 def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index):
     from dao.backends import hash_embedder
     from dao.errors import DimensionMismatch

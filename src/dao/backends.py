@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -80,26 +81,46 @@ def _post_json(
 ) -> dict:
     """POST a JSON body and return the decoded JSON response.
 
-    Retries with exponential backoff on HTTP 429, up to `max_attempts`
-    total attempts; other non-2xx codes fail immediately.
+    Retries on HTTP 429, on 5xx and on timeouts, up to `max_attempts`
+    total attempts; other failures raise at once. Before retry n (from 0)
+    it waits the server's `Retry-After` seconds, if given, plus a random
+    share of `backoff * 2**n`, so callers throttled together spread out.
     """
     for attempt in range(max_attempts):
+        last = attempt + 1 == max_attempts
         try:
             resp = requests.post(url, json=body, timeout=timeout, headers=headers)
+        except requests.Timeout as exc:
+            if last:
+                raise TransportError(f"timed out {max_attempts} times: {exc}") from exc
+            retry_after = 0.0
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
-        if resp.status_code == 429:
-            if attempt + 1 < max_attempts:
-                time.sleep(backoff * (2**attempt))
-                continue
-            raise RateLimited(f"still throttled after {max_attempts} attempts")
-        if not 200 <= resp.status_code < 300:
-            raise HttpStatusError(resp.status_code, resp.text)
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise MalformedResponse(f"response is not JSON: {exc}") from None
+        else:
+            if last or not (resp.status_code == 429 or resp.status_code >= 500):
+                return _json_body(resp, max_attempts)
+            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+        time.sleep(retry_after + random.uniform(0.0, backoff * 2**attempt))
     raise RateLimited(f"still throttled after {max_attempts} attempts")
+
+
+def _json_body(resp: requests.Response, attempts: int) -> dict:
+    """The decoded body of a final response."""
+    if resp.status_code == 429:
+        raise RateLimited(f"still throttled after {attempts} attempts")
+    if not 200 <= resp.status_code < 300:
+        raise HttpStatusError(resp.status_code, resp.text)
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise MalformedResponse(f"response is not JSON: {exc}") from None
+
+
+def _retry_after_s(value: str | None) -> float:
+    """Seconds from a `Retry-After` header in its delta-seconds form; 0 when
+    absent or given as an HTTP date."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 @dataclass

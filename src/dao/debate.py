@@ -6,6 +6,11 @@ round renders opinions, broadcasts a retrieval packet to debaters and
 critic (never the judge), gates answers through the conformal threshold,
 runs cross-examination, and asks the judge for a verdict; the retrieval
 radius and the acceptance threshold tighten from round to round.
+
+Within a stage the debaters' calls, and the scoring of distinct answers,
+run at once; the critic and the judge wait for the stage before them.
+Transcript entries are written in debater order once a stage's calls are
+back, so a transcript does not depend on which call finished first.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +39,8 @@ logger = logging.getLogger(__name__)
 
 ED_JUDGE_HEADER = ("event type", "event trigger")
 EAE_HEADER = ("event type", "argument role", "argument content")
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +384,42 @@ def _example_answer(entry: ReferenceEntry, ctx: TaskContext) -> str:
 
 
 class _Session:
-    """Holds the immutable context of one sentence's debates."""
+    """Holds the immutable context of one sentence's debates, the pool
+    their concurrent calls run on, and the risks scored so far."""
 
     def __init__(
         self,
         sentence: Sentence,
         ontology: EventOntology,
         config: SessionConfig,
+        pool: Executor,
     ):
         self.sentence = sentence
         self.ontology = ontology
         self.config = config
+        self.pool = pool
         self.transcript: list[TranscriptEntry] = []
         self.risk_log: list[RiskRecord] = []
+        # (scoring prompt, packet, serialized answer) -> risk
+        self.risks: dict[tuple[str, str, str], float] = {}
 
-    # -- transcript helpers
+    # -- transcript and call helpers
 
     def _note(self, round_index: int, stage: str, role: str, text: str, prompt: str = "") -> None:
         self.transcript.append(TranscriptEntry(round_index, stage, role, prompt, text))
 
-    def _chat(
-        self,
-        backend: ChatBackend,
-        round_index: int,
-        stage: str,
-        role: str,
-        prompt: str,
-        temperature: float = 0.0,
-    ) -> str:
-        reply = backend.complete([ChatMessage("user", prompt)], temperature=temperature)
+    def _fan_out(self, calls: Sequence[Callable[[], T]]) -> list[T]:
+        """Run independent calls at once; their results in call order. All
+        calls have returned before the first failure, in call order, is
+        raised, so a failed stage leaves no call running."""
+        if len(calls) == 1:
+            return [calls[0]()]
+        pending = [self.pool.submit(call) for call in calls]
+        wait(pending)
+        return [future.result() for future in pending]
+
+    def _chat(self, backend: ChatBackend, round_index: int, stage: str, role: str, prompt: str) -> str:
+        reply = backend.complete([ChatMessage("user", prompt)])
         self._note(round_index, stage, role, reply, prompt=prompt)
         return reply
 
@@ -530,25 +546,12 @@ class _Session:
         # (1) Opinions: rendered fresh in the first round, carried from the
         # previous cross-examination afterwards.
         if rnd == 0:
-            for i, binding in enumerate(team.debaters):
-                prompt = self._base_prompt(ctx, binding.name)
-                reply = self._chat(
-                    binding.backend,
-                    rnd,
-                    stage("opinion"),
-                    f"debater_{binding.name}",
-                    prompt,
-                    binding.temperature,
-                )
-                answer = self._parse_answer(ctx, reply)
-                if answer is None:
-                    self._note(
-                        rnd,
-                        stage("opinion"),
-                        "engine",
-                        f"debater_{binding.name} reply unparseable; treated as abstention",
-                    )
-                state.live_opinions[i] = answer
+            self._ask_debaters(
+                state,
+                "opinion",
+                [self._base_prompt(ctx, binding.name) for binding in team.debaters],
+                "reply unparseable; treated as abstention",
+            )
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
         opinions = [a for a in state.live_opinions.values() if a is not None]
@@ -578,42 +581,21 @@ class _Session:
 
         # (3) Gate every extraction answer against the current threshold.
         state.gated_out = set()
-        for i, binding in enumerate(team.debaters):
-            answer = state.live_opinions.get(i)
-            if self._is_exempt(ctx, answer):
-                continue
-            if not self._gate(state, binding, answer):
+        for i, scored in self._score(state, self._scorable(state)).items():
+            if not self._log_gate(state, *scored):
                 state.gated_out.add(i)
 
-        # (4) Cross-examination: survivors defend or update, gated debaters
-        # revise; revised answers are re-gated before they may reach the judge.
-        statements: dict[int, str] = {}
-        for i, binding in enumerate(team.debaters):
-            gated = i in state.gated_out
-            reply = self._chat(
-                binding.backend,
-                rnd,
-                stage("cross_examination"),
-                f"debater_{binding.name}",
-                self._ce_prompt(state, i, gated),
-                binding.temperature,
-            )
-            revised = self._parse_answer(ctx, reply)
-            if revised is None:
-                self._note(
-                    rnd,
-                    stage("cross_examination"),
-                    "engine",
-                    f"debater_{binding.name} statement restates no parseable answer; "
-                    "previous answer kept",
-                )
-                revised = state.live_opinions.get(i)
-            state.live_opinions[i] = revised
-            if not gated:
-                statements[i] = reply
-            elif self._is_exempt(ctx, revised) or self._gate(state, binding, revised):
-                state.gated_out.discard(i)
-                statements[i] = reply
+        # (4) Cross-examination, simultaneous: every prompt shows the answers
+        # as they stood after the gate. Survivors defend or update, gated
+        # debaters revise; revised answers are re-gated before they may reach
+        # the judge.
+        replies = self._ask_debaters(
+            state,
+            "cross_examination",
+            [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))],
+            "statement restates no parseable answer; previous answer kept",
+        )
+        statements = {i: reply for i, reply in enumerate(replies) if i not in state.gated_out}
         critic_reply = self._chat(
             team.critic,
             rnd,
@@ -641,32 +623,79 @@ class _Session:
         state.round_index += 1
         return verdict
 
-    def _score(
-        self,
-        state: DebateState,
-        binding: DebaterBinding,
-        answer: TriggerAnswer | ArgumentAnswer | None,
-    ) -> tuple[RiskRecord, str]:
-        """Score one answer in the round's context against the threshold in
-        force; the record and its note text. The gate and adjudication both
-        score here, so they score in the same context."""
-        serialized = self._serialize(state.ctx, answer)
-        risk = risk_score(self.config.scorer, state.risk_base, state.packet_text, serialized)
-        ok = accept(risk, state.threshold)
-        note = (
-            f"debater_{binding.name} answer {serialized!r} risk={risk:.6f} "
-            f"threshold={state.threshold.value:.6f} accepted={ok}"
-        )
-        record = RiskRecord(state.ctx.task, state.round_index, binding.name, serialized, risk, ok)
-        return record, note
+    def _ask_debaters(
+        self, state: DebateState, stage: str, prompts: Sequence[str], unparsed: str
+    ) -> list[str]:
+        """Send every debater its prompt at once; the replies, in debater order.
 
-    def _gate(
-        self,
-        state: DebateState,
-        binding: DebaterBinding,
-        answer: TriggerAnswer | ArgumentAnswer | None,
-    ) -> bool:
-        record, note = self._score(state, binding, answer)
+        A parsed reply becomes the debater's live answer; an unparseable one
+        keeps it (an abstention before the first answer) and is noted with
+        `unparsed`. A gated-out debater's new answer is re-gated, all
+        re-gates scored at once, and leaves `gated_out` when it passes or
+        is exempt. Once every call is back, each debater's exchange, note
+        and gate verdict are written in debater order.
+        """
+        ctx, rnd, debaters = state.ctx, state.round_index, self.config.team.debaters
+        replies = self._fan_out(
+            [
+                partial(b.backend.complete, [ChatMessage("user", p)], temperature=b.temperature)
+                for b, p in zip(debaters, prompts)
+            ]
+        )
+        parsed = [self._parse_answer(ctx, reply) for reply in replies]
+        for i, answer in enumerate(parsed):
+            state.live_opinions[i] = state.live_opinions.get(i) if answer is None else answer
+        revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out}
+        regated = self._score(state, revised)
+        for i, binding in enumerate(debaters):
+            self._note(rnd, f"{ctx.task}.{stage}", f"debater_{binding.name}", replies[i], prompts[i])
+            if parsed[i] is None:
+                self._note(rnd, f"{ctx.task}.{stage}", "engine", f"debater_{binding.name} {unparsed}")
+            if i not in regated or self._log_gate(state, *regated[i]):
+                state.gated_out.discard(i)
+        return replies
+
+    def _scorable(self, state: DebateState) -> dict[int, TriggerAnswer | ArgumentAnswer]:
+        """The live answers, by debater, that the gate scores: all but
+        abstentions and no-event answers."""
+        return {
+            i: answer
+            for i, answer in state.live_opinions.items()
+            if not self._is_exempt(state.ctx, answer)
+        }
+
+    def _score(
+        self, state: DebateState, answers: Mapping[int, TriggerAnswer | ArgumentAnswer]
+    ) -> dict[int, tuple[RiskRecord, str]]:
+        """Score answers, by debater, in the round's context against the
+        threshold in force; each one's record and note text.
+
+        Requests this session has not sent before go to the scorer at once;
+        a repeated request reuses its risk, since the scorer is a frozen
+        model. The gate, the re-gate and adjudication all score here, so
+        they score in the same context.
+        """
+        keys = {
+            i: (state.risk_base, state.packet_text, self._serialize(state.ctx, answer))
+            for i, answer in answers.items()
+        }
+        new = list(dict.fromkeys(key for key in keys.values() if key not in self.risks))
+        risks = self._fan_out([partial(risk_score, self.config.scorer, *key) for key in new])
+        self.risks.update(zip(new, risks))
+        scored = {}
+        for i, key in keys.items():
+            name, serialized, risk = self.config.team.debaters[i].name, key[-1], self.risks[key]
+            ok = accept(risk, state.threshold)
+            note = (
+                f"debater_{name} answer {serialized!r} risk={risk:.6f} "
+                f"threshold={state.threshold.value:.6f} accepted={ok}"
+            )
+            record = RiskRecord(state.ctx.task, state.round_index, name, serialized, risk, ok)
+            scored[i] = (record, note)
+        return scored
+
+    def _log_gate(self, state: DebateState, record: RiskRecord, note: str) -> bool:
+        """Log one gate verdict; whether the answer passed."""
         self.risk_log.append(record)
         self._note(
             state.round_index,
@@ -706,11 +735,7 @@ class _Session:
         that passes the final round's gate, otherwise fail closed."""
         ctx, rnd = state.ctx, state.round_index
         best: tuple[float, int] | None = None
-        for i, binding in enumerate(self.config.team.debaters):
-            answer = state.live_opinions.get(i)
-            if self._is_exempt(ctx, answer):
-                continue
-            record, note = self._score(state, binding, answer)
+        for i, (record, note) in self._score(state, self._scorable(state)).items():
             self._note(rnd, f"{ctx.task}.adjudication", "scorer", note)
             if record.accepted and (best is None or record.risk < best[0]):
                 best = (record.risk, i)
@@ -807,7 +832,9 @@ def run_session(
     never available to this code path. A no-event outcome skips argument
     extraction entirely.
     """
-    session = _Session(sentence, ontology, config)
+    # One worker per debater: no stage has more independent calls.
+    pool = ThreadPoolExecutor(max_workers=len(config.team.debaters))
+    session = _Session(sentence, ontology, config, pool)
     try:
         query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)))
         session._note(
@@ -842,6 +869,8 @@ def run_session(
         exc.transcript = session.transcript  # type: ignore[attr-defined]
         exc.sentence_id = sentence.id  # type: ignore[attr-defined]
         raise
+    finally:
+        pool.shutdown()
     return SessionResult(
         sentence=sentence,
         records=records,

@@ -89,10 +89,15 @@ def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> list[Candi
     if not index.entries:
         return []
     distances = 1.0 - index.vectors @ query
-    order = sorted(range(len(index)), key=lambda i: (distances[i], index.entries[i].sentence.id))
+    k = min(k, len(distances))
+    # Every entry tied with the k-th distance stays in the slice, so the
+    # exact sort below can break those ties by entry id.
+    kth = distances[np.argpartition(distances, k - 1)[k - 1]]
+    nearest = np.flatnonzero(distances <= kth)
+    order = sorted(nearest, key=lambda i: (distances[i], index.entries[i].sentence.id))
     return [
         Candidate(entry=index.entries[i], distance=float(distances[i]), vector=index.vectors[i])
-        for i in order[: min(k, len(order))]
+        for i in order[:k]
     ]
 
 

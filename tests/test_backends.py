@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from dao.backends import (
@@ -133,6 +134,81 @@ def test_http_chat_rate_limited_after_max_attempts(stub_server):
     )
     with pytest.raises(RateLimited):
         backend.complete([ChatMessage("user", "x")])
+
+
+class _Reply:
+    def __init__(self, status, payload=None, retry_after=None):
+        self.status_code, self._payload = status, payload
+        self.headers = {"Retry-After": retry_after} if retry_after is not None else {}
+        self.text = json.dumps(payload)
+
+    def json(self):
+        return self._payload
+
+
+def _scripted_post(monkeypatch, outcomes):
+    """Replace requests.post and time.sleep; each post takes the next outcome,
+    raising it if it is an exception. Returns the posts and sleeps seen."""
+    posts, sleeps = [], []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        outcome = outcomes[len(posts) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr("dao.backends.requests.post", post)
+    monkeypatch.setattr("dao.backends.time.sleep", sleeps.append)
+    return posts, sleeps
+
+
+_OK = {"nll": 1.5}
+
+
+def test_post_retries_5xx_and_timeouts_with_jittered_backoff(monkeypatch):
+    posts, sleeps = _scripted_post(
+        monkeypatch, [_Reply(503), requests.Timeout("slow"), _Reply(500), _Reply(200, _OK)]
+    )
+    scorer = HttpScoringBackend(endpoint="http://scorer.invalid/score", max_attempts=4, backoff=0.5)
+    assert scorer.negative_log_likelihood("p", "c") == 1.5
+    assert len(posts) == 4 and len(sleeps) == 3
+    for attempt, slept in enumerate(sleeps):
+        assert 0.0 <= slept <= 0.5 * 2**attempt
+
+
+def test_post_waits_at_least_retry_after(monkeypatch):
+    posts, sleeps = _scripted_post(
+        monkeypatch, [_Reply(429, retry_after="3"), _Reply(503, retry_after="soon"), _Reply(200, _OK)]
+    )
+    scorer = HttpScoringBackend(endpoint="http://scorer.invalid/score", backoff=0.25)
+    assert scorer.negative_log_likelihood("p", "c") == 1.5
+    assert 3.0 <= sleeps[0] <= 3.25
+    assert 0.0 <= sleeps[1] <= 0.5  # an HTTP-date Retry-After falls back to backoff
+
+
+@pytest.mark.parametrize(
+    "failure, error",
+    [(503, HttpStatusError), (429, RateLimited), ("timeout", TransportError)],
+)
+def test_post_gives_up_after_max_attempts(monkeypatch, failure, error):
+    outcome = requests.Timeout("slow") if failure == "timeout" else _Reply(failure)
+    posts, sleeps = _scripted_post(monkeypatch, [outcome] * 3)
+    scorer = HttpScoringBackend(endpoint="http://scorer.invalid/score", max_attempts=3)
+    with pytest.raises(error):
+        scorer.negative_log_likelihood("p", "c")
+    assert len(posts) == 3 and len(sleeps) == 2
+
+
+def test_post_does_not_retry_other_failures(monkeypatch):
+    posts, sleeps = _scripted_post(monkeypatch, [_Reply(404, {"error": "no"})])
+    scorer = HttpScoringBackend(endpoint="http://scorer.invalid/score")
+    with pytest.raises(HttpStatusError):
+        scorer.negative_log_likelihood("p", "c")
+    posts, sleeps = _scripted_post(monkeypatch, [requests.ConnectionError("refused")])
+    with pytest.raises(TransportError):
+        scorer.negative_log_likelihood("p", "c")
+    assert len(posts) == 1 and sleeps == []
 
 
 def test_http_chat_missing_choices_is_malformed(stub_server):

@@ -86,6 +86,24 @@ def test_order_matches_brute_force_oracle():
         assert abs(candidate.distance - expected) <= 1e-9
 
 
+def test_topk_equals_full_sort_when_ties_straddle_the_cut():
+    # Six distinct directions, each held by several entries whose ids are
+    # shuffled, so most cuts fall inside a run of equal distances.
+    rng = np.random.default_rng(0)
+    directions = [l2_normalize(rng.normal(size=8)) for _ in range(6)]
+    picks = rng.integers(6, size=40)
+    names = [f"s{i:02d}" for i in rng.permutation(40)]
+    entries = tuple(_entry(name) for name in names)
+    vectors = np.vstack([directions[p] for p in picks])
+    index = EmbeddedIndex(entries=entries, vectors=vectors, dimension=8)
+    query = l2_normalize(rng.normal(size=8))
+    distances = 1.0 - vectors @ query
+    oracle = sorted(range(40), key=lambda i: (distances[i], names[i]))
+    for k in range(1, 42):
+        got = [c.entry.sentence.id for c in retrieve_topk(index, query, k)]
+        assert got == [names[i] for i in oracle[:k]]
+
+
 def test_dimension_mismatch_rejected(train_index):
     with pytest.raises(DimensionMismatch):
         retrieve_topk(train_index, np.ones(train_index.dimension + 1), 5)

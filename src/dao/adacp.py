@@ -44,7 +44,6 @@ class RiskThreshold:
     """The acceptance cutoff at a given debate round; may be +infinity."""
 
     value: float
-    round_index: int = 0
 
 
 def calibrate(risks: Sequence[float], delta: float) -> RiskThreshold:
@@ -63,8 +62,8 @@ def calibrate(risks: Sequence[float], delta: float) -> RiskThreshold:
     n = len(ordered)
     index = math.ceil((n + 1) * (1 - Fraction(delta)))
     if index > n:
-        return RiskThreshold(value=math.inf, round_index=0)
-    return RiskThreshold(value=float(ordered[index - 1]), round_index=0)
+        return RiskThreshold(value=math.inf)
+    return RiskThreshold(value=float(ordered[index - 1]))
 
 
 def risk_score(scorer: ScoringBackend, input_text: str, retrieved: str, answer: str) -> float:
@@ -88,4 +87,4 @@ def decay_threshold(threshold: RiskThreshold, beta: float) -> RiskThreshold:
     """Tighten the threshold by the constant factor `beta`."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    return RiskThreshold(value=threshold.value * beta, round_index=threshold.round_index + 1)
+    return RiskThreshold(value=threshold.value * beta)

@@ -14,7 +14,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -124,16 +124,34 @@ def _retry_after_s(value: str | None) -> float:
 
 
 @dataclass
-class HttpChatBackend:
-    """Chat client for servers accepting `{model, messages, temperature}`
-    and answering with `choices[0].message.content`."""
+class HttpTransport:
+    """What the HTTP clients share: the endpoint they POST JSON to and the
+    retry policy of `_post_json`."""
 
     endpoint: str
-    model: str
-    api_key_env: str | None = None
+    _: KW_ONLY
     timeout: float = 30.0
     max_attempts: int = 5
     backoff: float = 0.5
+
+    def _post(self, body: dict, api_key_env: str | None = None) -> dict:
+        return _post_json(
+            self.endpoint,
+            body,
+            timeout=self.timeout,
+            max_attempts=self.max_attempts,
+            backoff=self.backoff,
+            headers=_bearer(api_key_env),
+        )
+
+
+@dataclass
+class HttpChatBackend(HttpTransport):
+    """Chat client for servers accepting `{model, messages, temperature}`
+    and answering with `choices[0].message.content`."""
+
+    model: str
+    api_key_env: str | None = None
 
     def complete(self, messages: Sequence[ChatMessage], temperature: float = 0.0) -> str:
         body = {
@@ -141,14 +159,7 @@ class HttpChatBackend:
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": temperature,
         }
-        data = _post_json(
-            self.endpoint,
-            body,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            backoff=self.backoff,
-            headers=_bearer(self.api_key_env),
-        )
+        data = self._post(body, self.api_key_env)
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
@@ -159,17 +170,13 @@ class HttpChatBackend:
 
 
 @dataclass
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(HttpTransport):
     """Embedding client for servers accepting `{model, input}` and
     answering with `data[0].embedding`."""
 
-    endpoint: str
     model: str
     dim: int
     api_key_env: str | None = None
-    timeout: float = 30.0
-    max_attempts: int = 5
-    backoff: float = 0.5
 
     def dimension(self) -> int:
         return self.dim
@@ -177,14 +184,7 @@ class HttpEmbeddingBackend:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmptyText("cannot embed the empty string")
-        data = _post_json(
-            self.endpoint,
-            {"model": self.model, "input": text},
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            backoff=self.backoff,
-            headers=_bearer(self.api_key_env),
-        )
+        data = self._post({"model": self.model, "input": text}, self.api_key_env)
         try:
             vector = np.asarray(data["data"][0]["embedding"], dtype=np.float64)
         except (KeyError, IndexError, TypeError):
@@ -197,23 +197,12 @@ class HttpEmbeddingBackend:
 
 
 @dataclass
-class HttpScoringBackend:
+class HttpScoringBackend(HttpTransport):
     """Scoring client for servers accepting `{prompt, completion}` and
     answering with `{nll}` (total negative log-likelihood)."""
 
-    endpoint: str
-    timeout: float = 30.0
-    max_attempts: int = 5
-    backoff: float = 0.5
-
     def negative_log_likelihood(self, prompt: str, completion: str) -> float:
-        data = _post_json(
-            self.endpoint,
-            {"prompt": prompt, "completion": completion},
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            backoff=self.backoff,
-        )
+        data = self._post({"prompt": prompt, "completion": completion})
         nll = data.get("nll")
         if not isinstance(nll, (int, float)) or nll < 0:
             raise MalformedResponse(f"bad nll field: {nll!r}")

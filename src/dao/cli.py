@@ -18,6 +18,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 from .adacp import AdaCPConfig, calibrate, risk_score
 from .backends import (
@@ -25,6 +26,7 @@ from .backends import (
     HttpChatBackend,
     HttpEmbeddingBackend,
     HttpScoringBackend,
+    HttpTransport,
     ScoringBackend,
 )
 from .corpus import ReferenceEntry, Sentence, build_index, load_corpus
@@ -56,16 +58,12 @@ from .replay import ReplayBundle
 
 logger = logging.getLogger(__name__)
 
+# timeout, max_attempts and backoff, as the HTTP clients default them.
+_RETRY_DEFAULTS = {f.name: f.default for f in dataclasses.fields(HttpTransport) if f.kw_only}
+
 _DEFAULT_BACKENDS = {
     "replay_bundle": None,
-    "chat": {
-        "endpoint": "",
-        "model": "",
-        "api_key_env": "DAO_API_KEY",
-        "timeout": 30.0,
-        "max_attempts": 5,
-        "backoff": 0.5,
-    },
+    "chat": {"endpoint": "", "model": "", "api_key_env": "DAO_API_KEY", **_RETRY_DEFAULTS},
     "debaters": [
         {"name": "A", "model": "", "temperature": 0.0},
         {"name": "B", "model": "", "temperature": 0.0},
@@ -126,70 +124,50 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-@dataclasses.dataclass
-class _Runtime:
-    """Resolved backends plus loaded ontology and reference index."""
+def _backends(
+    config: RunConfig, replay: str | None
+) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam]]:
+    """The embedder, the scorer and `team_for(sentence_id)` of one run.
 
-    config: RunConfig
-    ontology: EventOntology
-    reference_entries: list[ReferenceEntry]
-    embedder: EmbeddingBackend
-    scorer: ScoringBackend
-    bundle: ReplayBundle | None
+    A replay bundle (`--replay`, else `backends.replay_bundle`) gives the
+    offline twins and fresh scripted agents per sentence; otherwise one
+    team of the HTTP clients in `config.backends` serves every sentence.
+    Teams carry a summarizer only when `use_llm_summarizer` is set.
+    """
+    backends = config.backends
+    bundle_path = replay or backends["replay_bundle"]
+    if bundle_path:
+        bundle = ReplayBundle.load(bundle_path)
 
-    def team_for(self, sentence_id: str) -> AgentTeam:
-        if self.bundle is not None:
-            return self.bundle.team_for(sentence_id)
-        chat = self.config.backends["chat"]
+        def team_for(sentence_id: str) -> AgentTeam:
+            team = bundle.team_for(sentence_id)
+            return team if config.use_llm_summarizer else dataclasses.replace(team, summarizer=None)
 
-        def client(model: str) -> HttpChatBackend:
-            return HttpChatBackend(
-                endpoint=chat["endpoint"],
-                model=model,
-                api_key_env=chat["api_key_env"],
-                timeout=chat["timeout"],
-                max_attempts=chat["max_attempts"],
-                backoff=chat["backoff"],
-            )
+        return bundle.embedder(), bundle.scorer(), team_for
+    chat, emb = backends["chat"], backends["embedding"]
+    retry = {name: chat[name] for name in _RETRY_DEFAULTS}
 
-        debaters = tuple(
+    def client(model: str) -> HttpChatBackend:
+        return HttpChatBackend(chat["endpoint"], model=model, api_key_env=chat["api_key_env"], **retry)
+
+    shared = client(chat["model"])
+    team = AgentTeam(
+        debaters=tuple(
             DebaterBinding(
                 name=spec.get("name", "AB"[i] if i < 2 else str(i)),
                 backend=client(spec.get("model") or chat["model"]),
                 temperature=spec.get("temperature", 0.0),
             )
-            for i, spec in enumerate(self.config.backends["debaters"])
-        )
-        shared = client(chat["model"])
-        return AgentTeam(debaters=debaters, critic=shared, judge=shared, summarizer=shared)
-
-
-def _build_runtime(config: RunConfig, replay_path: str | None) -> _Runtime:
-    ontology = load_ontology(config.ontology)
-    reference_entries = load_corpus(config.reference_corpus)
-    bundle_path = replay_path or config.backends["replay_bundle"]
-    if bundle_path:
-        bundle = ReplayBundle.load(bundle_path)
-        embedder: EmbeddingBackend = bundle.embedder()
-        scorer: ScoringBackend = bundle.scorer()
-    else:
-        bundle = None
-        emb = config.backends["embedding"]
-        embedder = HttpEmbeddingBackend(
-            endpoint=emb["endpoint"],
-            model=emb["model"],
-            dim=emb["dimension"],
-            api_key_env=emb["api_key_env"],
-        )
-        scorer = HttpScoringBackend(endpoint=config.backends["scoring"]["endpoint"])
-    return _Runtime(
-        config=config,
-        ontology=ontology,
-        reference_entries=reference_entries,
-        embedder=embedder,
-        scorer=scorer,
-        bundle=bundle,
+            for i, spec in enumerate(backends["debaters"])
+        ),
+        critic=shared,
+        judge=shared,
+        summarizer=shared if config.use_llm_summarizer else None,
     )
+    embedder = HttpEmbeddingBackend(
+        emb["endpoint"], model=emb["model"], dim=emb["dimension"], api_key_env=emb["api_key_env"]
+    )
+    return embedder, HttpScoringBackend(backends["scoring"]["endpoint"]), lambda _: team
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +211,21 @@ def _calibration_pairs(
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config)
-    runtime = _build_runtime(config, args.replay)
-    corpus_path = args.corpus or config.reference_corpus
-    rows = [e for e in load_corpus(corpus_path) if e.split == "calib"]
+    ontology = load_ontology(config.ontology)
+    _, scorer, _ = _backends(config, args.replay)
+    rows = [e for e in load_corpus(args.corpus or config.reference_corpus) if e.split == "calib"]
     thresholds = dict(config.adacp.initial_threshold)
     for task in ("ed", "eae"):
         override = thresholds.get(task)
         if override is not None:
             print(f"task={task} threshold fixed at {override} (calibration skipped)")
             continue
-        pairs = _calibration_pairs(task, rows, runtime.ontology)
+        pairs = _calibration_pairs(task, rows, ontology)
         if not pairs:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
-        risks = [risk_score(runtime.scorer, prompt, "", answer) for prompt, answer in pairs]
+        risks = [risk_score(scorer, prompt, "", answer) for prompt, answer in pairs]
         threshold = calibrate(risks, config.adacp.delta)
         thresholds[task] = threshold.value
         print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={threshold.value}")
@@ -317,26 +295,23 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise EmptyCalibrationSet(
                 f"no initial threshold for task {task!r}; run `dao calibrate` first"
             )
-    runtime = _build_runtime(config, args.replay)
-    split_entries = [
-        e
-        for e in runtime.reference_entries
-        if config.reference_split in ("all", e.split)
-    ]
-    index = build_index(split_entries, runtime.embedder)
+    ontology = load_ontology(config.ontology)
+    reference_entries = load_corpus(config.reference_corpus)
+    embedder, scorer, team_for = _backends(config, args.replay)
+    split_entries = [e for e in reference_entries if config.reference_split in ("all", e.split)]
+    index = build_index(split_entries, embedder)
     inputs = load_corpus(args.input)
 
     def process(entry: ReferenceEntry) -> SessionResult:
         session_config = SessionConfig(
-            team=runtime.team_for(entry.sentence.id),
-            scorer=runtime.scorer,
-            embedder=runtime.embedder,
+            team=team_for(entry.sentence.id),
+            scorer=scorer,
+            embedder=embedder,
             drag=config.drag,
             adacp=config.adacp,
             max_rounds=config.max_rounds,
-            use_llm_summarizer=config.use_llm_summarizer,
         )
-        return run_session(entry.sentence, runtime.ontology, index, session_config)
+        return run_session(entry.sentence, ontology, index, session_config)
 
     out_dir = Path(args.out)
     try:

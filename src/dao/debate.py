@@ -240,6 +240,9 @@ class DebaterBinding:
 
 @dataclass
 class AgentTeam:
+    """A session's chat agents. With a `summarizer`, each event's agreed
+    rows are condensed by it; without one they are merged deterministically."""
+
     debaters: tuple[DebaterBinding, ...]
     critic: ChatBackend
     judge: ChatBackend
@@ -258,7 +261,6 @@ class SessionConfig:
     drag: DragConfig = field(default_factory=DragConfig)
     adacp: AdaCPConfig = field(default_factory=AdaCPConfig)
     max_rounds: int = 3
-    use_llm_summarizer: bool = False
 
 
 @dataclass(frozen=True)
@@ -719,7 +721,7 @@ class _Session:
             candidates=candidates,
             risk_base=self._base_prompt(ctx),
             radius=self.config.drag.initial_radius,
-            threshold=RiskThreshold(value=float(threshold0), round_index=0),
+            threshold=RiskThreshold(value=float(threshold0)),
         )
         while state.round_index < self.config.max_rounds:
             verdict = self.run_round(state)
@@ -775,7 +777,7 @@ class _Session:
                 (role, content) for role, content in argument_rows if content is not None
             ),
         )
-        if self.config.use_llm_summarizer and self.config.team.summarizer is not None:
+        if self.config.team.summarizer is not None:
             record = self._llm_summarize(ed_answer, argument_rows, record)
         self._note(
             0,

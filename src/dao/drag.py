@@ -61,7 +61,6 @@ class Cluster:
 class RetrievalResult:
     examples: tuple[ReferenceEntry, ...]
     definitions: tuple[EventDefinition, ...]
-    radius_used: float
     unknown_types: tuple[str, ...] = ()
 
 
@@ -215,6 +214,5 @@ def gather_event_info(
     return RetrievalResult(
         examples=tuple(examples),
         definitions=tuple(definitions),
-        radius_used=radius,
         unknown_types=tuple(unknown),
     )

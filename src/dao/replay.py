@@ -7,15 +7,16 @@ embeddings come from the trigram hash embedder. Bundle JSON shape:
     {
       "embedder": {"dimension": 64},
       "scorer": {"keys": [["<matcher>", "<key phrase>"], ...],
-                 "match_cost": 0.05, "miss_cost": 1.0, "scale": 1.0},
+                 "match_cost": ..., "miss_cost": ..., "scale": ...},
       "default": {"debaters": [[["*", "reply"], ...], ...],
                   "critic": [...], "judge": [...], "summarizer": [...]},
       "sessions": {"<sentence id>": {...same shape as default...}}
     }
 
-Scripts are ordered (matcher, reply) pairs as consumed by the scripted
-chat backend; a session uses its own entry under `sessions`, falling
-back to `default`.
+Scorer costs left out keep the `KeyedScorer` defaults. Scripts are
+ordered (matcher, reply) pairs as consumed by the scripted chat backend;
+a session uses its own entry under `sessions`, falling back to
+`default`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .backends import HashEmbedder, KeyedScorer, hash_embedder, scripted_chat
 from .debate import AgentTeam, DebaterBinding
-from .errors import FormatError
+from .errors import FormatError, ScriptNoMatch
 
 _DEBATER_NAMES = "ABCDEFGH"
 
@@ -41,9 +42,7 @@ def _as_script(raw: object) -> list[tuple[str, str]]:
 class ReplayBundle:
     dimension: int
     scorer_keys: list[tuple[str, str]]
-    match_cost: float
-    miss_cost: float
-    scale: float
+    scorer_costs: dict[str, float]
     default_agents: dict | None
     sessions: dict[str, dict]
 
@@ -58,9 +57,11 @@ class ReplayBundle:
         return cls(
             dimension=int(data.get("embedder", {}).get("dimension", 64)),
             scorer_keys=[(str(m), str(k)) for m, k in scorer.get("keys", [])],
-            match_cost=float(scorer.get("match_cost", 0.05)),
-            miss_cost=float(scorer.get("miss_cost", 1.0)),
-            scale=float(scorer.get("scale", 1.0)),
+            scorer_costs={
+                name: float(scorer[name])
+                for name in ("match_cost", "miss_cost", "scale")
+                if name in scorer
+            },
             default_agents=data.get("default"),
             sessions=dict(data.get("sessions", {})),
         )
@@ -69,18 +70,13 @@ class ReplayBundle:
         return hash_embedder(self.dimension)
 
     def scorer(self) -> KeyedScorer:
-        return KeyedScorer(
-            keys=list(self.scorer_keys),
-            match_cost=self.match_cost,
-            miss_cost=self.miss_cost,
-            scale=self.scale,
-        )
+        return KeyedScorer(keys=list(self.scorer_keys), **self.scorer_costs)
 
     def team_for(self, sentence_id: str) -> AgentTeam:
         """Fresh scripted backends for one session."""
         agents = self.sessions.get(sentence_id, self.default_agents)
         if agents is None:
-            raise KeyError(f"replay bundle has no scripts for sentence {sentence_id!r}")
+            raise ScriptNoMatch(f"replay bundle has no scripts for sentence {sentence_id!r}")
         debater_scripts = [_as_script(script) for script in agents.get("debaters", [])]
         if len(debater_scripts) < 2:
             raise ValueError(f"replay scripts for {sentence_id!r} need at least two debaters")

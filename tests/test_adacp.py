@@ -47,10 +47,6 @@ def test_calibrate_empty_rejected():
         calibrate([], 0.1)
 
 
-def test_calibrate_round_is_zero():
-    assert calibrate([1.0, 2.0], 0.5).round_index == 0
-
-
 def test_calibrate_oracle_on_all_subsets_of_pool():
     pool = [0.12, 0.37, 0.41, 0.55, 0.68, 0.74, 0.83, 0.96]
     for size in range(1, len(pool) + 1):
@@ -136,17 +132,15 @@ def test_infinite_threshold_accepts_everything():
 
 
 def test_decay_ed_default():
-    assert decay_threshold(RiskThreshold(1.0), 0.5) == RiskThreshold(0.5, 1)
+    assert decay_threshold(RiskThreshold(1.0), 0.5) == RiskThreshold(0.5)
 
 
 def test_decay_eae_default():
     assert decay_threshold(RiskThreshold(3.0), 0.5).value == 1.5
 
 
-def test_decay_identity_still_advances_round():
-    threshold = decay_threshold(RiskThreshold(0.7, 3), 1.0)
-    assert threshold.value == 0.7
-    assert threshold.round_index == 4
+def test_decay_identity_keeps_value():
+    assert decay_threshold(RiskThreshold(0.7), 1.0).value == 0.7
 
 
 def test_decay_keeps_infinity():
@@ -158,7 +152,6 @@ def test_threshold_sequence_exact_for_halving():
     for t in range(1, 11):
         threshold = decay_threshold(threshold, 0.5)
         assert threshold.value == 1.0 * 0.5**t
-        assert threshold.round_index == t
 
 
 @given(

@@ -224,7 +224,7 @@ def test_http_chat_non_json_is_malformed(stub_server):
 
 
 def test_http_chat_500_raises_status_error(stub_server):
-    backend = HttpChatBackend(endpoint=f"{stub_server}/chat-500", model="m")
+    backend = HttpChatBackend(endpoint=f"{stub_server}/chat-500", model="m", backoff=0.0)
     with pytest.raises(HttpStatusError) as excinfo:
         backend.complete([ChatMessage("user", "x")])
     assert excinfo.value.code == 500

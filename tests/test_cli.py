@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from dao.cli import RunConfig, _Runtime, main
+from dao.cli import RunConfig, _backends, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -71,19 +71,18 @@ def test_readme_configuration_table_matches_defaults():
 # -- live backend construction
 
 
-def _live_runtime(backends: dict) -> _Runtime:
-    config = RunConfig.from_dict({"backends": backends})
-    return _Runtime(config, ontology=None, reference_entries=[], embedder=None, scorer=None, bundle=None)
+def _live_team(**config):
+    _, _, team_for = _backends(RunConfig.from_dict(config), None)
+    return team_for("s1")
 
 
 def test_team_for_without_bundle_binds_debater_models():
-    runtime = _live_runtime(
-        {
+    team = _live_team(
+        backends={
             "chat": {"endpoint": "http://localhost:9/chat", "model": "base", "timeout": 7.0},
             "debaters": [{"name": "A", "model": "model-a", "temperature": 0.3}, {"name": "B"}],
         }
     )
-    team = runtime.team_for("s1")
     assert [d.name for d in team.debaters] == ["A", "B"]
     assert [d.backend.model for d in team.debaters] == ["model-a", "base"]
     assert [d.temperature for d in team.debaters] == [0.3, 0.0]
@@ -94,12 +93,23 @@ def test_team_for_without_bundle_binds_debater_models():
         assert backend.api_key_env == "DAO_API_KEY"
 
 
-def test_team_for_shares_one_client_for_critic_judge_summarizer():
-    team = _live_runtime({}).team_for("s1")
+def test_team_for_shares_one_client_for_critic_judge_summarizer(tmp_path):
+    _, _, team_for = _backends(RunConfig(use_llm_summarizer=True), None)
+    team = team_for("s1")
     assert team.critic is team.judge is team.summarizer
     assert team.critic.model == ""
     assert team.critic.api_key_env == "DAO_API_KEY"
     assert all(d.backend is not team.critic for d in team.debaters)
+    # One live team serves every sentence; teams summarize only when configured.
+    assert team_for("s2") is team
+    assert _live_team().summarizer is None
+    bundle = tmp_path / "bundle.json"
+    script = [["*", "reply"]]
+    agents = {"debaters": [script, script], "critic": script, "judge": script, "summarizer": script}
+    bundle.write_text(json.dumps({"default": agents}), encoding="utf-8")
+    for flag in (False, True):
+        _, _, team_for = _backends(RunConfig(use_llm_summarizer=flag), str(bundle))
+        assert (team_for("s1").summarizer is not None) is flag
 
 
 # -- calibrate
@@ -182,6 +192,19 @@ def test_calibrate_empty_split_without_override_fails(tmp_path):
         row["split"] = "train"
     corpus_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     assert main(["calibrate", "-c", str(config_path)]) == 2
+
+
+def test_calibrate_corpus_option_needs_no_reference_corpus(tmp_path, capsys):
+    config_path, corpus_path = _calibration_setup(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["reference_corpus"] = str(tmp_path / "missing.jsonl")
+    bundle = config["backends"].pop("replay_bundle")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["calibrate", "-c", str(config_path), "--corpus", str(corpus_path), "--replay", bundle]
+    assert main(argv) == 0
+    thresholds = json.loads(config_path.read_text())["adacp"]["initial_threshold"]
+    assert thresholds["ed"] is not None and thresholds["eae"] is not None
+    assert "task=ed n=9 delta=0.1" in capsys.readouterr().out
 
 
 # -- run
@@ -511,6 +534,17 @@ def test_run_aborted_session_writes_partial_transcript(tmp_path):
     assert aborted.exists()
     rows = _read_jsonl(aborted)
     assert any(row["stage"] == "ed.opinion" for row in rows)
+
+
+def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
+    paths = helpers.build_replay_run(tmp_path, 2, FIXTURES)
+    bundle = json.loads(paths["bundle"].read_text())
+    del bundle["sessions"]["gen-001"]
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("dao: ScriptNoMatch:") and "'gen-001'" in line
 
 
 TRANSCRIPT_KEYS = {"id", "round", "stage", "role", "prompt_digest", "text"}

@@ -345,9 +345,7 @@ def test_llm_summarizer_flag(ontology, train_index, embedder):
         [("*", helpers.ed_table("Life:Die", "killed")), ("*", table)],
         summarizer_script=[("*", condensed)],
     )
-    config = SessionConfig(
-        team=team, scorer=helpers.passthrough_scorer(), embedder=embedder, use_llm_summarizer=True
-    )
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
     result = run_session(sentence, ontology, train_index, config)
     assert result.records[0].arguments == (("Victim", "the mayor"),)
     assert len(team.summarizer.calls) == 1
@@ -369,9 +367,7 @@ def test_llm_summarizer_falls_back_on_garbage(ontology, train_index, embedder):
         [("*", helpers.ed_table("Life:Die", "killed")), ("*", table)],
         summarizer_script=[("*", "I cannot produce a table, sorry.")],
     )
-    config = SessionConfig(
-        team=team, scorer=helpers.passthrough_scorer(), embedder=embedder, use_llm_summarizer=True
-    )
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
     result = run_session(sentence, ontology, train_index, config)
     # Deterministic merge of the agreed rows is kept when the reply is unusable.
     assert result.records[0].arguments == (("Victim", "the mayor"),)

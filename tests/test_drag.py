@@ -307,7 +307,6 @@ def test_definitions_for_mentioned_types(ontology, train_index):
         "Personnel:End-Position",
     ]
     assert 1 <= len(result.examples) <= 10
-    assert result.radius_used == 1.35
 
 
 def test_no_event_opinions_still_retrieve(ontology, train_index):

@@ -51,6 +51,7 @@ class ChatBackend(Protocol):
 
 
 class EmbeddingBackend(Protocol):
+    # `embed` must be safe to call from several threads: `build_index` overlaps its calls.
     def embed(self, text: str) -> np.ndarray: ...
 
     def dimension(self) -> int: ...

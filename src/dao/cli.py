@@ -54,7 +54,7 @@ from .evalkit import (
     PRF,
 )
 from .ontology import EventOntology, load_ontology
-from .replay import ReplayBundle
+from .replay import DEFAULT_DIMENSION, ReplayBundle
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ _DEFAULT_BACKENDS = {
         {"name": "A", "model": "", "temperature": 0.0},
         {"name": "B", "model": "", "temperature": 0.0},
     ],
-    "embedding": {"endpoint": "", "model": "", "dimension": 64, "api_key_env": "DAO_API_KEY"},
+    "embedding": {"endpoint": "", "model": "", "dimension": DEFAULT_DIMENSION, "api_key_env": "DAO_API_KEY"},
     "scoring": {"endpoint": ""},
 }
 
@@ -297,10 +297,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     ontology = load_ontology(config.ontology)
     reference_entries = load_corpus(config.reference_corpus)
+    inputs = load_corpus(args.input)
     embedder, scorer, team_for = _backends(config, args.replay)
     split_entries = [e for e in reference_entries if config.reference_split in ("all", e.split)]
     index = build_index(split_entries, embedder)
-    inputs = load_corpus(args.input)
 
     def process(entry: ReferenceEntry) -> SessionResult:
         session_config = SessionConfig(

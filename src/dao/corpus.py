@@ -8,6 +8,7 @@ derived from the events list, never read from the file.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -16,6 +17,10 @@ import numpy as np
 
 from .backends import EmbeddingBackend
 from .errors import DimensionMismatch, FormatError, SpanNotInSentence, ZeroVector
+
+# Embed calls `build_index` keeps in flight at once: a live embedding
+# endpoint pays one round trip per reference sentence, and these overlap.
+INDEX_SLICES = 8
 
 
 class Polarity(Enum):
@@ -146,19 +151,34 @@ def load_corpus(path: str | Path) -> list[ReferenceEntry]:
 def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> EmbeddedIndex:
     """Embed every entry's sentence and L2-normalize the vectors.
 
-    Normalization happens here regardless of what the backend returns;
-    vector order matches entry order. Deterministic embedders therefore
-    yield bitwise-identical indexes across builds.
+    The entries are cut into at most `INDEX_SLICES` contiguous slices,
+    embedded at once on a thread pool that lives for this call only; each
+    slice embeds its entries in order. Normalization happens here
+    regardless of what the backend returns, and the rows are joined in
+    entry order, so the vectors are bitwise those of a one-by-one build
+    and deterministic embedders yield bitwise-identical indexes across
+    builds. A failing slice is raised only after every earlier slice has
+    finished: the error raised is the first failure in entry order, and
+    no pool thread outlives the call.
     """
     dim = embedder.dimension()
     if not entries:
         return EmbeddedIndex(entries=(), vectors=np.zeros((0, dim)), dimension=dim)
-    rows = []
-    for entry in entries:
-        vector = np.asarray(embedder.embed(entry.sentence.text), dtype=np.float64)
-        if vector.ndim != 1 or vector.shape[0] != dim:
-            raise DimensionMismatch(
-                f"{entry.sentence.id}: embedding has shape {vector.shape}, expected ({dim},)"
-            )
-        rows.append(l2_normalize(vector))
+
+    def embed_slice(part: list[ReferenceEntry]) -> list[np.ndarray]:
+        rows = []
+        for entry in part:
+            vector = np.asarray(embedder.embed(entry.sentence.text), dtype=np.float64)
+            if vector.ndim != 1 or vector.shape[0] != dim:
+                raise DimensionMismatch(
+                    f"{entry.sentence.id}: embedding has shape {vector.shape}, expected ({dim},)"
+                )
+            rows.append(l2_normalize(vector))
+        return rows
+
+    slices = min(INDEX_SLICES, len(entries))
+    bounds = [len(entries) * i // slices for i in range(slices + 1)]
+    with ThreadPoolExecutor(max_workers=slices) as pool:
+        futures = [pool.submit(embed_slice, entries[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        rows = [row for future in futures for row in future.result()]
     return EmbeddedIndex(entries=tuple(entries), vectors=np.vstack(rows), dimension=dim)

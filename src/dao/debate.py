@@ -31,7 +31,7 @@ from .adacp import AdaCPConfig, RiskThreshold, accept, decay_threshold, risk_sco
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
 from .corpus import EmbeddedIndex, ReferenceEntry, Sentence, l2_normalize
 from .drag import Candidate, DragConfig, RetrievalResult, decay_radius, gather_event_info
-from .errors import BackendError, ParseFailure
+from .errors import BackendError, InvalidTeam, ParseFailure
 from .ontology import EventOntology
 from .prompts import render_prompt
 
@@ -250,7 +250,7 @@ class AgentTeam:
 
     def __post_init__(self):
         if len(self.debaters) < 2:
-            raise ValueError("a debate needs at least two debaters")
+            raise InvalidTeam("a debate needs at least two debaters")
 
 
 @dataclass

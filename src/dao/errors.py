@@ -69,6 +69,10 @@ class ScriptNoMatch(BackendError):
     """No unconsumed scripted reply matches the incoming message."""
 
 
+class InvalidTeam(DaoError):
+    """An agent team, or the replay scripts it is built from, is malformed."""
+
+
 class EmptyCalibrationSet(DaoError):
     """Calibration was requested with no risk scores available."""
 

@@ -27,14 +27,18 @@ from pathlib import Path
 
 from .backends import HashEmbedder, KeyedScorer, hash_embedder, scripted_chat
 from .debate import AgentTeam, DebaterBinding
-from .errors import FormatError, ScriptNoMatch
+from .errors import FormatError, InvalidTeam, ScriptNoMatch
 
 _DEBATER_NAMES = "ABCDEFGH"
+# The embedding dimension when a bundle, or a live config, leaves it out.
+DEFAULT_DIMENSION = 64
 
 
 def _as_script(raw: object) -> list[tuple[str, str]]:
-    if not isinstance(raw, list):
-        raise ValueError(f"script must be a list, got {type(raw).__name__}")
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw
+    ):
+        raise InvalidTeam("a script must be a list of [matcher, reply] pairs")
     return [(str(matcher), str(reply)) for matcher, reply in raw]
 
 
@@ -55,7 +59,7 @@ class ReplayBundle:
                 raise FormatError(exc.lineno, f"replay bundle is not valid JSON: {exc}") from None
         scorer = data.get("scorer", {})
         return cls(
-            dimension=int(data.get("embedder", {}).get("dimension", 64)),
+            dimension=int(data.get("embedder", {}).get("dimension", DEFAULT_DIMENSION)),
             scorer_keys=[(str(m), str(k)) for m, k in scorer.get("keys", [])],
             scorer_costs={
                 name: float(scorer[name])
@@ -79,7 +83,7 @@ class ReplayBundle:
             raise ScriptNoMatch(f"replay bundle has no scripts for sentence {sentence_id!r}")
         debater_scripts = [_as_script(script) for script in agents.get("debaters", [])]
         if len(debater_scripts) < 2:
-            raise ValueError(f"replay scripts for {sentence_id!r} need at least two debaters")
+            raise InvalidTeam(f"replay scripts for {sentence_id!r} need at least two debaters")
         debaters = tuple(
             DebaterBinding(name=_DEBATER_NAMES[i], backend=scripted_chat(script))
             for i, script in enumerate(debater_scripts)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import helpers
+from dao.backends import hash_embedder
 from dao.cli import RunConfig, _backends, main
+from dao.replay import ReplayBundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -205,6 +207,16 @@ def test_calibrate_corpus_option_needs_no_reference_corpus(tmp_path, capsys):
     thresholds = json.loads(config_path.read_text())["adacp"]["initial_threshold"]
     assert thresholds["ed"] is not None and thresholds["eae"] is not None
     assert "task=ed n=9 delta=0.1" in capsys.readouterr().out
+
+
+def test_calibrate_live_config_with_one_debater_exits_two(tmp_path, capsys):
+    config_path, _ = _calibration_setup(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["backends"] = {"debaters": [{"name": "A"}]}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["calibrate", "-c", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("dao: InvalidTeam:") and "two debaters" in line
 
 
 # -- run
@@ -545,6 +557,59 @@ def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("dao: ScriptNoMatch:") and "'gen-001'" in line
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda agents: {"debaters": agents["debaters"][:1]},
+            "replay scripts for 'gen-000' need at least two debaters",
+        ),
+        (lambda agents: {"critic": "reply"}, "a script must be a list of [matcher, reply] pairs"),
+        (
+            lambda agents: {"judge": [["*", "reply", "extra"]]},
+            "a script must be a list of [matcher, reply] pairs",
+        ),
+    ],
+)
+def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    bundle = json.loads(paths["bundle"].read_text())
+    agents = bundle.pop("sessions")["gen-000"]
+    bundle["default"] = {**agents, **edit(agents)}
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"dao: InvalidTeam: {message}"
+
+
+class _CountingEmbedder:
+    def __init__(self):
+        self.inner = hash_embedder(64)
+        self.calls = 0
+
+    def dimension(self):
+        return self.inner.dimension()
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+def test_run_malformed_input_fails_before_index_build(tmp_path, monkeypatch, capsys):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    counting = _CountingEmbedder()
+    monkeypatch.setattr(ReplayBundle, "embedder", lambda self: counting)
+    argv = ["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert counting.calls > 0
+    counting.calls = 0
+    paths["input"].write_text("{not json\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert counting.calls == 0
+    assert capsys.readouterr().err.startswith("dao: FormatError: line 1:")
 
 
 TRANSCRIPT_KEYS = {"id", "round", "stage", "role", "prompt_digest", "text"}

@@ -1,10 +1,14 @@
 import json
+import random
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from dao.backends import hash_embedder
 from dao.corpus import (
+    INDEX_SLICES,
     Polarity,
     Sentence,
     build_index,
@@ -150,6 +154,92 @@ def test_index_build_deterministic(train_entries, embedder):
     a = build_index(train_entries, embedder)
     b = build_index(train_entries, embedder)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+class _BarrierEmbedder:
+    """Every embed call waits until a second call is in flight."""
+
+    def __init__(self):
+        self.inner = hash_embedder(8)
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def dimension(self):
+        return 8
+
+    def embed(self, text):
+        self.barrier.wait()
+        return self.inner.embed(text)
+
+
+def test_build_index_overlaps_embed_calls(corpus_entries):
+    index = build_index(corpus_entries[:2], _BarrierEmbedder())
+    assert index.vectors.shape == (2, 8)
+
+
+class _JitterEmbedder:
+    """The hash embedder behind a seeded sleep per text, so slices finish
+    in an order unrelated to entry order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def dimension(self):
+        return self.inner.dimension()
+
+    def embed(self, text):
+        time.sleep(random.Random(text).uniform(0.0, 0.004))
+        return self.inner.embed(text)
+
+
+@pytest.mark.parametrize("n", [INDEX_SLICES - 3, 5 * INDEX_SLICES])  # fewer and more than slices
+def test_build_index_rows_in_entry_order(corpus_entries, embedder, n):
+    entries = corpus_entries[:n]
+    assert len(entries) == n
+    oracle = np.vstack([l2_normalize(embedder.embed(e.sentence.text)) for e in entries])
+    index = build_index(entries, _JitterEmbedder(embedder))
+    assert index.entries == tuple(entries)
+    assert np.array_equal(index.vectors, oracle)
+
+
+class _FaultyEmbedder:
+    """Returns `faults[text]` (a zero or a wrong-length vector) for some
+    texts. The earlier entry's fault answers last, so in time the later
+    entry fails first."""
+
+    def __init__(self, faults, slow):
+        self.inner = hash_embedder(8)
+        self.faults = faults
+        self.slow = slow
+
+    def dimension(self):
+        return 8
+
+    def embed(self, text):
+        if text == self.slow:
+            time.sleep(0.2)
+        return self.faults.get(text, self.inner.embed(text))
+
+
+@pytest.mark.parametrize(
+    "early, late, expected",
+    [
+        (np.ones(9), np.ones(9), DimensionMismatch),
+        (np.zeros(8), np.ones(9), ZeroVector),
+        (np.ones(9), np.zeros(8), DimensionMismatch),
+    ],
+)
+def test_build_index_raises_first_failure_in_entry_order(corpus_entries, early, late, expected):
+    entries = corpus_entries[:16]
+    first, second = entries[2], entries[13]  # slices 1 and 6 of 8
+    threads = threading.active_count()
+    embedder = _FaultyEmbedder(
+        {first.sentence.text: early, second.sentence.text: late}, slow=first.sentence.text
+    )
+    with pytest.raises(expected) as info:
+        build_index(entries, embedder)
+    if expected is DimensionMismatch:
+        assert str(info.value).startswith(f"{first.sentence.id}:")
+    assert threading.active_count() == threads
 
 
 def test_sentence_requires_nonempty_text():

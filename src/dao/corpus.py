@@ -8,6 +8,7 @@ derived from the events list, never read from the file.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -84,12 +85,14 @@ class EmbeddedIndex:
         return len(self.entries)
 
 
-def l2_normalize(vector: np.ndarray) -> np.ndarray:
-    """Return the unit-norm copy of `vector`; zero vectors are an error."""
+def l2_normalize(vector: np.ndarray, name: str = "") -> np.ndarray:
+    """Return the unit-norm copy of `vector`; zero vectors are an error,
+    whose message starts with `name` when one is given."""
     vector = np.asarray(vector, dtype=np.float64)
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
-        raise ZeroVector("cannot normalize a zero vector")
+        prefix = f"{name}: " if name else ""
+        raise ZeroVector(f"{prefix}cannot normalize a zero vector")
     return vector / norm
 
 
@@ -157,28 +160,44 @@ def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> Em
     regardless of what the backend returns, and the rows are joined in
     entry order, so the vectors are bitwise those of a one-by-one build
     and deterministic embedders yield bitwise-identical indexes across
-    builds. A failing slice is raised only after every earlier slice has
-    finished: the error raised is the first failure in entry order, and
-    no pool thread outlives the call.
+    builds. Once a slice fails, every later slice stops before its next
+    embed, while earlier slices run on; a failing slice is raised only
+    after every earlier slice has finished. The error raised is the first
+    failure in entry order, and no pool thread outlives the call.
     """
     dim = embedder.dimension()
     if not entries:
         return EmbeddedIndex(entries=(), vectors=np.zeros((0, dim)), dimension=dim)
 
-    def embed_slice(part: list[ReferenceEntry]) -> list[np.ndarray]:
+    slices = min(INDEX_SLICES, len(entries))
+    first_failed = slices  # the lowest slice that has failed so far
+    lock = threading.Lock()
+
+    def embed_slice(k: int, part: list[ReferenceEntry]) -> list[np.ndarray]:
+        nonlocal first_failed
         rows = []
-        for entry in part:
-            vector = np.asarray(embedder.embed(entry.sentence.text), dtype=np.float64)
-            if vector.ndim != 1 or vector.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"{entry.sentence.id}: embedding has shape {vector.shape}, expected ({dim},)"
-                )
-            rows.append(l2_normalize(vector))
+        try:
+            for entry in part:
+                if first_failed < k:
+                    # An earlier slice's error is raised; these rows are not read.
+                    break
+                vector = np.asarray(embedder.embed(entry.sentence.text), dtype=np.float64)
+                if vector.ndim != 1 or vector.shape[0] != dim:
+                    raise DimensionMismatch(
+                        f"{entry.sentence.id}: embedding has shape {vector.shape}, expected ({dim},)"
+                    )
+                rows.append(l2_normalize(vector, entry.sentence.id))
+        except Exception:
+            with lock:
+                first_failed = min(first_failed, k)
+            raise
         return rows
 
-    slices = min(INDEX_SLICES, len(entries))
     bounds = [len(entries) * i // slices for i in range(slices + 1)]
     with ThreadPoolExecutor(max_workers=slices) as pool:
-        futures = [pool.submit(embed_slice, entries[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [
+            pool.submit(embed_slice, k, entries[lo:hi])
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
         rows = [row for future in futures for row in future.result()]
     return EmbeddedIndex(entries=tuple(entries), vectors=np.vstack(rows), dimension=dim)

@@ -8,9 +8,11 @@ runs cross-examination, and asks the judge for a verdict; the retrieval
 radius and the acceptance threshold tighten from round to round.
 
 Within a stage the debaters' calls, and the scoring of distinct answers,
-run at once; the critic and the judge wait for the stage before them.
-Transcript entries are written in debater order once a stage's calls are
-back, so a transcript does not depend on which call finished first.
+run at once; the critic's call runs with the debaters' cross-examination
+calls and sees the same answers, and the judge waits for both. Transcript
+entries are written in debater order, the critic's last, once a stage's
+calls are back, so a transcript does not depend on which call finished
+first.
 """
 
 from __future__ import annotations
@@ -587,24 +589,21 @@ class _Session:
             if not self._log_gate(state, *scored):
                 state.gated_out.add(i)
 
-        # (4) Cross-examination, simultaneous: every prompt shows the answers
-        # as they stood after the gate. Survivors defend or update, gated
-        # debaters revise; revised answers are re-gated before they may reach
-        # the judge.
-        replies = self._ask_debaters(
+        # (4) Cross-examination, simultaneous: every prompt, the critic's
+        # too, shows the answers as they stood after the gate. Survivors
+        # defend or update, gated debaters revise, and the critic flags
+        # likely mistakes; revised answers are re-gated before they may
+        # reach the judge.
+        critic_prompt = self._critic_prompt(state)
+        *replies, critic_reply = self._ask_debaters(
             state,
             "cross_examination",
             [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))],
             "statement restates no parseable answer; previous answer kept",
+            also=[partial(team.critic.complete, [ChatMessage("user", critic_prompt)])],
         )
+        self._note(rnd, stage("cross_examination"), "critic", critic_reply, critic_prompt)
         statements = {i: reply for i, reply in enumerate(replies) if i not in state.gated_out}
-        critic_reply = self._chat(
-            team.critic,
-            rnd,
-            stage("cross_examination"),
-            "critic",
-            self._critic_prompt(state),
-        )
 
         # (5) Judgement on this round's admissible statements only.
         if statements:
@@ -626,9 +625,16 @@ class _Session:
         return verdict
 
     def _ask_debaters(
-        self, state: DebateState, stage: str, prompts: Sequence[str], unparsed: str
+        self,
+        state: DebateState,
+        stage: str,
+        prompts: Sequence[str],
+        unparsed: str,
+        also: Sequence[Callable[[], str]] = (),
     ) -> list[str]:
-        """Send every debater its prompt at once; the replies, in debater order.
+        """Send every debater its prompt at once; the replies, in debater
+        order, then those of the calls in `also`, which run in the same
+        fan-out and are not noted here.
 
         A parsed reply becomes the debater's live answer; an unparseable one
         keeps it (an abstention before the first answer) and is noted with
@@ -643,8 +649,9 @@ class _Session:
                 partial(b.backend.complete, [ChatMessage("user", p)], temperature=b.temperature)
                 for b, p in zip(debaters, prompts)
             ]
+            + list(also)
         )
-        parsed = [self._parse_answer(ctx, reply) for reply in replies]
+        parsed = [self._parse_answer(ctx, reply) for reply in replies[: len(debaters)]]
         for i, answer in enumerate(parsed):
             state.live_opinions[i] = state.live_opinions.get(i) if answer is None else answer
         revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out}
@@ -834,8 +841,9 @@ def run_session(
     never available to this code path. A no-event outcome skips argument
     extraction entirely.
     """
-    # One worker per debater: no stage has more independent calls.
-    pool = ThreadPoolExecutor(max_workers=len(config.team.debaters))
+    # One worker per debater plus one for the critic: no stage has more
+    # independent calls than cross-examination.
+    pool = ThreadPoolExecutor(max_workers=len(config.team.debaters) + 1)
     session = _Session(sentence, ontology, config, pool)
     try:
         query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)))

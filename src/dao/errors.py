@@ -91,7 +91,3 @@ class NoTableFound(ParseFailure):
 
 class HeaderMismatch(ParseFailure):
     """Pipe tables exist but none carries the expected header."""
-
-
-class InvalidSpec(DaoError):
-    """A synthetic-data spec is internally inconsistent or infeasible."""

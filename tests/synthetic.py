@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from dao.errors import DaoError
+
+
+class InvalidSpec(DaoError):
+    """A synthetic-data spec is internally inconsistent or infeasible."""
 
 
 @dataclass(frozen=True)

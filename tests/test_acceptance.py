@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import helpers
+from synthetic import SyntheticSpec, gen_clustered_points, gen_risks
 from dao.adacp import RiskThreshold, accept, calibrate, decay_threshold
 from dao.backends import hash_embedder
 from dao.cli import main
@@ -29,7 +30,6 @@ from dao.drag import (
 )
 from dao.evalkit import head_of_span, trigger_f1, type_overlap_f1
 from dao.replay import ReplayBundle
-from dao.synthetic import SyntheticSpec, gen_clustered_points, gen_risks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -288,7 +288,7 @@ def test_run_replay_table_3b_empty_prediction(tmp_path):
 # sha256 prefixes of predictions.jsonl / transcripts.jsonl / risk_histogram.json.
 # A change that alters the artifacts on purpose updates these and says why.
 REPLAY_DIGESTS = {
-    "replay_table3a": ("c1064c84d4fce771", "e2a57a7494ccb320", "c8c4b273a5588d32"),
+    "replay_table3a": ("c1064c84d4fce771", "3712213f3296877c", "c8c4b273a5588d32"),
     "replay_table3b": ("db4f415b9051d07e", "6e4c638b1eba5bb5", "01e4452de778145c"),
 }
 

@@ -138,6 +138,14 @@ def test_zero_vector_backend_rejected(corpus_entries):
         build_index(corpus_entries[:1], _ZeroEmbedder())
 
 
+def test_zero_vector_error_names_the_entry(corpus_entries):
+    entries = corpus_entries[:3]
+    embedder = _FaultyEmbedder({entries[1].sentence.text: np.zeros(8)}, slow=None)
+    with pytest.raises(ZeroVector) as info:
+        build_index(entries, embedder)
+    assert str(info.value).startswith(f"{entries[1].sentence.id}:")
+
+
 def test_dimension_mismatch_rejected(corpus_entries):
     with pytest.raises(DimensionMismatch):
         build_index(corpus_entries[:1], _WrongDimEmbedder())
@@ -245,3 +253,37 @@ def test_build_index_raises_first_failure_in_entry_order(corpus_entries, early, 
 def test_sentence_requires_nonempty_text():
     with pytest.raises(ValueError):
         Sentence.from_text("s1", "")
+
+
+class _CountingEmbedder:
+    """Every embed but the first text's waits a while; the first text's
+    vector has the wrong length. Counts the calls."""
+
+    def __init__(self, bad):
+        self.inner = hash_embedder(8)
+        self.bad = bad
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def dimension(self):
+        return 8
+
+    def embed(self, text):
+        with self.lock:
+            self.calls += 1
+        if text == self.bad:
+            return np.ones(9)
+        time.sleep(0.2)
+        return self.inner.embed(text)
+
+
+def test_build_index_stops_later_slices_after_a_failure(corpus_entries):
+    entries = corpus_entries[: 5 * INDEX_SLICES]
+    embedder = _CountingEmbedder(bad=entries[0].sentence.text)
+    threads = threading.active_count()
+    with pytest.raises(DimensionMismatch) as info:
+        build_index(entries, embedder)
+    assert str(info.value).startswith(f"{entries[0].sentence.id}:")
+    # The failing call, and at most the one call each other slice had in flight.
+    assert embedder.calls <= INDEX_SLICES
+    assert threading.active_count() == threads

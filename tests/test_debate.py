@@ -476,13 +476,15 @@ def test_multi_row_agreement_runs_one_eae_per_row(ontology, train_index, embedde
 
 
 class _BarrierChat:
-    """Chat backend whose calls wait until its peer is called too."""
+    """Chat backend whose calls, after the first `skip`, wait until its
+    peers are called too."""
 
-    def __init__(self, inner, barrier):
-        self.inner, self.barrier, self.calls = inner, barrier, inner.calls
+    def __init__(self, inner, barrier, skip=0):
+        self.inner, self.barrier, self.calls, self.skip = inner, barrier, inner.calls, skip
 
     def complete(self, messages, temperature=0.0):
-        self.barrier.wait()
+        if len(self.calls) >= self.skip:
+            self.barrier.wait()
         return self.inner.complete(messages, temperature)
 
 
@@ -507,6 +509,38 @@ def test_debater_calls_of_a_stage_run_at_once(ontology, train_index, embedder):
     result = run_session(sentence, ontology, train_index, config)
     assert result.records == []
     assert [len(b.backend.calls) for b in team.debaters] == [2, 2]
+
+
+def test_critic_call_overlaps_cross_examination(ontology, train_index, embedder):
+    import threading
+    from dataclasses import replace
+
+    from dao.corpus import Sentence
+
+    # The debaters' opinions go through; their cross-examination calls and
+    # the critic's wait for each other, which a critic called after the
+    # cross-examination would time out.
+    barrier = threading.Barrier(3, timeout=5)
+    team = helpers.make_team(
+        [[("*", "A: []"), ("*", "A: no event , [] .")], [("*", "B: []"), ("*", "B: none , [] .")]],
+        [("*", "Assessment .")],
+        [("*", "No event")],
+    )
+    team = replace(
+        team,
+        debaters=tuple(
+            replace(b, backend=_BarrierChat(b.backend, barrier, skip=1)) for b in team.debaters
+        ),
+        critic=_BarrierChat(team.critic, barrier),
+    )
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    sentence = Sentence.from_text("barrier-2", "The committee read the report on Monday .")
+    result = run_session(sentence, ontology, train_index, config)
+    assert result.records == []
+    assert [len(b.backend.calls) for b in team.debaters] == [2, 2]
+    assert len(team.critic.calls) == 1
+    ce_roles = [e.role for e in result.transcript if e.stage == "ed.cross_examination"]
+    assert ce_roles == ["debater_A", "debater_B", "critic"]
 
 
 def _ce_prompts(result):
@@ -543,6 +577,37 @@ def test_cross_examination_is_simultaneous_and_order_free(ontology, train_index,
     assert prompts[0] == prompts[1]
     # B sees A's answer from before the cross-examination, not A's revision.
     assert f"Debater A's current answer: {wrong}" in prompts[0][("ed.cross_examination", 0, "debater_B")]
+
+
+def test_critic_sees_the_answers_cross_examination_started_from(ontology, train_index, embedder):
+    from dao.backends import KeyedScorer
+    from dao.corpus import Sentence
+
+    # A is gated out on a wrong trigger and revises in the cross-examination.
+    wrong, good = '["Conflict:Attack", "town"]', '["Conflict:Attack", "attacked"]'
+    sentence = Sentence.from_text("ce-2", "Rebels attacked the town at dawn .")
+    team = helpers.make_team(
+        [
+            [("*", f"A: {wrong}"), ("*", f"A: I now say {good} .")],
+            [("*", f"B: {good}"), ("*", f"B: I keep {good} .")],
+        ],
+        [("*", "Assessment .")],
+        [("*", "No event")],
+    )
+    config = SessionConfig(team=team, scorer=KeyedScorer(keys=[("*", good)]), embedder=embedder)
+    result = run_session(sentence, ontology, train_index, config)
+    assert any(not r.accepted and r.debater == "A" for r in result.risk_log)
+    prompts = {
+        e.role: e.prompt
+        for e in result.transcript
+        if e.stage == "ed.cross_examination" and e.round_index == 0 and e.prompt
+    }
+
+    def shown_answer_of_a(prompt):
+        return re.search(r"^Debater A's current answer: .*$", prompt, re.M).group(0)
+
+    assert shown_answer_of_a(prompts["critic"]) == f"Debater A's current answer: {wrong}"
+    assert shown_answer_of_a(prompts["critic"]) == shown_answer_of_a(prompts["debater_B"])
 
 
 def test_each_distinct_scoring_request_is_sent_once(ontology, train_index, embedder):
@@ -589,4 +654,42 @@ def test_failed_cross_examination_call_aborts_with_earlier_entries(ontology, tra
     with pytest.raises(ScriptExhausted) as excinfo:
         run_session(sentence, ontology, train_index, config)
     assert excinfo.value.transcript == full.transcript[:a_ce_row]
+    assert threading.active_count() == threads
+
+
+def test_failed_critic_call_aborts_before_the_cross_examination_rows(
+    ontology, train_index, embedder
+):
+    import threading
+
+    from dao.corpus import Sentence
+    from dao.errors import ScriptExhausted
+
+    def team(critic_replies):
+        return helpers.make_team(
+            [
+                [("*", 'A: ["Life:Die", "killed"]'), ("*", "A: I defend my answer .")],
+                [("*", 'B: ["Life:Die", "killed"]'), ("*", "B: I agree .")],
+            ],
+            [("*", "Assessment .")][:critic_replies],
+            [("*", "No event")],
+        )
+
+    sentence = Sentence.from_text("abort-3", "The blast killed the mayor .")
+    full = run_session(
+        sentence,
+        ontology,
+        train_index,
+        SessionConfig(team=team(1), scorer=helpers.passthrough_scorer(), embedder=embedder),
+    )
+    first_ce_row = next(
+        i for i, e in enumerate(full.transcript) if e.stage == "ed.cross_examination"
+    )
+    threads = threading.active_count()
+    config = SessionConfig(team=team(0), scorer=helpers.passthrough_scorer(), embedder=embedder)
+    with pytest.raises(ScriptExhausted) as excinfo:
+        run_session(sentence, ontology, train_index, config)
+    assert excinfo.value.transcript == full.transcript[:first_ce_row]
+    # The debaters' cross-examination calls were made; none of them was noted.
+    assert [len(b.backend.calls) for b in config.team.debaters] == [2, 2]
     assert threading.active_count() == threads

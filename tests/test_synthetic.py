@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dao.drag import Candidate, cluster_candidates, cosine_distance
-from dao.errors import InvalidSpec
-from dao.synthetic import SyntheticSpec, gen_clustered_points, gen_risks
+from synthetic import InvalidSpec, SyntheticSpec, gen_clustered_points, gen_risks
 
 
 def test_gen_risks_seeded_reproducible():

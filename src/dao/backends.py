@@ -15,10 +15,9 @@ import random
 import threading
 import time
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     EmptyText,
@@ -30,6 +29,9 @@ from .errors import (
     TransportError,
     ZeroVector,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 VALID_ROLES = ("system", "user", "assistant")
 
@@ -87,6 +89,10 @@ def _post_json(
     it waits the server's `Retry-After` seconds, if given, plus a random
     share of `backoff * 2**n`, so callers throttled together spread out.
     """
+    # Imported here, not at module top: only the HTTP clients need it, and
+    # a replay run would otherwise pay its import time and memory.
+    import requests
+
     for attempt in range(max_attempts):
         last = attempt + 1 == max_attempts
         try:
@@ -262,36 +268,47 @@ class HashEmbedder:
     and L2-normalized. Identical strings always map to identical vectors.
     Signed hashing spreads cosine distances over (0, 2) rather than
     capping them at 1, which keeps radius schedules above 1 meaningful.
+
+    Each distinct trigram is hashed once per embedder: a memo maps it to
+    its (bucket, sign) and holds one entry per distinct trigram seen, so
+    its memory grows with the vocabulary of trigrams, not with the text
+    embedded. Threads may share it, since they only ever store the same
+    value under the same key.
     """
 
     def __init__(self, dim: int):
         if dim < 8:
             raise ValueError(f"dimension must be >= 8, got {dim}")
         self._dim = dim
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def dimension(self) -> int:
         return self._dim
+
+    def _slot(self, gram: str) -> tuple[int, float]:
+        """The (bucket, sign) of one trigram."""
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        return value % self._dim, 1.0 if (value >> 63) & 1 == 0 else -1.0
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmptyText("cannot embed the empty string")
         grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
-        vector = np.zeros(self._dim, dtype=np.float64)
+        # Counts are whole numbers, so summing in a list first gives the
+        # same floats as adding into the array one trigram at a time.
+        counts = [0.0] * self._dim
+        slots = self._slots
         for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "big")
-            bucket = value % self._dim
-            sign = 1.0 if (value >> 63) & 1 == 0 else -1.0
-            vector[bucket] += sign
+            slot = slots.get(gram)
+            if slot is None:
+                slot = slots[gram] = self._slot(gram)
+            counts[slot[0]] += slot[1]
+        vector = np.array(counts, dtype=np.float64)
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:
             raise ZeroVector(f"trigram signs cancelled for {text!r}")
         return vector / norm
-
-
-def hash_embedder(dimension: int) -> HashEmbedder:
-    """Build the deterministic trigram-hash embedder; dimension >= 8."""
-    return HashEmbedder(dimension)
 
 
 @dataclass

@@ -846,7 +846,7 @@ def run_session(
     pool = ThreadPoolExecutor(max_workers=len(config.team.debaters) + 1)
     session = _Session(sentence, ontology, config, pool)
     try:
-        query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)))
+        query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)), sentence.id)
         session._note(
             0,
             "session.embed",

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import HashEmbedder, KeyedScorer, hash_embedder, scripted_chat
+from .backends import HashEmbedder, KeyedScorer, scripted_chat
 from .debate import AgentTeam, DebaterBinding
 from .errors import FormatError, InvalidTeam, ScriptNoMatch
 
@@ -71,7 +71,7 @@ class ReplayBundle:
         )
 
     def embedder(self) -> HashEmbedder:
-        return hash_embedder(self.dimension)
+        return HashEmbedder(self.dimension)
 
     def scorer(self) -> KeyedScorer:
         return KeyedScorer(keys=list(self.scorer_keys), **self.scorer_costs)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dao.backends import hash_embedder
+from dao.backends import HashEmbedder
 from dao.corpus import build_index, load_corpus
 from dao.ontology import load_ontology
 
@@ -38,7 +38,7 @@ def train_entries(corpus_entries):
 
 @pytest.fixture(scope="session")
 def embedder():
-    return hash_embedder(64)
+    return HashEmbedder(64)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import pytest
 import helpers
 from synthetic import SyntheticSpec, gen_clustered_points, gen_risks
 from dao.adacp import RiskThreshold, accept, calibrate, decay_threshold
-from dao.backends import hash_embedder
+from dao.backends import HashEmbedder
 from dao.cli import main
 from dao.corpus import build_index, l2_normalize
 from dao.debate import SessionConfig, run_session
@@ -103,7 +103,7 @@ def test_criterion_3_decay_schedules():
 
 
 def _random_candidates(rng, n, dim=32):
-    emb = hash_embedder(dim)
+    emb = HashEmbedder(dim)
     query = l2_normalize(emb.embed(f"query {rng.integers(0, 1 << 30)}"))
     candidates = []
     for i in range(n):

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from dao.backends import (
     HttpScoringBackend,
     KeyedScorer,
     _bearer,
-    hash_embedder,
     scripted_chat,
 )
 from dao.drag import cosine_distance
@@ -158,7 +160,7 @@ def _scripted_post(monkeypatch, outcomes):
             raise outcome
         return outcome
 
-    monkeypatch.setattr("dao.backends.requests.post", post)
+    monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr("dao.backends.time.sleep", sleeps.append)
     return posts, sleeps
 
@@ -311,19 +313,19 @@ def test_scripted_matches_latest_user_message():
 
 
 def test_hash_embedder_deterministic():
-    emb = hash_embedder(64)
+    emb = HashEmbedder(64)
     assert np.array_equal(emb.embed("abc"), emb.embed("abc"))
 
 
 def test_hash_embedder_distinct_inputs_differ():
-    emb = hash_embedder(64)
+    emb = HashEmbedder(64)
     distance = cosine_distance(emb.embed("abc"), emb.embed("abd"))
     assert 0.0 < distance <= 2.0
 
 
 def test_hash_embedder_empty_text():
     with pytest.raises(EmptyText):
-        hash_embedder(32).embed("")
+        HashEmbedder(32).embed("")
 
 
 def test_hash_embedder_minimum_dimension():
@@ -332,18 +334,70 @@ def test_hash_embedder_minimum_dimension():
 
 
 def test_hash_embedder_unit_norm():
-    emb = hash_embedder(32)
+    emb = HashEmbedder(32)
     assert abs(np.linalg.norm(emb.embed("some sentence with words")) - 1.0) < 1e-9
 
 
 @given(st.text(min_size=1, max_size=40))
 def test_hash_embedder_always_unit_or_error(text):
-    emb = hash_embedder(16)
+    emb = HashEmbedder(16)
     try:
         vec = emb.embed(text)
     except Exception:
         return
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
+
+
+def _unmemoized_hash_embed(text, dim):
+    """The embedder's loop without its memo: hash every trigram, add into the array."""
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+    vector = np.zeros(dim, dtype=np.float64)
+    for gram in grams:
+        value = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+        vector[value % dim] += 1.0 if (value >> 63) & 1 == 0 else -1.0
+    return vector / float(np.linalg.norm(vector))
+
+
+_CORPUS_TEXTS = [
+    json.loads(line)["text"]
+    for line in (Path(__file__).parent / "fixtures" / "corpus_small.jsonl").read_text().splitlines()
+    if line.strip()
+]
+
+
+def test_hash_embedder_memo_gives_the_unmemoized_bytes():
+    emb = HashEmbedder(64)
+    for text in _CORPUS_TEXTS + ["ab", "Überfall in Zürich — 東京で攻撃 ."]:
+        assert emb.embed(text).tobytes() == _unmemoized_hash_embed(text, 64).tobytes(), text
+
+
+def test_hash_embedder_warm_memo_gives_the_same_bytes():
+    emb = HashEmbedder(64)
+    cold = [emb.embed(text).tobytes() for text in _CORPUS_TEXTS]
+    assert [emb.embed(text).tobytes() for text in _CORPUS_TEXTS] == cold
+
+
+def test_hash_embedder_memo_shared_across_threads():
+    expected = [_unmemoized_hash_embed(text, 64).tobytes() for text in _CORPUS_TEXTS]
+    emb = HashEmbedder(64)
+    results = {}
+
+    def work(i):
+        results[i] = [emb.embed(text).tobytes() for text in _CORPUS_TEXTS[i % 2 :: 1 + i % 3]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(8):
+        assert results[i] == expected[i % 2 :: 1 + i % 3]
 
 
 # ---------------------------------------------------------------------------

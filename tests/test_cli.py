@@ -2,13 +2,15 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import helpers
-from dao.backends import hash_embedder
+from dao.backends import HashEmbedder
 from dao.cli import RunConfig, _backends, main
 from dao.replay import ReplayBundle
 
@@ -253,6 +255,54 @@ def test_run_replay_table_3a(tmp_path):
     assert prediction["events"][0]["trigger"] == "formerly"
     for name in ("config.json", "predictions.jsonl", "transcripts.jsonl", "risk_histogram.json"):
         assert (out_dir / name).exists()
+
+
+def test_import_leaves_the_http_stack_unloaded():
+    script = "import sys, dao.cli; print('requests' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_replay_run_without_requests_matches_in_process_run(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "ontology": str(FIXTURES / "ontology_ace.jsonl"),
+                "reference_corpus": str(FIXTURES / "corpus_small.jsonl"),
+                "backends": {"replay_bundle": str(FIXTURES / "replay_table3a.json")},
+            }
+        ),
+        encoding="utf-8",
+    )
+    input_path = tmp_path / "input.jsonl"
+    input_path.write_text(
+        json.dumps(
+            {
+                "id": "test-001",
+                "text": "McCarthy was formerly a top civil servant at the Department of Trade and Industry .",
+                "events": [],
+            }
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    args = ["run", "-c", str(config_path), "--input", str(input_path), "--out"]
+    assert main([*args, str(tmp_path / "in_process")]) == 0
+    # A None entry in sys.modules makes `import requests` raise ImportError.
+    script = "import sys; sys.modules['requests'] = None; from dao.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args, str(tmp_path / "offline")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    predictions = (tmp_path / "offline" / "predictions.jsonl").read_bytes()
+    assert predictions == (tmp_path / "in_process" / "predictions.jsonl").read_bytes()
+    (prediction,) = _read_jsonl(tmp_path / "offline" / "predictions.jsonl")
+    assert prediction["events"][0]["type"] == "Personnel:End-Position"
 
 
 def test_run_replay_table_3b_empty_prediction(tmp_path):
@@ -587,7 +637,7 @@ def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
 
 class _CountingEmbedder:
     def __init__(self):
-        self.inner = hash_embedder(64)
+        self.inner = HashEmbedder(64)
         self.calls = 0
 
     def dimension(self):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from dao.backends import hash_embedder
+from dao.backends import HashEmbedder
 from dao.corpus import (
     INDEX_SLICES,
     Polarity,
@@ -105,16 +105,24 @@ def test_build_index_shape(tmp_path):
         [{"id": f"s{i}", "text": f"Sentence number {i} .", "events": []} for i in range(3)],
     )
     entries = load_corpus(tmp_path / "c.jsonl")
-    index = build_index(entries, hash_embedder(8))
+    index = build_index(entries, HashEmbedder(8))
     assert index.vectors.shape == (3, 8)
     norms = np.linalg.norm(index.vectors, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-6)
 
 
 def test_build_index_empty_entries():
-    index = build_index([], hash_embedder(16))
+    index = build_index([], HashEmbedder(16))
     assert len(index) == 0
     assert index.dimension == 16
+
+
+def test_build_index_twice_gives_the_same_bytes(corpus_entries):
+    embedder = HashEmbedder(64)
+    first = build_index(corpus_entries, embedder).vectors
+    second = build_index(corpus_entries, embedder).vectors
+    assert first.tobytes() == second.tobytes()
+    assert first.tobytes() == build_index(corpus_entries, HashEmbedder(64)).vectors.tobytes()
 
 
 class _ZeroEmbedder:
@@ -168,7 +176,7 @@ class _BarrierEmbedder:
     """Every embed call waits until a second call is in flight."""
 
     def __init__(self):
-        self.inner = hash_embedder(8)
+        self.inner = HashEmbedder(8)
         self.barrier = threading.Barrier(2, timeout=5)
 
     def dimension(self):
@@ -215,7 +223,7 @@ class _FaultyEmbedder:
     entry fails first."""
 
     def __init__(self, faults, slow):
-        self.inner = hash_embedder(8)
+        self.inner = HashEmbedder(8)
         self.faults = faults
         self.slow = slow
 
@@ -260,7 +268,7 @@ class _CountingEmbedder:
     vector has the wrong length. Counts the calls."""
 
     def __init__(self, bad):
-        self.inner = hash_embedder(8)
+        self.inner = HashEmbedder(8)
         self.bad = bad
         self.calls = 0
         self.lock = threading.Lock()

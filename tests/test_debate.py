@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 import helpers
@@ -212,12 +213,30 @@ def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, 
 
 
 def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index):
-    from dao.backends import hash_embedder
+    from dao.backends import HashEmbedder
     from dao.errors import DimensionMismatch
 
     scenario = helpers.build_scenario(0, ontology)
-    config = scenario.build_config(hash_embedder(32))  # the index is D64
+    config = scenario.build_config(HashEmbedder(32))  # the index is D64
     with pytest.raises(DimensionMismatch):
+        run_session(scenario.sentence, ontology, train_index, config)
+    assert all(binding.backend.calls == [] for binding in config.team.debaters)
+
+
+class _ZeroEmbedder:
+    def dimension(self):
+        return 64
+
+    def embed(self, text):
+        return np.zeros(64)
+
+
+def test_zero_query_vector_error_names_the_sentence(ontology, train_index):
+    from dao.errors import ZeroVector
+
+    scenario = helpers.build_scenario(0, ontology)
+    config = scenario.build_config(_ZeroEmbedder())
+    with pytest.raises(ZeroVector, match=re.escape(scenario.sentence.id)):
         run_session(scenario.sentence, ontology, train_index, config)
     assert all(binding.backend.calls == [] for binding in config.team.debaters)
 

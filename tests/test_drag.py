@@ -7,7 +7,7 @@ import pytest
 
 import dao.drag
 import helpers
-from dao.backends import hash_embedder
+from dao.backends import HashEmbedder
 from dao.corpus import EmbeddedIndex, build_index, l2_normalize
 from dao.debate import run_session
 from dao.drag import (
@@ -141,7 +141,7 @@ def test_empty_input_empty_output():
 
 
 def _hash_candidates(texts, query_text, dim=32):
-    emb = hash_embedder(dim)
+    emb = HashEmbedder(dim)
     query = l2_normalize(emb.embed(query_text))
     candidates = [
         Candidate(entry=_entry(f"s{i:03d}"), distance=0.0, vector=l2_normalize(emb.embed(text)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .backends import ScoringBackend
@@ -54,6 +53,10 @@ def calibrate(risks: Sequence[float], delta: float) -> RiskThreshold:
     index is computed in exact rational arithmetic because a float ceil
     misrounds near integral values of (n+1)(1-delta).
     """
+    # Imported here, not at module top: only calibration needs it, and a
+    # run would otherwise pay its import memory.
+    from fractions import Fraction
+
     if not risks:
         raise EmptyCalibrationSet("cannot calibrate from zero risk scores")
     if not 0.0 < delta < 1.0:

@@ -31,6 +31,7 @@ from .backends import (
 )
 from .corpus import ReferenceEntry, Sentence, build_index, load_corpus
 from .debate import (
+    DEFAULT_MAX_ROUNDS,
     AgentTeam,
     DebaterBinding,
     SessionConfig,
@@ -77,7 +78,7 @@ _DEFAULT_BACKENDS = {
 class RunConfig:
     """Run settings; the defaults are the engine's standard operating point."""
 
-    max_rounds: int = 3
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     workers: int = 1
     use_llm_summarizer: bool = False
     ontology: str = "ontology.jsonl"

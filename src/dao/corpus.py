@@ -29,43 +29,38 @@ class Polarity(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     id: str
     text: str
-    tokens: tuple[str, ...]
 
     @classmethod
     def from_text(cls, sentence_id: str, text: str) -> "Sentence":
-        """Build a sentence with canonical whitespace tokenization.
-
-        Tokens joined by single spaces must reconstruct the text, so
-        inputs must already be single-spaced.
-        """
+        """Build a sentence from non-empty, single-spaced text: its
+        whitespace tokens joined by single spaces must give the text back."""
         if not text:
             raise ValueError(f"{sentence_id}: text must be non-empty")
-        tokens = tuple(text.split())
-        if " ".join(tokens) != text:
+        if " ".join(text.split()) != text:
             raise ValueError(
                 f"{sentence_id}: text is not single-spaced; tokens do not reconstruct it"
             )
-        return cls(id=sentence_id, text=text, tokens=tokens)
+        return cls(id=sentence_id, text=text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventMention:
     event_type: str
     trigger: str
     arguments: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldAnnotation:
     sentence_id: str
     events: tuple[EventMention, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceEntry:
     sentence: Sentence
     annotation: GoldAnnotation
@@ -154,50 +149,52 @@ def load_corpus(path: str | Path) -> list[ReferenceEntry]:
 def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> EmbeddedIndex:
     """Embed every entry's sentence and L2-normalize the vectors.
 
-    The entries are cut into at most `INDEX_SLICES` contiguous slices,
+    The index is one (n, dimension) float64 array, allocated once. The
+    entries are cut into at most `INDEX_SLICES` contiguous slices,
     embedded at once on a thread pool that lives for this call only; each
-    slice embeds its entries in order. Normalization happens here
-    regardless of what the backend returns, and the rows are joined in
-    entry order, so the vectors are bitwise those of a one-by-one build
-    and deterministic embedders yield bitwise-identical indexes across
-    builds. Once a slice fails, every later slice stops before its next
-    embed, while earlier slices run on; a failing slice is raised only
-    after every earlier slice has finished. The error raised is the first
-    failure in entry order, and no pool thread outlives the call.
+    slice embeds its entries in order and writes each normalized row into
+    its own row range, so the vectors are bitwise those of a one-by-one
+    build and deterministic embedders yield bitwise-identical indexes
+    across builds. Normalization happens here regardless of what the
+    backend returns. Once a slice fails, every later slice stops before
+    its next embed, while earlier slices run on; a failing slice is raised
+    only after every earlier slice has finished. The error raised is the
+    first failure in entry order, and no pool thread outlives the call.
     """
     dim = embedder.dimension()
     if not entries:
         return EmbeddedIndex(entries=(), vectors=np.zeros((0, dim)), dimension=dim)
 
+    vectors = np.empty((len(entries), dim), dtype=np.float64)
     slices = min(INDEX_SLICES, len(entries))
     first_failed = slices  # the lowest slice that has failed so far
     lock = threading.Lock()
 
-    def embed_slice(k: int, part: list[ReferenceEntry]) -> list[np.ndarray]:
+    def embed_slice(k: int, lo: int, hi: int) -> None:
         nonlocal first_failed
-        rows = []
         try:
-            for entry in part:
+            for row in range(lo, hi):
                 if first_failed < k:
-                    # An earlier slice's error is raised; these rows are not read.
+                    # An earlier slice's error is raised; the array is not returned.
                     break
+                entry = entries[row]
                 vector = np.asarray(embedder.embed(entry.sentence.text), dtype=np.float64)
                 if vector.ndim != 1 or vector.shape[0] != dim:
                     raise DimensionMismatch(
                         f"{entry.sentence.id}: embedding has shape {vector.shape}, expected ({dim},)"
                     )
-                rows.append(l2_normalize(vector, entry.sentence.id))
+                vectors[row] = l2_normalize(vector, entry.sentence.id)
         except Exception:
             with lock:
                 first_failed = min(first_failed, k)
             raise
-        return rows
 
     bounds = [len(entries) * i // slices for i in range(slices + 1)]
     with ThreadPoolExecutor(max_workers=slices) as pool:
         futures = [
-            pool.submit(embed_slice, k, entries[lo:hi])
+            pool.submit(embed_slice, k, lo, hi)
             for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
-        rows = [row for future in futures for row in future.result()]
-    return EmbeddedIndex(entries=tuple(entries), vectors=np.vstack(rows), dimension=dim)
+        for future in futures:
+            future.result()
+    return EmbeddedIndex(entries=tuple(entries), vectors=vectors, dimension=dim)

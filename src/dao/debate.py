@@ -41,6 +41,8 @@ logger = logging.getLogger(__name__)
 
 ED_JUDGE_HEADER = ("event type", "event trigger")
 EAE_HEADER = ("event type", "argument role", "argument content")
+# Debate rounds before the engine adjudicates, when a config leaves it out.
+DEFAULT_MAX_ROUNDS = 3
 
 T = TypeVar("T")
 
@@ -262,7 +264,7 @@ class SessionConfig:
     embedder: EmbeddingBackend
     drag: DragConfig = field(default_factory=DragConfig)
     adacp: AdaCPConfig = field(default_factory=AdaCPConfig)
-    max_rounds: int = 3
+    max_rounds: int = DEFAULT_MAX_ROUNDS
 
 
 @dataclass(frozen=True)
@@ -356,7 +358,7 @@ def argument_risk_input(
     )
 
 
-def render_packet(result: RetrievalResult, ctx: TaskContext, ontology: EventOntology) -> str:
+def render_packet(result: RetrievalResult, ctx: TaskContext) -> str:
     """Render the retrieval packet broadcast to debaters and the critic."""
     lines = ["Reference information:"]
     if result.definitions:
@@ -567,7 +569,7 @@ class _Session:
             self.config.drag,
             event_type_filter=ctx.event_type if ctx.task == "eae" else None,
         )
-        state.packet_text = render_packet(packet, ctx, self.ontology)
+        state.packet_text = render_packet(packet, ctx)
         self._note(rnd, stage("retrieval"), "engine", state.packet_text)
         self._note(
             rnd,

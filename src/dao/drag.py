@@ -131,6 +131,10 @@ def select_diverse(
     exhausted in the corpus, remaining slots are backfilled with the
     other from clusters not yet used. The result is sorted by distance to
     the query.
+
+    Each cluster's members must already be ordered by (distance, entry
+    id), so its first open member is its closest; `cluster_candidates`
+    builds them that way from `retrieve_topk`'s order.
     """
     pos_quota, neg_quota = polarity_quota
     if pos_quota + neg_quota != m:
@@ -141,7 +145,7 @@ def select_diverse(
     for i, cluster in enumerate(clusters):
         if len(picked) == m:
             break
-        for member in sorted(cluster.members, key=lambda c: (c.distance, c.entry.sentence.id)):
+        for member in cluster.members:
             if remaining[member.entry.polarity] > 0:
                 remaining[member.entry.polarity] -= 1
                 picked.append(member)
@@ -153,8 +157,7 @@ def select_diverse(
                 break
             if i in used:
                 continue
-            members = sorted(cluster.members, key=lambda c: (c.distance, c.entry.sentence.id))
-            picked.append(members[0])
+            picked.append(cluster.members[0])
             used.add(i)
     picked.sort(key=lambda c: (c.distance, c.entry.sentence.id))
     return [candidate.entry for candidate in picked]

@@ -264,6 +264,14 @@ def test_import_leaves_the_http_stack_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_fractions_unloaded():
+    # Only `calibrate` needs exact rationals; a run without calibration never loads them.
+    script = "import sys, dao.cli; print('fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_replay_run_without_requests_matches_in_process_run(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(

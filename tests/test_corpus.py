@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,7 +98,15 @@ def test_double_spaced_text_rejected(tmp_path):
 
 def test_tokens_reconstruct_text(corpus_entries):
     for entry in corpus_entries:
-        assert " ".join(entry.sentence.tokens) == entry.sentence.text
+        text = entry.sentence.text
+        assert " ".join(text.split()) == text
+
+
+def test_corpus_records_have_no_instance_dict(corpus_entries):
+    entry = next(e for e in corpus_entries if e.annotation.events)
+    for record in (entry, entry.sentence, entry.annotation, entry.annotation.events[0]):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    assert not hasattr(entry.sentence, "tokens")
 
 
 def test_build_index_shape(tmp_path):
@@ -115,6 +125,24 @@ def test_build_index_empty_entries():
     index = build_index([], HashEmbedder(16))
     assert len(index) == 0
     assert index.dimension == 16
+
+
+def test_build_index_holds_its_rows_once(tmp_path):
+    _write_jsonl(
+        tmp_path / "c.jsonl",
+        [{"id": f"s{i}", "text": f"Reference sentence number {i} .", "events": []} for i in range(400)],
+    )
+    entries = load_corpus(tmp_path / "c.jsonl")
+    embedder = HashEmbedder(512)
+    build_index(entries, embedder)  # fill the trigram memo before tracing
+    tracemalloc.start()
+    try:
+        index = build_index(entries, embedder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The index's own bytes plus the rows in flight, not a second copy.
+    assert peak / index.vectors.nbytes < 1.5
 
 
 def test_build_index_twice_gives_the_same_bytes(corpus_entries):
@@ -215,6 +243,18 @@ def test_build_index_rows_in_entry_order(corpus_entries, embedder, n):
     index = build_index(entries, _JitterEmbedder(embedder))
     assert index.entries == tuple(entries)
     assert np.array_equal(index.vectors, oracle)
+
+
+def test_build_index_rows_under_a_short_switch_interval(corpus_entries, embedder):
+    # `INDEX_SLICES` threads write disjoint row ranges of one array and switch often.
+    oracle = np.vstack([l2_normalize(embedder.embed(e.sentence.text)) for e in corpus_entries])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        vectors = build_index(corpus_entries, HashEmbedder(embedder.dimension())).vectors
+    finally:
+        sys.setswitchinterval(interval)
+    assert vectors.tobytes() == oracle.tobytes()
 
 
 class _FaultyEmbedder:

@@ -29,7 +29,7 @@ from .backends import (
     HttpTransport,
     ScoringBackend,
 )
-from .corpus import ReferenceEntry, Sentence, build_index, load_corpus
+from .corpus import ReferenceEntry, Sentence, build_index, load_corpus, read_jsonl
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -37,12 +37,8 @@ from .debate import (
     SessionConfig,
     SessionResult,
     TranscriptEntry,
-    TriggerAnswer,
-    canonical_argument_rows,
-    detection_risk_input,
-    argument_risk_input,
-    serialize_argument_table,
-    serialize_trigger_answer,
+    calibration_pairs,
+    debater_name,
     run_session,
 )
 from .drag import DragConfig
@@ -54,7 +50,7 @@ from .evalkit import (
     type_overlap_f1,
     PRF,
 )
-from .ontology import EventOntology, load_ontology
+from .ontology import load_ontology
 from .replay import DEFAULT_DIMENSION, ReplayBundle
 
 logger = logging.getLogger(__name__)
@@ -155,7 +151,7 @@ def _backends(
     team = AgentTeam(
         debaters=tuple(
             DebaterBinding(
-                name=spec.get("name", "AB"[i] if i < 2 else str(i)),
+                name=spec.get("name", debater_name(i)),
                 backend=client(spec.get("model") or chat["model"]),
                 temperature=spec.get("temperature", 0.0),
             )
@@ -175,41 +171,6 @@ def _backends(
 # calibrate
 
 
-def _calibration_pairs(
-    task: str, rows: list[ReferenceEntry], ontology: EventOntology
-) -> list[tuple[str, str]]:
-    """(input, gold answer) pairs for one task over the calib split."""
-    pairs: list[tuple[str, str]] = []
-    for entry in rows:
-        sentence = entry.sentence
-        if task == "ed":
-            prompt = detection_risk_input(sentence, ontology)
-            if entry.annotation.events:
-                for event in entry.annotation.events:
-                    pairs.append(
-                        (prompt, serialize_trigger_answer(TriggerAnswer(event.event_type, event.trigger)))
-                    )
-            else:
-                pairs.append((prompt, "[]"))
-        else:
-            for event in entry.annotation.events:
-                if event.event_type not in ontology:
-                    logger.warning(
-                        "%s: type %r not in ontology; skipped for calibration",
-                        sentence.id,
-                        event.event_type,
-                    )
-                    continue
-                roles = ontology.lookup(event.event_type).roles
-                prompt = argument_risk_input(sentence, event.event_type, event.trigger, roles)
-                filled = {role: content for role, content in event.arguments}
-                answer = serialize_argument_table(
-                    event.event_type, canonical_argument_rows(roles, filled)
-                )
-                pairs.append((prompt, answer))
-    return pairs
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config)
     ontology = load_ontology(config.ontology)
@@ -221,7 +182,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         if override is not None:
             print(f"task={task} threshold fixed at {override} (calibration skipped)")
             continue
-        pairs = _calibration_pairs(task, rows, ontology)
+        pairs = calibration_pairs(task, rows, ontology)
         if not pairs:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
@@ -372,47 +333,53 @@ def cmd_run(args: argparse.Namespace) -> int:
 # eval
 
 
-def _read_predictions(path: str | Path) -> list[dict]:
-    """Prediction rows without span validation; predictions may contain
-    spans that do not occur in the sentence."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+# (id, text, events), each event (type, trigger, ((role, content), ...))
+_EvalRow = tuple[str, str, tuple[tuple[str, str, tuple[tuple[str, str | None], ...]], ...]]
 
 
-def _trigger_items(rows: list[dict]) -> list[tuple[str, str, str]]:
+def _eval_row(record: dict) -> _EvalRow:
+    """A predictions or gold row. Spans are not checked against the text:
+    predictions may contain spans that do not occur in the sentence."""
+    events = tuple(
+        (
+            event["type"],
+            event["trigger"],
+            tuple((arg["role"], arg.get("content")) for arg in event.get("arguments", ())),
+        )
+        for event in record.get("events", ())
+    )
+    return record["id"], record["text"], events
+
+
+def _trigger_items(rows: list[_EvalRow]) -> list[tuple[str, str, str]]:
     return [
-        (row["id"], event["type"], event["trigger"])
-        for row in rows
-        for event in row.get("events", [])
+        (sentence_id, event_type, trigger)
+        for sentence_id, _, events in rows
+        for event_type, trigger, _ in events
     ]
 
 
-def _argument_items(rows: list[dict]) -> list[tuple[str, str, str, str]]:
+def _argument_items(rows: list[_EvalRow]) -> list[tuple[str, str, str, str]]:
     return [
-        (row["id"], event["type"], arg["role"], arg["content"])
-        for row in rows
-        for event in row.get("events", [])
-        for arg in event.get("arguments", [])
-        if arg.get("content") is not None
+        (sentence_id, event_type, role, content)
+        for sentence_id, _, events in rows
+        for event_type, _, arguments in events
+        for role, content in arguments
+        if content is not None
     ]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    pred_rows = _read_predictions(args.pred)
-    gold_rows = _read_predictions(args.gold)
+    pred_rows = read_jsonl(args.pred, _eval_row)
+    gold_rows = read_jsonl(args.gold, _eval_row)
     sentences: dict[str, Sentence] = {}
     texts: dict[str, str] = {}
-    for row in gold_rows + pred_rows:
-        texts.setdefault(row["id"], row["text"])
+    for sentence_id, text, _ in gold_rows + pred_rows:
+        texts.setdefault(sentence_id, text)
         try:
-            sentences.setdefault(row["id"], Sentence.from_text(row["id"], row["text"]))
+            sentences.setdefault(sentence_id, Sentence.from_text(sentence_id, text))
         except ValueError:
-            logger.warning("sentence %s is not single-spaced; kept text-only", row["id"])
+            logger.warning("sentence %s is not single-spaced; kept text-only", sentence_id)
 
     note = None
     if args.task == "ed":

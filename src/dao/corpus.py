@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import DimensionMismatch, FormatError, SpanNotInSentence, ZeroVecto
 # Embed calls `build_index` keeps in flight at once: a live embedding
 # endpoint pays one round trip per reference sentence, and these overlap.
 INDEX_SLICES = 8
+
+T = TypeVar("T")
 
 
 class Polarity(Enum):
@@ -96,13 +99,12 @@ def _check_span(sentence: Sentence, span: str, what: str) -> None:
         raise SpanNotInSentence(f"{sentence.id}: {what} {span!r} not found in sentence text")
 
 
-def load_corpus(path: str | Path) -> list[ReferenceEntry]:
-    """Load reference entries from a JSONL corpus file.
-
-    Every trigger and argument content must occur verbatim in the
-    sentence text. Rows without events are negative examples.
-    """
-    entries: list[ReferenceEntry] = []
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` applied to every record of a JSON Lines file; blank lines
+    are skipped. Invalid JSON, a record that is not an object, and a
+    KeyError, TypeError, AttributeError or ValueError out of `parse` are
+    a FormatError naming the line."""
+    parsed: list[T] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -115,35 +117,43 @@ def load_corpus(path: str | Path) -> list[ReferenceEntry]:
             if not isinstance(record, dict):
                 raise FormatError(line_no, "record is not a JSON object")
             try:
-                sentence = Sentence.from_text(record["id"], record["text"])
-                events = []
-                for event in record.get("events", ()):
-                    arguments = tuple(
-                        (arg["role"], arg["content"]) for arg in event.get("arguments", ())
-                    )
-                    events.append(
-                        EventMention(
-                            event_type=event["type"],
-                            trigger=event["trigger"],
-                            arguments=arguments,
-                        )
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
+                parsed.append(parse(record))
+            except KeyError as exc:
+                raise FormatError(line_no, f"missing key {exc}") from None
+            except (TypeError, AttributeError, ValueError) as exc:
                 raise FormatError(line_no, str(exc)) from None
-            for event in events:
-                _check_span(sentence, event.trigger, "trigger")
-                for _, content in event.arguments:
-                    _check_span(sentence, content, "argument content")
-            polarity = Polarity.POSITIVE if events else Polarity.NEGATIVE
-            entries.append(
-                ReferenceEntry(
-                    sentence=sentence,
-                    annotation=GoldAnnotation(sentence.id, tuple(events)),
-                    polarity=polarity,
-                    split=record.get("split", "train"),
-                )
-            )
-    return entries
+    return parsed
+
+
+def load_corpus(path: str | Path) -> list[ReferenceEntry]:
+    """Load reference entries from a JSONL corpus file.
+
+    Every trigger and argument content must occur verbatim in the
+    sentence text. Rows without events are negative examples.
+    """
+    return read_jsonl(path, _reference_entry)
+
+
+def _reference_entry(record: dict) -> ReferenceEntry:
+    sentence = Sentence.from_text(record["id"], record["text"])
+    events = tuple(
+        EventMention(
+            event_type=event["type"],
+            trigger=event["trigger"],
+            arguments=tuple((arg["role"], arg["content"]) for arg in event.get("arguments", ())),
+        )
+        for event in record.get("events", ())
+    )
+    for event in events:
+        _check_span(sentence, event.trigger, "trigger")
+        for _, content in event.arguments:
+            _check_span(sentence, content, "argument content")
+    return ReferenceEntry(
+        sentence=sentence,
+        annotation=GoldAnnotation(sentence.id, events),
+        polarity=Polarity.POSITIVE if events else Polarity.NEGATIVE,
+        split=record.get("split", "train"),
+    )
 
 
 def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> EmbeddedIndex:

@@ -5,7 +5,11 @@ chains one argument-extraction debate per agreed (type, trigger). Each
 round renders opinions, broadcasts a retrieval packet to debaters and
 critic (never the judge), gates answers through the conformal threshold,
 runs cross-examination, and asks the judge for a verdict; the retrieval
-radius and the acceptance threshold tighten from round to round.
+radius and the acceptance threshold tighten from round to round. Both
+debates run the same round code; what differs between them (prompt,
+answer format, gate exemptions, verdicts) belongs to their task object,
+`Detection` or `ArgumentExtraction`, which also builds calibration's
+(prompt, gold answer) pairs.
 
 Within a stage the debaters' calls, and the scoring of distinct answers,
 run at once; the critic's call runs with the debaters' cross-examination
@@ -24,7 +28,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -232,6 +236,155 @@ def parse_judge(text: str, task: str) -> JudgeVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Debate tasks: what differs between detection and argument extraction
+
+Answer = TriggerAnswer | ArgumentAnswer
+
+
+@dataclass(frozen=True)
+class Detection:
+    """The trigger-detection debate."""
+
+    task: ClassVar[str] = "ed"
+    event_type: ClassVar[None] = None
+
+    def prompt(self, sentence: Sentence, ontology: EventOntology, role_label: str = "Debater") -> str:
+        """The task prompt; also the scoring context of its answers, so
+        calibration and in-debate risks share one anchor."""
+        type_list = "Event type list: " + ", ".join(ontology.type_ids()) + "."
+        rendered = render_prompt("debater_ed", {"SENT": sentence.text, "ROLE": role_label})
+        return f"{type_list}\n\n{rendered}"
+
+    def reminder(self, name: str) -> str:
+        return (
+            f'State your final answer in the format **{name}: ["event type", '
+            f'"trigger token"]**, or **{name}: []**.'
+        )
+
+    def parse(self, text: str) -> TriggerAnswer:
+        return parse_debater_ed(text)
+
+    def serialize(self, answer: TriggerAnswer | None) -> str:
+        return serialize_trigger_answer(answer)
+
+    def exempt(self, answer: TriggerAnswer | None) -> bool:
+        """Abstentions and no-event answers bypass the gate."""
+        return answer is None or answer.is_no_event
+
+    def judge(self, text: str) -> JudgeVerdict:
+        return parse_judge(text, self.task)
+
+    def adopt(self, answer: TriggerAnswer) -> JudgeVerdict:
+        return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=(answer,))
+
+    def example(self, entry: ReferenceEntry) -> str:
+        answers = (
+            serialize_trigger_answer(TriggerAnswer(e.event_type, e.trigger))
+            for e in entry.annotation.events
+        )
+        return "; ".join(answers) or "[]"
+
+
+@dataclass(frozen=True)
+class ArgumentExtraction:
+    """The argument-extraction debate for one agreed (type, trigger)."""
+
+    task: ClassVar[str] = "eae"
+    event_type: str
+    trigger: str
+    roles: tuple[str, ...]
+
+    def prompt(self, sentence: Sentence, ontology: EventOntology, role_label: str = "Debater") -> str:
+        """The task prompt; also the scoring context of its answers."""
+        return render_prompt(
+            "debater_eae",
+            {
+                "SENT": sentence.text,
+                "event type": self.event_type,
+                "trigger": self.trigger,
+                "role list": ", ".join(self.roles),
+            },
+        )
+
+    def reminder(self, name: str) -> str:
+        return (
+            "State your final answer as a table. The header of the table is "
+            "| event type | argument role | argument content |."
+        )
+
+    def parse(self, text: str) -> ArgumentAnswer:
+        rows = parse_table(text, EAE_HEADER)
+        return ArgumentAnswer(self.event_type, self._clean([row[1:] for row in rows]))
+
+    def serialize(self, answer: ArgumentAnswer | None) -> str:
+        filled = dict(answer.rows) if answer is not None else {}
+        return serialize_argument_table(self.event_type, canonical_argument_rows(self.roles, filled))
+
+    def exempt(self, answer: ArgumentAnswer | None) -> bool:
+        """Abstentions and empty tables bypass the gate."""
+        return answer is None or answer.is_empty
+
+    def judge(self, text: str) -> JudgeVerdict:
+        verdict = parse_judge(text, self.task)
+        if verdict.kind is not VerdictKind.AGREEMENT:
+            return verdict
+        return replace(verdict, argument_rows=self._clean(verdict.argument_rows))
+
+    def adopt(self, answer: ArgumentAnswer) -> JudgeVerdict:
+        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=answer.rows)
+
+    def example(self, entry: ReferenceEntry) -> str:
+        for event in entry.annotation.events:
+            if event.event_type == self.event_type:
+                filled = dict(event.arguments)
+                return "\n" + serialize_argument_table(event.event_type, tuple(filled.items()))
+        return "[]"
+
+    def _clean(
+        self, rows: Sequence[tuple[str | None, str | None]]
+    ) -> tuple[tuple[str, str | None], ...]:
+        """Keep the first row per known role, in ontology order; unknown
+        roles are dropped."""
+        known = set(self.roles)
+        seen: dict[str, str | None] = {}
+        for role, content in rows:
+            if role in known:
+                seen.setdefault(role, content)
+            elif role is not None:
+                logger.warning("dropping row for unknown argument role %r", role)
+        return tuple((role, seen[role]) for role in self.roles if role in seen)
+
+
+Task = Detection | ArgumentExtraction
+
+
+def calibration_pairs(
+    task: str, entries: Sequence[ReferenceEntry], ontology: EventOntology
+) -> list[tuple[str, str]]:
+    """(prompt, gold answer) pairs for one task ("ed" or "eae") over
+    annotated entries, in the text the in-debate gate scores."""
+    pairs: list[tuple[str, str]] = []
+    detection = Detection()
+    for entry in entries:
+        sentence, events = entry.sentence, entry.annotation.events
+        if task == "ed":
+            prompt = detection.prompt(sentence, ontology)
+            golds = [TriggerAnswer(e.event_type, e.trigger) for e in events] or [TriggerAnswer()]
+            pairs.extend((prompt, detection.serialize(gold)) for gold in golds)
+            continue
+        for event in events:
+            if event.event_type not in ontology:
+                skipped = "%s: type %r not in ontology; skipped for calibration"
+                logger.warning(skipped, sentence.id, event.event_type)
+                continue
+            roles = ontology.lookup(event.event_type).roles
+            extraction = ArgumentExtraction(event.event_type, event.trigger, roles)
+            gold = ArgumentAnswer(event.event_type, event.arguments)
+            pairs.append((extraction.prompt(sentence, ontology), extraction.serialize(gold)))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
 # Session wiring
 
 
@@ -240,6 +393,12 @@ class DebaterBinding:
     name: str
     backend: ChatBackend
     temperature: float = 0.0
+
+
+def debater_name(index: int) -> str:
+    """The name of the debater at `index` when none is given: A to Z, then
+    the index itself, so names are distinct for any team size."""
+    return chr(ord("A") + index) if index < 26 else str(index)
 
 
 @dataclass
@@ -286,14 +445,6 @@ class RiskRecord:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class TaskContext:
-    task: str  # "ed" or "eae"
-    event_type: str | None = None
-    trigger: str | None = None
-    roles: tuple[str, ...] = ()
-
-
 @dataclass
 class DebateState:
     """Mutable per-debate state; one instance per task per session.
@@ -305,13 +456,13 @@ class DebateState:
     adjudication applies the last round's threshold.
     """
 
-    ctx: TaskContext
+    ctx: Task
     candidates: list[Candidate]
     risk_base: str
     radius: float
     threshold: RiskThreshold
     round_index: int = 0
-    live_opinions: dict[int, TriggerAnswer | ArgumentAnswer | None] = field(default_factory=dict)
+    live_opinions: dict[int, Answer | None] = field(default_factory=dict)
     gated_out: set[int] = field(default_factory=set)
     packet_text: str = ""
 
@@ -332,33 +483,7 @@ class SessionResult:
     risk_log: list[RiskRecord]
 
 
-def detection_risk_input(
-    sentence: Sentence, ontology: EventOntology, role_label: str = "Debater"
-) -> str:
-    """The detection-task prompt; also the scoring context for detection
-    answers, so calibration and in-debate risks share one anchor."""
-    type_list = "Event type list: " + ", ".join(ontology.type_ids()) + "."
-    rendered = render_prompt("debater_ed", {"SENT": sentence.text, "ROLE": role_label})
-    return f"{type_list}\n\n{rendered}"
-
-
-def argument_risk_input(
-    sentence: Sentence, event_type: str, trigger: str, roles: Sequence[str]
-) -> str:
-    """The argument-extraction prompt; also the scoring context for
-    argument answers."""
-    return render_prompt(
-        "debater_eae",
-        {
-            "SENT": sentence.text,
-            "event type": event_type,
-            "trigger": trigger,
-            "role list": ", ".join(roles),
-        },
-    )
-
-
-def render_packet(result: RetrievalResult, ctx: TaskContext) -> str:
+def render_packet(result: RetrievalResult, ctx: Task) -> str:
     """Render the retrieval packet broadcast to debaters and the critic."""
     lines = ["Reference information:"]
     if result.definitions:
@@ -373,20 +498,8 @@ def render_packet(result: RetrievalResult, ctx: TaskContext) -> str:
     if result.examples:
         lines.append("Examples:")
         for entry in result.examples:
-            lines.append(f'- Sentence: "{entry.sentence.text}" Answer: {_example_answer(entry, ctx)}')
+            lines.append(f'- Sentence: "{entry.sentence.text}" Answer: {ctx.example(entry)}')
     return "\n".join(lines)
-
-
-def _example_answer(entry: ReferenceEntry, ctx: TaskContext) -> str:
-    events = entry.annotation.events
-    if ctx.task == "ed":
-        answers = (serialize_trigger_answer(TriggerAnswer(e.event_type, e.trigger)) for e in events)
-        return "; ".join(answers) or "[]"
-    for event in events:
-        if event.event_type == ctx.event_type:
-            filled = {role: content for role, content in event.arguments}
-            return "\n" + serialize_argument_table(event.event_type, tuple(filled.items()))
-    return "[]"
 
 
 class _Session:
@@ -431,60 +544,30 @@ class _Session:
 
     # -- prompt assembly
 
-    def _base_prompt(self, ctx: TaskContext, role_label: str = "Debater") -> str:
-        if ctx.task == "ed":
-            return detection_risk_input(self.sentence, self.ontology, role_label)
-        return argument_risk_input(
-            self.sentence, ctx.event_type or "", ctx.trigger or "", ctx.roles
-        )
-
-    def _format_reminder(self, ctx: TaskContext, name: str) -> str:
-        if ctx.task == "ed":
-            return (
-                f'State your final answer in the format **{name}: ["event type", '
-                f'"trigger token"]**, or **{name}: []**.'
-            )
-        return (
-            "State your final answer as a table. The header of the table is "
-            "| event type | argument role | argument content |."
-        )
-
-    def _serialize(self, ctx: TaskContext, answer: TriggerAnswer | ArgumentAnswer | None) -> str:
-        if ctx.task == "ed":
-            return serialize_trigger_answer(answer)  # type: ignore[arg-type]
-        if answer is None:
-            return serialize_argument_table(ctx.event_type or "", canonical_argument_rows(ctx.roles, {}))
-        assert isinstance(answer, ArgumentAnswer)
-        filled = dict(answer.rows)
-        return serialize_argument_table(answer.event_type, canonical_argument_rows(ctx.roles, filled))
-
     def _ce_prompt(self, state: DebateState, index: int, gated: bool) -> str:
         ctx, answers = state.ctx, state.live_opinions
         binding = self.config.team.debaters[index]
-        parts = [self._base_prompt(ctx, binding.name)]
-        own = self._serialize(ctx, answers.get(index))
-        parts.append(f"Your current answer: {own}")
+        parts = [ctx.prompt(self.sentence, self.ontology, binding.name)]
+        parts.append(f"Your current answer: {ctx.serialize(answers.get(index))}")
         for j, other in enumerate(self.config.team.debaters):
             if j != index:
                 parts.append(
-                    f"Debater {other.name}'s current answer: {self._serialize(ctx, answers.get(j))}"
+                    f"Debater {other.name}'s current answer: {ctx.serialize(answers.get(j))}"
                 )
         parts.append(state.packet_text)
         parts.append(render_prompt("debater_revise" if gated else "debater_ce", {}))
-        parts.append(self._format_reminder(ctx, binding.name))
+        parts.append(ctx.reminder(binding.name))
         return "\n\n".join(parts)
 
     def _critic_prompt(self, state: DebateState) -> str:
         ctx, answers = state.ctx, state.live_opinions
         parts = [render_prompt(f"critic_{ctx.task}", {"SENT": self.sentence.text})]
         for j, binding in enumerate(self.config.team.debaters):
-            parts.append(
-                f"Debater {binding.name}'s current answer: {self._serialize(ctx, answers.get(j))}"
-            )
+            parts.append(f"Debater {binding.name}'s current answer: {ctx.serialize(answers.get(j))}")
         parts.append(state.packet_text)
         return "\n\n".join(parts)
 
-    def _judge_prompt(self, ctx: TaskContext, statements: dict[int, str], critic_text: str) -> str:
+    def _judge_prompt(self, ctx: Task, statements: dict[int, str], critic_text: str) -> str:
         parts = []
         for j, binding in enumerate(self.config.team.debaters):
             if j in statements:
@@ -492,49 +575,6 @@ class _Session:
         parts.append(f"Critic's assessment: {critic_text}")
         parts.append(render_prompt(f"judge_{ctx.task}", {}))
         return "\n\n".join(parts)
-
-    # -- answer parsing
-
-    def _parse_answer(
-        self, ctx: TaskContext, text: str
-    ) -> TriggerAnswer | ArgumentAnswer | None:
-        """Parse a debater reply; returns None when nothing parseable."""
-        try:
-            if ctx.task == "ed":
-                return parse_debater_ed(text)
-            rows = parse_table(text, EAE_HEADER)
-            cleaned = self._clean_argument_rows(
-                [(role, content) for _, role, content in rows], ctx.roles
-            )
-            return ArgumentAnswer(event_type=ctx.event_type or "", rows=cleaned)
-        except ParseFailure as exc:
-            logger.warning("debater reply unparseable: %s", exc)
-            return None
-
-    @staticmethod
-    def _clean_argument_rows(
-        rows: Sequence[tuple[str | None, str | None]], roles: Sequence[str]
-    ) -> tuple[tuple[str, str | None], ...]:
-        """Keep the first row per known role; unknown roles are dropped."""
-        known = set(roles)
-        seen: dict[str, str | None] = {}
-        for role, content in rows:
-            if role is None or role not in known:
-                if role is not None:
-                    logger.warning("dropping row for unknown argument role %r", role)
-                continue
-            if role not in seen:
-                seen[role] = content
-        return tuple((role, seen[role]) for role in roles if role in seen)
-
-    @staticmethod
-    def _is_exempt(ctx: TaskContext, answer: TriggerAnswer | ArgumentAnswer | None) -> bool:
-        """Abstentions and no-event answers bypass the gate."""
-        if answer is None:
-            return True
-        if ctx.task == "ed":
-            return answer.is_no_event  # type: ignore[union-attr]
-        return answer.is_empty  # type: ignore[union-attr]
 
     # -- the round state machine
 
@@ -555,7 +595,7 @@ class _Session:
             self._ask_debaters(
                 state,
                 "opinion",
-                [self._base_prompt(ctx, binding.name) for binding in team.debaters],
+                [ctx.prompt(self.sentence, self.ontology, binding.name) for binding in team.debaters],
                 "reply unparseable; treated as abstention",
             )
 
@@ -567,23 +607,17 @@ class _Session:
             state.candidates,
             state.radius,
             self.config.drag,
-            event_type_filter=ctx.event_type if ctx.task == "eae" else None,
+            event_type_filter=ctx.event_type,
         )
         state.packet_text = render_packet(packet, ctx)
-        self._note(rnd, stage("retrieval"), "engine", state.packet_text)
-        self._note(
-            rnd,
-            stage("retrieval"),
-            "engine",
+        notes = [
+            state.packet_text,
             f"retrieved {len(packet.examples)} example(s) at radius {state.radius!r}",
-        )
+        ]
         if packet.unknown_types:
-            self._note(
-                rnd,
-                stage("retrieval"),
-                "engine",
-                "no definition for: " + ", ".join(packet.unknown_types),
-            )
+            notes.append("no definition for: " + ", ".join(packet.unknown_types))
+        for text in notes:
+            self._note(rnd, stage("retrieval"), "engine", text)
 
         # (3) Gate every extraction answer against the current threshold.
         state.gated_out = set()
@@ -609,14 +643,8 @@ class _Session:
 
         # (5) Judgement on this round's admissible statements only.
         if statements:
-            verdict_text = self._chat(
-                team.judge,
-                rnd,
-                stage("judgement"),
-                "judge",
-                self._judge_prompt(ctx, statements, critic_reply),
-            )
-            verdict = parse_judge(verdict_text, ctx.task)
+            judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
+            verdict = ctx.judge(self._chat(team.judge, rnd, stage("judgement"), "judge", judge_prompt))
         else:
             self._note(
                 rnd, stage("judgement"), "engine", "no admissible statements; debate continues"
@@ -653,7 +681,13 @@ class _Session:
             ]
             + list(also)
         )
-        parsed = [self._parse_answer(ctx, reply) for reply in replies[: len(debaters)]]
+        parsed: list[Answer | None] = []
+        for reply in replies[: len(debaters)]:
+            try:
+                parsed.append(ctx.parse(reply))
+            except ParseFailure as exc:
+                logger.warning("debater reply unparseable: %s", exc)
+                parsed.append(None)
         for i, answer in enumerate(parsed):
             state.live_opinions[i] = state.live_opinions.get(i) if answer is None else answer
         revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out}
@@ -666,17 +700,17 @@ class _Session:
                 state.gated_out.discard(i)
         return replies
 
-    def _scorable(self, state: DebateState) -> dict[int, TriggerAnswer | ArgumentAnswer]:
+    def _scorable(self, state: DebateState) -> dict[int, Answer]:
         """The live answers, by debater, that the gate scores: all but
         abstentions and no-event answers."""
         return {
             i: answer
             for i, answer in state.live_opinions.items()
-            if not self._is_exempt(state.ctx, answer)
+            if not state.ctx.exempt(answer)
         }
 
     def _score(
-        self, state: DebateState, answers: Mapping[int, TriggerAnswer | ArgumentAnswer]
+        self, state: DebateState, answers: Mapping[int, Answer]
     ) -> dict[int, tuple[RiskRecord, str]]:
         """Score answers, by debater, in the round's context against the
         threshold in force; each one's record and note text.
@@ -687,7 +721,7 @@ class _Session:
         they score in the same context.
         """
         keys = {
-            i: (state.risk_base, state.packet_text, self._serialize(state.ctx, answer))
+            i: (state.risk_base, state.packet_text, state.ctx.serialize(answer))
             for i, answer in answers.items()
         }
         new = list(dict.fromkeys(key for key in keys.values() if key not in self.risks))
@@ -717,7 +751,7 @@ class _Session:
         )
         return record.accepted
 
-    def run_debate(self, ctx: TaskContext, candidates: list[Candidate]) -> JudgeVerdict:
+    def run_debate(self, ctx: Task, candidates: list[Candidate]) -> JudgeVerdict:
         """Run one task's debate to an agreement or no-event verdict, by the
         judge or, at the round cap, by adjudication."""
         threshold0 = self.config.adacp.initial_threshold.get(ctx.task)
@@ -728,15 +762,12 @@ class _Session:
         state = DebateState(
             ctx=ctx,
             candidates=candidates,
-            risk_base=self._base_prompt(ctx),
+            risk_base=ctx.prompt(self.sentence, self.ontology),
             radius=self.config.drag.initial_radius,
             threshold=RiskThreshold(value=float(threshold0)),
         )
         while state.round_index < self.config.max_rounds:
             verdict = self.run_round(state)
-            if verdict.kind is VerdictKind.AGREEMENT and ctx.task == "eae":
-                cleaned = self._clean_argument_rows(verdict.argument_rows, ctx.roles)
-                return replace(verdict, argument_rows=cleaned)
             if verdict.kind is not VerdictKind.CONTINUE:
                 return verdict
         return self._adjudicate(state)
@@ -763,13 +794,9 @@ class _Session:
             rnd,
             f"{ctx.task}.adjudication",
             "engine",
-            f"round cap reached; adopting lowest-risk answer {self._serialize(ctx, answer)!r}",
+            f"round cap reached; adopting lowest-risk answer {ctx.serialize(answer)!r}",
         )
-        if ctx.task == "ed":
-            assert isinstance(answer, TriggerAnswer)
-            return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=(answer,))
-        assert isinstance(answer, ArgumentAnswer)
-        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=answer.rows)
+        return ctx.adopt(answer)
 
     # -- summarization
 
@@ -859,7 +886,7 @@ def run_session(
         # One top-K scan per sentence: every debate queries with the
         # sentence embedding; only radius and type filter vary.
         candidates = drag.retrieve_topk(index, query_vector, config.drag.top_k)
-        ed_verdict = session.run_debate(TaskContext(task="ed"), candidates)
+        ed_verdict = session.run_debate(Detection(), candidates)
         records: list[EventRecord] = []
         # A no-event verdict carries no answers or rows.
         for answer in ed_verdict.trigger_answers:
@@ -873,8 +900,8 @@ def run_session(
                     "emitting record without arguments",
                 )
             elif roles := ontology.lookup(answer.event_type).roles:
-                eae_ctx = TaskContext("eae", answer.event_type, answer.trigger, roles)
-                rows = session.run_debate(eae_ctx, candidates).argument_rows
+                extraction = ArgumentExtraction(answer.event_type, answer.trigger, roles)
+                rows = session.run_debate(extraction, candidates).argument_rows
             records.append(session._summarize(answer, rows))
     except BackendError as exc:
         # Abort the session but keep everything recorded so far inspectable.

@@ -6,11 +6,11 @@ afterwards; agents and the retriever only ever read from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateType, FormatError, UnknownEventType
+from .corpus import read_jsonl
+from .errors import DuplicateType, UnknownEventType
 
 # Event type ids are plain "Parent:Subtype" strings compared by equality.
 EventTypeId = str
@@ -65,27 +65,17 @@ def load_ontology(path: str | Path) -> EventOntology:
     type ids and malformed records are errors.
     """
     definitions: dict[EventTypeId, EventDefinition] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise FormatError(line_no, "record is not a JSON object")
-            try:
-                definition = EventDefinition(
-                    type_id=record["type"],
-                    definition_text=record["definition"],
-                    typical_triggers=tuple(record.get("typical_triggers", ())),
-                    roles=tuple(record.get("roles", ())),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(line_no, str(exc)) from None
-            if definition.type_id in definitions:
-                raise DuplicateType(definition.type_id)
-            definitions[definition.type_id] = definition
+    for definition in read_jsonl(path, _definition):
+        if definition.type_id in definitions:
+            raise DuplicateType(definition.type_id)
+        definitions[definition.type_id] = definition
     return EventOntology(definitions)
+
+
+def _definition(record: dict) -> EventDefinition:
+    return EventDefinition(
+        type_id=record["type"],
+        definition_text=record["definition"],
+        typical_triggers=tuple(record.get("typical_triggers", ())),
+        roles=tuple(record.get("roles", ())),
+    )

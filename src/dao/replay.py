@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import HashEmbedder, KeyedScorer, scripted_chat
-from .debate import AgentTeam, DebaterBinding
+from .debate import AgentTeam, DebaterBinding, debater_name
 from .errors import FormatError, InvalidTeam, ScriptNoMatch
 
-_DEBATER_NAMES = "ABCDEFGH"
 # The embedding dimension when a bundle, or a live config, leaves it out.
 DEFAULT_DIMENSION = 64
 
@@ -85,7 +84,7 @@ class ReplayBundle:
         if len(debater_scripts) < 2:
             raise InvalidTeam(f"replay scripts for {sentence_id!r} need at least two debaters")
         debaters = tuple(
-            DebaterBinding(name=_DEBATER_NAMES[i], backend=scripted_chat(script))
+            DebaterBinding(name=debater_name(i), backend=scripted_chat(script))
             for i, script in enumerate(debater_scripts)
         )
         summarizer_script = agents.get("summarizer")

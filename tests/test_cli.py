@@ -12,6 +12,7 @@ import pytest
 import helpers
 from dao.backends import HashEmbedder
 from dao.cli import RunConfig, _backends, main
+from dao.debate import debater_name
 from dao.replay import ReplayBundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,6 +96,21 @@ def test_team_for_without_bundle_binds_debater_models():
         assert backend.endpoint == "http://localhost:9/chat"
         assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
         assert backend.api_key_env == "DAO_API_KEY"
+
+
+def test_unnamed_live_debaters_are_named_as_replay_names_them(tmp_path):
+    team = _live_team(backends={"debaters": [{}, {}, {"name": "Z"}, {}]})
+    assert [d.name for d in team.debaters] == ["A", "B", "Z", "D"]
+    bundle = tmp_path / "bundle.json"
+    script = [["*", "reply"]]
+    bundle.write_text(json.dumps({"default": {"debaters": [script] * 4}}), encoding="utf-8")
+    _, _, team_for = _backends(RunConfig(), str(bundle))
+    assert [d.name for d in team_for("s1").debaters] == ["A", "B", "C", "D"]
+
+
+def test_default_debater_names_are_distinct_for_any_team_size():
+    names = [debater_name(i) for i in range(1000)]
+    assert names[:3] == ["A", "B", "C"] and len(set(names)) == len(names)
 
 
 def test_team_for_shares_one_client_for_critic_judge_summarizer(tmp_path):
@@ -592,6 +608,27 @@ def test_eval_types_metric_labeled_as_standin(tmp_path):
     assert "stand-in" in report["note"]
 
 
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("{not json", "line 2: invalid JSON"),
+        (json.dumps({"text": "Rebels attacked the town .", "events": []}), "line 2: missing key 'id'"),
+        (json.dumps(_row("s2", "A b .", [{"type": "Conflict:Attack"}])), "line 2: missing key 'trigger'"),
+    ],
+    ids=["not-json", "no-id", "no-trigger"],
+)
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_eval_malformed_row_exits_two_naming_the_line(tmp_path, capsys, bad_line, message, side):
+    rows = [_row("s1", "Rebels attacked the town .", [])]
+    pred_path, gold_path = _eval_files(tmp_path, rows, rows)
+    bad_path = pred_path if side == "pred" else gold_path
+    bad_path.write_text(bad_path.read_text() + bad_line + "\n", encoding="utf-8")
+    argv = ["eval", "--pred", str(pred_path), "--gold", str(gold_path), "--task", "ed"]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"dao: FormatError: {message}")
+
+
 def test_run_aborted_session_writes_partial_transcript(tmp_path):
     paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
     bundle = json.loads(paths["bundle"].read_text())
@@ -641,6 +678,21 @@ def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"dao: InvalidTeam: {message}"
+
+
+def test_run_with_nine_default_debaters_exits_zero(tmp_path):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    bundle = json.loads(paths["bundle"].read_text())
+    agents = bundle.pop("sessions")["gen-000"]
+    agents["debaters"] = [agents["debaters"][i % 2] for i in range(9)]
+    bundle["default"] = agents
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    (prediction,) = _read_jsonl(out_dir / "predictions.jsonl")
+    assert prediction["events"][0]["trigger"] == "met"
+    roles = {row["role"] for row in _read_jsonl(out_dir / "transcripts.jsonl")}
+    assert {f"debater_{name}" for name in "ABCDEFGHI"} <= roles
 
 
 class _CountingEmbedder:

@@ -9,6 +9,8 @@ from dao.debate import (
     EventRecord,
     SessionConfig,
     TriggerAnswer,
+    calibration_pairs,
+    canonical_argument_rows,
     run_session,
     serialize_trigger_answer,
 )
@@ -345,6 +347,35 @@ def test_full_pipeline_scripted_life_die(ontology, train_index, embedder):
             arguments=(("Victim", "the mayor"), ("Instrument", "the blast")),
         )
     ]
+
+
+def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, train_index, embedder):
+    # Calibrated and in-debate risks are exchangeable only if both score the
+    # same prompt and answer text; the gate appends the retrieval packet.
+    calib = [e for e in corpus_entries if e.split == "calib" and e.annotation.events]
+    assert calib
+    for entry in calib:
+        (event,) = entry.annotation.events
+        roles = ontology.lookup(event.event_type).roles
+        answer = serialize_trigger_answer(TriggerAnswer(event.event_type, event.trigger))
+        table = helpers.eae_table(event.event_type, canonical_argument_rows(roles, dict(event.arguments)))
+        script = [("*", answer), ("*", f"I keep {answer} ."), ("*", table), ("*", f"Kept .\n{table}")]
+        team = helpers.make_team(
+            [script, script],
+            [("*", "Assessment .")] * 2,
+            [("*", helpers.ed_table(event.event_type, event.trigger)), ("*", table)],
+        )
+        config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+        result = run_session(entry.sentence, ontology, train_index, config)
+        assert len(result.records) == 1
+        scored = [(prompt, completion) for prompt, completion, _ in config.scorer.calls]
+        for task in ("ed", "eae"):
+            ((calib_prompt, calib_answer),) = calibration_pairs(task, [entry], ontology)
+            gate = [p for p, completion in scored if completion == calib_answer]
+            assert gate, (entry.sentence.id, task)
+            for prompt in gate:
+                assert prompt.startswith(calib_prompt + "\n\n")
+                assert prompt[len(calib_prompt) + 2 :].startswith("Reference information:")
 
 
 def test_llm_summarizer_flag(ontology, train_index, embedder):

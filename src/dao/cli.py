@@ -84,6 +84,10 @@ class RunConfig:
     adacp: AdaCPConfig = dataclasses.field(default_factory=AdaCPConfig)
     backends: dict = dataclasses.field(default_factory=lambda: json.loads(json.dumps(_DEFAULT_BACKENDS)))
 
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -123,8 +127,9 @@ class RunConfig:
 
 def _backends(
     config: RunConfig, replay: str | None
-) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam]]:
-    """The embedder, the scorer and `team_for(sentence_id)` of one run.
+) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam], int]:
+    """The embedder, the scorer, `team_for(sentence_id)` and the most
+    debaters any team of the run has.
 
     A replay bundle (`--replay`, else `backends.replay_bundle`) gives the
     offline twins and fresh scripted agents per sentence; otherwise one
@@ -140,7 +145,7 @@ def _backends(
             team = bundle.team_for(sentence_id)
             return team if config.use_llm_summarizer else dataclasses.replace(team, summarizer=None)
 
-        return bundle.embedder(), bundle.scorer(), team_for
+        return bundle.embedder(), bundle.scorer(), team_for, bundle.most_debaters()
     chat, emb = backends["chat"], backends["embedding"]
     retry = {name: chat[name] for name in _RETRY_DEFAULTS}
 
@@ -164,7 +169,8 @@ def _backends(
     embedder = HttpEmbeddingBackend(
         emb["endpoint"], model=emb["model"], dim=emb["dimension"], api_key_env=emb["api_key_env"]
     )
-    return embedder, HttpScoringBackend(backends["scoring"]["endpoint"]), lambda _: team
+    scorer = HttpScoringBackend(backends["scoring"]["endpoint"])
+    return embedder, scorer, lambda _: team, len(team.debaters)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +180,7 @@ def _backends(
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config)
     ontology = load_ontology(config.ontology)
-    _, scorer, _ = _backends(config, args.replay)
+    _, scorer, _, _ = _backends(config, args.replay)
     rows = [e for e in load_corpus(args.corpus or config.reference_corpus) if e.split == "calib"]
     thresholds = dict(config.adacp.initial_threshold)
     for task in ("ed", "eae"):
@@ -260,37 +266,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     ontology = load_ontology(config.ontology)
     reference_entries = load_corpus(config.reference_corpus)
     inputs = load_corpus(args.input)
-    embedder, scorer, team_for = _backends(config, args.replay)
+    embedder, scorer, team_for, most_debaters = _backends(config, args.replay)
     split_entries = [e for e in reference_entries if config.reference_split in ("all", e.split)]
     index = build_index(split_entries, embedder)
-
-    def process(entry: ReferenceEntry) -> SessionResult:
-        session_config = SessionConfig(
-            team=team_for(entry.sentence.id),
-            scorer=scorer,
-            embedder=embedder,
-            drag=config.drag,
-            adacp=config.adacp,
-            max_rounds=config.max_rounds,
-        )
-        return run_session(entry.sentence, ontology, index, session_config)
-
     out_dir = Path(args.out)
-    try:
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(process, inputs))
-        else:
-            results = [process(entry) for entry in inputs]
-    except BackendError as exc:
-        transcript = getattr(exc, "transcript", None)
-        if transcript:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            aborted = out_dir / "aborted_transcript.jsonl"
-            with open(aborted, "w", encoding="utf-8") as fh:
-                _write_transcript(fh, getattr(exc, "sentence_id", ""), transcript)
-            print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
-        raise
+    # One call pool serves the whole run. A session makes one call of each
+    # stage on its own thread and sends the others (the rest of its
+    # debaters' and the critic's, or the top-K scan) here, so a thread per
+    # debater per session means that no call waits for a thread.
+    with ThreadPoolExecutor(max_workers=config.workers * most_debaters) as calls:
+
+        def process(entry: ReferenceEntry) -> SessionResult:
+            session_config = SessionConfig(
+                team=team_for(entry.sentence.id),
+                scorer=scorer,
+                embedder=embedder,
+                drag=config.drag,
+                adacp=config.adacp,
+                max_rounds=config.max_rounds,
+            )
+            return run_session(entry.sentence, ontology, index, session_config, calls)
+
+        try:
+            if config.workers > 1:
+                with ThreadPoolExecutor(max_workers=config.workers) as sessions:
+                    results = list(sessions.map(process, inputs))
+            else:
+                results = [process(entry) for entry in inputs]
+        except BackendError as exc:
+            transcript = getattr(exc, "transcript", None)
+            if transcript:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                aborted = out_dir / "aborted_transcript.jsonl"
+                with open(aborted, "w", encoding="utf-8") as fh:
+                    _write_transcript(fh, getattr(exc, "sentence_id", ""), transcript)
+                print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
+            raise
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.dumps(), encoding="utf-8")

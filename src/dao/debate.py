@@ -12,11 +12,13 @@ answer format, gate exemptions, verdicts) belongs to their task object,
 (prompt, gold answer) pairs.
 
 Within a stage the debaters' calls, and the scoring of distinct answers,
-run at once; the critic's call runs with the debaters' cross-examination
-calls and sees the same answers, and the judge waits for both. Transcript
-entries are written in debater order, the critic's last, once a stage's
-calls are back, so a transcript does not depend on which call finished
-first.
+run at once: the session's own thread makes the first call and the run's
+call pool the others. The critic's call runs with the debaters'
+cross-examination calls and sees the same answers, and the judge waits
+for both. The sentence's one top-K scan runs with the first debate's
+round-0 opinions. Transcript entries are written in debater order, the
+critic's last, once a stage's calls are back, so a transcript does not
+depend on which call finished first.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -414,6 +416,11 @@ class AgentTeam:
     def __post_init__(self):
         if len(self.debaters) < 2:
             raise InvalidTeam("a debate needs at least two debaters")
+        names: set[str] = set()
+        for binding in self.debaters:
+            if binding.name in names:
+                raise InvalidTeam(f"two debaters are named {binding.name!r}")
+            names.add(binding.name)
 
 
 @dataclass
@@ -449,15 +456,13 @@ class RiskRecord:
 class DebateState:
     """Mutable per-debate state; one instance per task per session.
 
-    `candidates` are the sentence's top-K neighbors, shared by all of its
-    debates. Answers are scored in `risk_base` (the task prompt) plus
+    Answers are scored in `risk_base` (the task prompt) plus
     `packet_text` (the round's retrieval packet) against `threshold`, the
     one in force; it decays when a later round starts, so round-cap
     adjudication applies the last round's threshold.
     """
 
     ctx: Task
-    candidates: list[Candidate]
     risk_base: str
     radius: float
     threshold: RiskThreshold
@@ -504,7 +509,8 @@ def render_packet(result: RetrievalResult, ctx: Task) -> str:
 
 class _Session:
     """Holds the immutable context of one sentence's debates, the pool
-    their concurrent calls run on, and the risks scored so far."""
+    their concurrent calls run on, the sentence's top-K neighbours and the
+    risks scored so far."""
 
     def __init__(
         self,
@@ -517,6 +523,11 @@ class _Session:
         self.ontology = ontology
         self.config = config
         self.pool = pool
+        # The top-K scan, set once the query is embedded, and its result,
+        # shared by all of the sentence's debates once the first has run
+        # it beside its round-0 opinions.
+        self.topk: Callable[[], list[Candidate]] | None = None
+        self.candidates: list[Candidate] | None = None
         self.transcript: list[TranscriptEntry] = []
         self.risk_log: list[RiskRecord] = []
         # (scoring prompt, packet, serialized answer) -> risk
@@ -528,14 +539,16 @@ class _Session:
         self.transcript.append(TranscriptEntry(round_index, stage, role, prompt, text))
 
     def _fan_out(self, calls: Sequence[Callable[[], T]]) -> list[T]:
-        """Run independent calls at once; their results in call order. All
-        calls have returned before the first failure, in call order, is
-        raised, so a failed stage leaves no call running."""
-        if len(calls) == 1:
-            return [calls[0]()]
-        pending = [self.pool.submit(call) for call in calls]
-        wait(pending)
-        return [future.result() for future in pending]
+        """Run independent calls at once, the first on this thread and the
+        others on the run's pool; their results in call order. All calls
+        have returned before the first failure, in call order, is raised,
+        so a failed stage leaves no call running."""
+        pending = [self.pool.submit(call) for call in calls[1:]]
+        try:
+            results = [call() for call in calls[:1]]
+        finally:
+            wait(pending)
+        return results + [future.result() for future in pending]
 
     def _chat(self, backend: ChatBackend, round_index: int, stage: str, role: str, prompt: str) -> str:
         reply = backend.complete([ChatMessage("user", prompt)])
@@ -590,21 +603,26 @@ class _Session:
             state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
 
         # (1) Opinions: rendered fresh in the first round, carried from the
-        # previous cross-examination afterwards.
+        # previous cross-examination afterwards. The sentence's top-K scan
+        # runs beside its first debate's opinions.
         if rnd == 0:
-            self._ask_debaters(
+            scan = [self.topk] if self.candidates is None else []
+            replies = self._ask_debaters(
                 state,
                 "opinion",
                 [ctx.prompt(self.sentence, self.ontology, binding.name) for binding in team.debaters],
                 "reply unparseable; treated as abstention",
+                also=scan,
             )
+            if scan:
+                self.candidates = replies[-1]
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
         opinions = [a for a in state.live_opinions.values() if a is not None]
         packet = gather_event_info(
             opinions,
             self.ontology,
-            state.candidates,
+            self.candidates,
             state.radius,
             self.config.drag,
             event_type_filter=ctx.event_type,
@@ -660,11 +678,11 @@ class _Session:
         stage: str,
         prompts: Sequence[str],
         unparsed: str,
-        also: Sequence[Callable[[], str]] = (),
-    ) -> list[str]:
+        also: Sequence[Callable[[], object]] = (),
+    ) -> list:
         """Send every debater its prompt at once; the replies, in debater
-        order, then those of the calls in `also`, which run in the same
-        fan-out and are not noted here.
+        order, then the results of the calls in `also`, which run in the
+        same fan-out and are not noted here.
 
         A parsed reply becomes the debater's live answer; an unparseable one
         keeps it (an abstention before the first answer) and is noted with
@@ -751,7 +769,7 @@ class _Session:
         )
         return record.accepted
 
-    def run_debate(self, ctx: Task, candidates: list[Candidate]) -> JudgeVerdict:
+    def run_debate(self, ctx: Task) -> JudgeVerdict:
         """Run one task's debate to an agreement or no-event verdict, by the
         judge or, at the round cap, by adjudication."""
         threshold0 = self.config.adacp.initial_threshold.get(ctx.task)
@@ -761,7 +779,6 @@ class _Session:
             )
         state = DebateState(
             ctx=ctx,
-            candidates=candidates,
             risk_base=ctx.prompt(self.sentence, self.ontology),
             radius=self.config.drag.initial_radius,
             threshold=RiskThreshold(value=float(threshold0)),
@@ -863,19 +880,20 @@ def run_session(
     ontology: EventOntology,
     index: EmbeddedIndex,
     config: SessionConfig,
+    pool: Executor,
 ) -> SessionResult:
     """Run detection and, when an event is found, argument extraction.
 
     Only the sentence text ever enters a prompt; gold annotations are
     never available to this code path. A no-event outcome skips argument
-    extraction entirely.
+    extraction entirely. The session makes one call of each stage on its
+    own thread and sends the others to `pool`, the run's call pool; with
+    a free pool thread per debater, no call waits for a thread.
     """
-    # One worker per debater plus one for the critic: no stage has more
-    # independent calls than cross-examination.
-    pool = ThreadPoolExecutor(max_workers=len(config.team.debaters) + 1)
     session = _Session(sentence, ontology, config, pool)
     try:
         query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)), sentence.id)
+        drag.check_query(index, query_vector)
         session._note(
             0,
             "session.embed",
@@ -885,8 +903,8 @@ def run_session(
         )
         # One top-K scan per sentence: every debate queries with the
         # sentence embedding; only radius and type filter vary.
-        candidates = drag.retrieve_topk(index, query_vector, config.drag.top_k)
-        ed_verdict = session.run_debate(Detection(), candidates)
+        session.topk = partial(drag.retrieve_topk, index, query_vector, config.drag.top_k)
+        ed_verdict = session.run_debate(Detection())
         records: list[EventRecord] = []
         # A no-event verdict carries no answers or rows.
         for answer in ed_verdict.trigger_answers:
@@ -901,15 +919,13 @@ def run_session(
                 )
             elif roles := ontology.lookup(answer.event_type).roles:
                 extraction = ArgumentExtraction(answer.event_type, answer.trigger, roles)
-                rows = session.run_debate(extraction, candidates).argument_rows
+                rows = session.run_debate(extraction).argument_rows
             records.append(session._summarize(answer, rows))
     except BackendError as exc:
         # Abort the session but keep everything recorded so far inspectable.
         exc.transcript = session.transcript  # type: ignore[attr-defined]
         exc.sentence_id = sentence.id  # type: ignore[attr-defined]
         raise
-    finally:
-        pool.shutdown()
     return SessionResult(
         sentence=sentence,
         records=records,

@@ -75,16 +75,23 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 - float(np.dot(u, v))
 
 
-def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> list[Candidate]:
-    """The min(k, |index|) entries nearest to the unit query vector.
-
-    Sorted by cosine distance ascending, ties broken by entry id.
-    """
+def check_query(index: EmbeddedIndex, query: np.ndarray) -> np.ndarray:
+    """`query` as a float64 vector; DimensionMismatch unless it has the
+    index's dimension."""
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1 or query.shape[0] != index.dimension:
         raise DimensionMismatch(
             f"query has shape {query.shape}, index dimension is {index.dimension}"
         )
+    return query
+
+
+def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> list[Candidate]:
+    """The min(k, |index|) entries nearest to the unit query vector.
+
+    Sorted by cosine distance ascending, ties broken by entry id.
+    """
+    query = check_query(index, query)
     if not index.entries:
         return []
     distances = 1.0 - index.vectors @ query

@@ -75,6 +75,12 @@ class ReplayBundle:
     def scorer(self) -> KeyedScorer:
         return KeyedScorer(keys=list(self.scorer_keys), **self.scorer_costs)
 
+    def most_debaters(self) -> int:
+        """The longest debater list among the bundle's scripts, and at
+        least one."""
+        scripts = [self.default_agents, *self.sessions.values()]
+        return max([1] + [len(agents.get("debaters", ())) for agents in scripts if agents])
+
     def team_for(self, sentence_id: str) -> AgentTeam:
         """Fresh scripted backends for one session."""
         agents = self.sessions.get(sentence_id, self.default_agents)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,14 @@ def embedder():
 @pytest.fixture(scope="session")
 def train_index(train_entries, embedder):
     return build_index(train_entries, embedder)
+
+
+@pytest.fixture(scope="session")
+def pool():
+    """The call pool `run_session` sends a stage's other calls to, as
+    `dao run` sizes it for one worker and up to eight debaters."""
+    with ThreadPoolExecutor(max_workers=8) as executor:
+        yield executor
 
 
 @pytest.fixture()

@@ -212,7 +212,7 @@ def test_criterion_5_diversity_selection():
     _report("criterion 5: diversity selection respects clusters, quota, and cap on 100 fixtures")
 
 
-def _run_replay(bundle_path, sentence_id, corpus_entries, ontology):
+def _run_replay(bundle_path, sentence_id, corpus_entries, ontology, pool):
     bundle = ReplayBundle.load(bundle_path)
     embedder = bundle.embedder()
     train = [e for e in corpus_entries if e.split == "train"]
@@ -220,12 +220,12 @@ def _run_replay(bundle_path, sentence_id, corpus_entries, ontology):
     sentence = next(e.sentence for e in corpus_entries if e.sentence.id == sentence_id)
     team = bundle.team_for(sentence_id)
     config = SessionConfig(team=team, scorer=bundle.scorer(), embedder=embedder)
-    return team, run_session(sentence, ontology, index, config)
+    return team, run_session(sentence, ontology, index, config, pool)
 
 
-def test_criterion_6_replay_revision(ontology, corpus_entries):
+def test_criterion_6_replay_revision(ontology, corpus_entries, pool):
     team, result = _run_replay(
-        FIXTURES / "replay_table3a.json", "test-001", corpus_entries, ontology
+        FIXTURES / "replay_table3a.json", "test-001", corpus_entries, ontology, pool
     )
     assert [
         (record.event_type, record.trigger) for record in result.records
@@ -248,23 +248,23 @@ def test_criterion_6_replay_revision(ontology, corpus_entries):
     _report("criterion 6: replay outputs the revised answer after retrieval")
 
 
-def test_criterion_7_replay_rejection(ontology, corpus_entries):
+def test_criterion_7_replay_rejection(ontology, corpus_entries, pool):
     team, result = _run_replay(
-        FIXTURES / "replay_table3b.json", "test-002", corpus_entries, ontology
+        FIXTURES / "replay_table3b.json", "test-002", corpus_entries, ontology, pool
     )
     assert result.records == []
     assert result.risk_log and all(not record.accepted for record in result.risk_log)
     _report("criterion 7: replay rejects the miscalibrated answer and emits nothing")
 
 
-def test_criterion_8_state_machine_invariants(ontology, train_index, embedder):
+def test_criterion_8_state_machine_invariants(ontology, train_index, embedder, pool):
     sessions = 0
     for seed in range(50):
         scenario = helpers.build_scenario(seed, ontology)
         outputs = []
         for _ in range(2):
             config = scenario.build_config(embedder)
-            result = run_session(scenario.sentence, ontology, train_index, config)
+            result = run_session(scenario.sentence, ontology, train_index, config, pool)
             outputs.append((config, result))
         (config, result), (_, second) = outputs
         assert helpers.transcript_jsonl(result) == helpers.transcript_jsonl(second)

@@ -1,17 +1,21 @@
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import dao.cli
 import helpers
 from dao.backends import HashEmbedder
 from dao.cli import RunConfig, _backends, main
+from dao.corpus import INDEX_SLICES
 from dao.debate import debater_name
 from dao.replay import ReplayBundle
 
@@ -43,6 +47,17 @@ def test_config_defaults_match_standard_values():
     assert config.adacp.beta == 0.5
     assert config.adacp.initial_threshold == {"ed": 1.0, "eae": 3.0}
     assert config.max_rounds == 3
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        RunConfig.from_dict({"workers": workers})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"workers": workers}), encoding="utf-8")
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        RunConfig.load(path)
+    assert RunConfig.from_dict({"workers": 1}).workers == 1
 
 
 def test_config_with_removed_keys_loads_and_saves_without_them(tmp_path):
@@ -77,7 +92,7 @@ def test_readme_configuration_table_matches_defaults():
 
 
 def _live_team(**config):
-    _, _, team_for = _backends(RunConfig.from_dict(config), None)
+    _, _, team_for, _ = _backends(RunConfig.from_dict(config), None)
     return team_for("s1")
 
 
@@ -104,7 +119,7 @@ def test_unnamed_live_debaters_are_named_as_replay_names_them(tmp_path):
     bundle = tmp_path / "bundle.json"
     script = [["*", "reply"]]
     bundle.write_text(json.dumps({"default": {"debaters": [script] * 4}}), encoding="utf-8")
-    _, _, team_for = _backends(RunConfig(), str(bundle))
+    _, _, team_for, _ = _backends(RunConfig(), str(bundle))
     assert [d.name for d in team_for("s1").debaters] == ["A", "B", "C", "D"]
 
 
@@ -114,7 +129,7 @@ def test_default_debater_names_are_distinct_for_any_team_size():
 
 
 def test_team_for_shares_one_client_for_critic_judge_summarizer(tmp_path):
-    _, _, team_for = _backends(RunConfig(use_llm_summarizer=True), None)
+    _, _, team_for, _ = _backends(RunConfig(use_llm_summarizer=True), None)
     team = team_for("s1")
     assert team.critic is team.judge is team.summarizer
     assert team.critic.model == ""
@@ -128,7 +143,7 @@ def test_team_for_shares_one_client_for_critic_judge_summarizer(tmp_path):
     agents = {"debaters": [script, script], "critic": script, "judge": script, "summarizer": script}
     bundle.write_text(json.dumps({"default": agents}), encoding="utf-8")
     for flag in (False, True):
-        _, _, team_for = _backends(RunConfig(use_llm_summarizer=flag), str(bundle))
+        _, _, team_for, _ = _backends(RunConfig(use_llm_summarizer=flag), str(bundle))
         assert (team_for("s1").summarizer is not None) is flag
 
 
@@ -235,6 +250,16 @@ def test_calibrate_live_config_with_one_debater_exits_two(tmp_path, capsys):
     assert main(["calibrate", "-c", str(config_path)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("dao: InvalidTeam:") and "two debaters" in line
+
+
+def test_calibrate_live_config_with_duplicate_debater_names_exits_two(tmp_path, capsys):
+    config_path, _ = _calibration_setup(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["backends"] = {"debaters": [{"name": "B"}, {}]}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["calibrate", "-c", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "dao: InvalidTeam: two debaters are named 'B'"
 
 
 # -- run
@@ -693,6 +718,105 @@ def test_run_with_nine_default_debaters_exits_zero(tmp_path):
     assert prediction["events"][0]["trigger"] == "met"
     roles = {row["role"] for row in _read_jsonl(out_dir / "transcripts.jsonl")}
     assert {f"debater_{name}" for name in "ABCDEFGHI"} <= roles
+
+
+def test_run_live_config_with_duplicate_debater_names_exits_two(tmp_path, capsys):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    config = json.loads(paths["config"].read_text())
+    config["backends"] = {"replay_bundle": None, "debaters": [{"name": "B"}, {}]}
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "dao: InvalidTeam: two debaters are named 'B'"
+    assert not out_dir.exists()
+
+
+class _ThreadedChat:
+    """A chat backend that records the thread each of its calls runs on
+    and first waits on the barrier of the call's stage, when given one."""
+
+    def __init__(self, inner, threads, barriers=()):
+        self.inner, self.threads, self.barriers, self.calls = inner, threads, list(barriers), inner.calls
+
+    def complete(self, messages, temperature=0.0):
+        self.threads.append(threading.current_thread())
+        if self.barriers:
+            self.barriers.pop(0).wait()
+        return self.inner.complete(messages, temperature)
+
+
+def _record_threads(monkeypatch, debater_barriers=(), critic_barriers=()):
+    """The threads that serve the replay debaters' and critics' calls, and
+    those that run sessions, as lists filled during a `dao run`."""
+    calls, sessions = [], []
+    team_for, run_session = ReplayBundle.team_for, dao.cli.run_session
+
+    def recorded_team_for(self, sentence_id):
+        team = team_for(self, sentence_id)
+        return dataclasses.replace(
+            team,
+            debaters=tuple(
+                dataclasses.replace(b, backend=_ThreadedChat(b.backend, calls, debater_barriers))
+                for b in team.debaters
+            ),
+            critic=_ThreadedChat(team.critic, calls, critic_barriers),
+        )
+
+    def recorded_session(sentence, *args):
+        sessions.append(threading.current_thread())
+        return run_session(sentence, *args)
+
+    monkeypatch.setattr(ReplayBundle, "team_for", recorded_team_for)
+    monkeypatch.setattr(dao.cli, "run_session", recorded_session)
+    return calls, sessions
+
+
+def test_run_starts_its_call_threads_once(tmp_path, monkeypatch):
+    paths = helpers.build_replay_run(tmp_path, 12, FIXTURES)
+    calls, sessions = _record_threads(monkeypatch)
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    threads = threading.active_count()
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    assert len(_read_jsonl(out_dir / "predictions.jsonl")) == 12
+    assert threading.active_count() == threads
+    # One worker runs every session on this thread; the calls it does not
+    # make itself are served by at most workers × debaters = 2 pool threads.
+    assert set(sessions) == {threading.current_thread()}
+    assert len(set(calls) - set(sessions)) <= 1 * 2
+    assert len(started) <= INDEX_SLICES + 1 + 1 * 2
+
+
+def test_run_pool_serves_every_stage_of_concurrent_sessions_at_once(tmp_path, monkeypatch):
+    paths = helpers.build_replay_run(tmp_path, 2, FIXTURES, workers=2)
+    bundle = json.loads(paths["bundle"].read_text())
+    for agents in bundle["sessions"].values():
+        agents["debaters"].append(agents["debaters"][1])
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    # Each session debates detection, then arguments, one round each. All
+    # six opinions of a debate wait for each other, and all six
+    # cross-examination calls with both critics' calls: a session makes
+    # one call itself, so a call pool of fewer than workers × debaters = 6
+    # threads leaves a call queued and times a barrier out.
+    opinions, cross = threading.Barrier(6, timeout=5), threading.Barrier(8, timeout=5)
+    calls, sessions = _record_threads(
+        monkeypatch, debater_barriers=[opinions, cross] * 2, critic_barriers=[cross] * 2
+    )
+    threads = threading.active_count()
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    assert [p["events"][0]["trigger"] for p in _read_jsonl(out_dir / "predictions.jsonl")] == ["met"] * 2
+    assert threading.active_count() == threads
+    assert len(set(sessions)) == 2
+    assert len(set(calls) - set(sessions)) <= 2 * 3
 
 
 class _CountingEmbedder:

@@ -17,10 +17,10 @@ from dao.debate import (
 from dao.replay import ReplayBundle
 
 
-def _run_scenario(seed, ontology, train_index, embedder):
+def _run_scenario(seed, ontology, train_index, embedder, pool):
     scenario = helpers.build_scenario(seed, ontology)
     config = scenario.build_config(embedder)
-    result = run_session(scenario.sentence, ontology, train_index, config)
+    result = run_session(scenario.sentence, ontology, train_index, config, pool)
     return scenario, config, result
 
 
@@ -55,8 +55,8 @@ def _gate_thresholds(result, task="ed"):
 # -- round flow
 
 
-def test_immediate_agreement_single_round(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(0, ontology, train_index, embedder)  # immediate_agree
+def test_immediate_agreement_single_round(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(0, ontology, train_index, embedder, pool)  # immediate_agree
     assert scenario.flow == "immediate_agree"
     assert len(_retrieval_entries(result, "ed")) == 1
     assert len(result.records) == 1
@@ -64,8 +64,8 @@ def test_immediate_agreement_single_round(ontology, train_index, embedder):
     assert judge_rounds == [0]
 
 
-def test_three_round_disagreement_hits_cap(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(3, ontology, train_index, embedder)  # cap_disagree
+def test_three_round_disagreement_hits_cap(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(3, ontology, train_index, embedder, pool)  # cap_disagree
     assert scenario.flow == "cap_disagree"
     judge_entries = [e for e in result.transcript if e.stage == "ed.judgement" and e.role == "judge"]
     assert len(judge_entries) == 3
@@ -78,14 +78,14 @@ def test_three_round_disagreement_hits_cap(ontology, train_index, embedder):
     assert len(result.records) == 1
 
 
-def test_threshold_decays_per_round(ontology, train_index, embedder):
-    _, _, result = _run_scenario(4, ontology, train_index, embedder)  # all_rejected
+def test_threshold_decays_per_round(ontology, train_index, embedder, pool):
+    _, _, result = _run_scenario(4, ontology, train_index, embedder, pool)  # all_rejected
     thresholds = sorted(set(_gate_thresholds(result, "ed")), reverse=True)
     assert thresholds == [1.0, 0.5, 0.25]
 
 
-def test_no_event_skips_argument_extraction(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(2, ontology, train_index, embedder)  # no_event
+def test_no_event_skips_argument_extraction(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(2, ontology, train_index, embedder, pool)  # no_event
     assert scenario.flow == "no_event"
     assert result.records == []
     assert not any(e.stage.startswith("eae.") for e in result.transcript)
@@ -94,16 +94,16 @@ def test_no_event_skips_argument_extraction(ontology, train_index, embedder):
         assert len(binding.backend.calls) == 2
 
 
-def test_all_rejected_fails_closed(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(4, ontology, train_index, embedder)  # all_rejected
+def test_all_rejected_fails_closed(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(4, ontology, train_index, embedder, pool)  # all_rejected
     assert scenario.flow == "all_rejected"
     assert result.records == []
     assert all(not record.accepted for record in result.risk_log)
     assert config.team.judge.calls == []
 
 
-def test_gated_debater_revision_can_pass(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(5, ontology, train_index, embedder)  # gated_then_pass
+def test_gated_debater_revision_can_pass(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(5, ontology, train_index, embedder, pool)  # gated_then_pass
     assert scenario.flow == "gated_then_pass"
     ed_records = [r for r in result.risk_log if r.task == "ed"]
     assert any(not r.accepted for r in ed_records)
@@ -111,9 +111,9 @@ def test_gated_debater_revision_can_pass(ontology, train_index, embedder):
     assert len(result.records) == 1
 
 
-def test_judge_never_sees_retrieval_text(ontology, train_index, embedder):
+def test_judge_never_sees_retrieval_text(ontology, train_index, embedder, pool):
     for seed in (0, 1, 3, 5):
-        scenario, config, result = _run_scenario(seed, ontology, train_index, embedder)
+        scenario, config, result = _run_scenario(seed, ontology, train_index, embedder, pool)
         packets = [e.text for e in result.transcript if e.text.startswith("Reference information:")]
         judge_prompts = [
             e.prompt for e in result.transcript if e.role == "judge" and e.prompt
@@ -127,9 +127,9 @@ def test_judge_never_sees_retrieval_text(ontology, train_index, embedder):
         assert any("Reference information:" in p for p in critic_prompts)
 
 
-def test_gated_answers_never_reach_judge_in_gating_round(ontology, train_index, embedder):
+def test_gated_answers_never_reach_judge_in_gating_round(ontology, train_index, embedder, pool):
     for seed in range(12):
-        _, _, result = _run_scenario(seed, ontology, train_index, embedder)
+        _, _, result = _run_scenario(seed, ontology, train_index, embedder, pool)
         judge_by_round = {}
         for entry in result.transcript:
             if entry.role == "judge" and entry.prompt:
@@ -143,8 +143,8 @@ def test_gated_answers_never_reach_judge_in_gating_round(ontology, train_index, 
                 assert record.answer_text not in prompt
 
 
-def test_transcript_contains_every_chat_call_in_order(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(1, ontology, train_index, embedder)
+def test_transcript_contains_every_chat_call_in_order(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(1, ontology, train_index, embedder, pool)
     for i, binding in enumerate(config.team.debaters):
         role = f"debater_{binding.name}"
         transcript_calls = [
@@ -158,19 +158,19 @@ def test_transcript_contains_every_chat_call_in_order(ontology, train_index, emb
     assert judge_transcript == [(c[0][-1].content, c[1]) for c in config.team.judge.calls]
 
 
-def test_two_runs_byte_identical(ontology, train_index, embedder):
+def test_two_runs_byte_identical(ontology, train_index, embedder, pool):
     outputs = []
     for _ in range(2):
         scenario = helpers.build_scenario(7, ontology)
         config = scenario.build_config(embedder)
-        result = run_session(scenario.sentence, ontology, train_index, config)
+        result = run_session(scenario.sentence, ontology, train_index, config, pool)
         outputs.append(helpers.transcript_jsonl(result))
     assert outputs[0] == outputs[1]
 
 
-def test_round_cap_never_exceeded(ontology, train_index, embedder):
+def test_round_cap_never_exceeded(ontology, train_index, embedder, pool):
     for seed in range(12):
-        _, _, result = _run_scenario(seed, ontology, train_index, embedder)
+        _, _, result = _run_scenario(seed, ontology, train_index, embedder, pool)
         for task in ("ed", "eae"):
             rounds = {
                 e.round_index
@@ -180,8 +180,8 @@ def test_round_cap_never_exceeded(ontology, train_index, embedder):
             assert len(rounds) <= 3
 
 
-def test_adjudication_scores_with_last_gate_prompt(ontology, train_index, embedder):
-    scenario, config, result = _run_scenario(3, ontology, train_index, embedder)
+def test_adjudication_scores_with_last_gate_prompt(ontology, train_index, embedder, pool):
+    scenario, config, result = _run_scenario(3, ontology, train_index, embedder, pool)
     assert scenario.flow == "cap_disagree"
     # Repeated requests are scored once per session, so scorer calls do not
     # pair 1:1 with scorer notes; every call must still be sent in a gate's
@@ -195,8 +195,8 @@ def test_adjudication_scores_with_last_gate_prompt(ontology, train_index, embedd
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, embedder):
-    scenario, _, result = _run_scenario(seed, ontology, train_index, embedder)
+def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, embedder, pool):
+    scenario, _, result = _run_scenario(seed, ontology, train_index, embedder, pool)
     assert scenario.flow == ("cap_disagree", "all_rejected")[seed - 3]
     last_gate: dict[str, str] = {}
     adjudicated = 0
@@ -214,14 +214,14 @@ def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, 
     assert last_gate["ed"] == "0.250000"
 
 
-def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index):
+def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index, pool):
     from dao.backends import HashEmbedder
     from dao.errors import DimensionMismatch
 
     scenario = helpers.build_scenario(0, ontology)
     config = scenario.build_config(HashEmbedder(32))  # the index is D64
     with pytest.raises(DimensionMismatch):
-        run_session(scenario.sentence, ontology, train_index, config)
+        run_session(scenario.sentence, ontology, train_index, config, pool)
     assert all(binding.backend.calls == [] for binding in config.team.debaters)
 
 
@@ -233,13 +233,13 @@ class _ZeroEmbedder:
         return np.zeros(64)
 
 
-def test_zero_query_vector_error_names_the_sentence(ontology, train_index):
+def test_zero_query_vector_error_names_the_sentence(ontology, train_index, pool):
     from dao.errors import ZeroVector
 
     scenario = helpers.build_scenario(0, ontology)
     config = scenario.build_config(_ZeroEmbedder())
     with pytest.raises(ZeroVector, match=re.escape(scenario.sentence.id)):
-        run_session(scenario.sentence, ontology, train_index, config)
+        run_session(scenario.sentence, ontology, train_index, config, pool)
     assert all(binding.backend.calls == [] for binding in config.team.debaters)
 
 
@@ -247,14 +247,14 @@ def test_zero_query_vector_error_names_the_sentence(ontology, train_index):
 
 
 @pytest.fixture()
-def replay_3a(ontology, train_entries, sentence_by_id):
+def replay_3a(ontology, train_entries, sentence_by_id, pool):
     bundle = ReplayBundle.load("tests/fixtures/replay_table3a.json")
     embedder = bundle.embedder()
     index = build_index(train_entries, embedder)
     sentence = sentence_by_id("test-001")
     team = bundle.team_for("test-001")
     config = SessionConfig(team=team, scorer=bundle.scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, index, config)
+    result = run_session(sentence, ontology, index, config, pool)
     return team, result
 
 
@@ -306,13 +306,13 @@ def test_replay_opinion_prompts_free_of_gold_labels(replay_3a):
         assert "Person | McCarthy" not in prompt
 
 
-def test_replay_calibration_failure_yields_empty_record(ontology, train_entries, sentence_by_id):
+def test_replay_calibration_failure_yields_empty_record(ontology, train_entries, sentence_by_id, pool):
     bundle = ReplayBundle.load("tests/fixtures/replay_table3b.json")
     embedder = bundle.embedder()
     index = build_index(train_entries, embedder)
     team = bundle.team_for("test-002")
     config = SessionConfig(team=team, scorer=bundle.scorer(), embedder=embedder)
-    result = run_session(sentence_by_id("test-002"), ontology, index, config)
+    result = run_session(sentence_by_id("test-002"), ontology, index, config, pool)
     assert result.records == []
     assert result.risk_log
     assert all(not record.accepted for record in result.risk_log)
@@ -321,7 +321,7 @@ def test_replay_calibration_failure_yields_empty_record(ontology, train_entries,
     assert not any(e.stage.startswith("eae.") for e in result.transcript)
 
 
-def test_full_pipeline_scripted_life_die(ontology, train_index, embedder):
+def test_full_pipeline_scripted_life_die(ontology, train_index, embedder, pool):
     sentence_text = "Witnesses said the blast killed the mayor instantly ."
     from dao.corpus import Sentence
 
@@ -338,7 +338,7 @@ def test_full_pipeline_scripted_life_die(ontology, train_index, embedder):
         [("*", helpers.ed_table("Life:Die", "killed")), ("*", table)],
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records == [
         EventRecord(
             sentence_id="pipeline-1",
@@ -349,7 +349,7 @@ def test_full_pipeline_scripted_life_die(ontology, train_index, embedder):
     ]
 
 
-def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, train_index, embedder):
+def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, train_index, embedder, pool):
     # Calibrated and in-debate risks are exchangeable only if both score the
     # same prompt and answer text; the gate appends the retrieval packet.
     calib = [e for e in corpus_entries if e.split == "calib" and e.annotation.events]
@@ -366,7 +366,7 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
             [("*", helpers.ed_table(event.event_type, event.trigger)), ("*", table)],
         )
         config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-        result = run_session(entry.sentence, ontology, train_index, config)
+        result = run_session(entry.sentence, ontology, train_index, config, pool)
         assert len(result.records) == 1
         scored = [(prompt, completion) for prompt, completion, _ in config.scorer.calls]
         for task in ("ed", "eae"):
@@ -378,7 +378,7 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
                 assert prompt[len(calib_prompt) + 2 :].startswith("Reference information:")
 
 
-def test_llm_summarizer_flag(ontology, train_index, embedder):
+def test_llm_summarizer_flag(ontology, train_index, embedder, pool):
     from dao.corpus import Sentence
 
     sentence = Sentence.from_text("sum-1", "Witnesses said the blast killed the mayor instantly .")
@@ -396,12 +396,12 @@ def test_llm_summarizer_flag(ontology, train_index, embedder):
         summarizer_script=[("*", condensed)],
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records[0].arguments == (("Victim", "the mayor"),)
     assert len(team.summarizer.calls) == 1
 
 
-def test_llm_summarizer_falls_back_on_garbage(ontology, train_index, embedder):
+def test_llm_summarizer_falls_back_on_garbage(ontology, train_index, embedder, pool):
     from dao.corpus import Sentence
 
     sentence = Sentence.from_text("sum-2", "Witnesses said the blast killed the mayor instantly .")
@@ -418,12 +418,12 @@ def test_llm_summarizer_falls_back_on_garbage(ontology, train_index, embedder):
         summarizer_script=[("*", "I cannot produce a table, sorry.")],
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     # Deterministic merge of the agreed rows is kept when the reply is unusable.
     assert result.records[0].arguments == (("Victim", "the mayor"),)
 
 
-def test_agreed_unknown_type_emits_record_without_arguments(ontology, train_index, embedder):
+def test_agreed_unknown_type_emits_record_without_arguments(ontology, train_index, embedder, pool):
     from dao.corpus import Sentence
 
     sentence = Sentence.from_text("unk-1", "Something odd happened downtown yesterday .")
@@ -437,14 +437,14 @@ def test_agreed_unknown_type_emits_record_without_arguments(ontology, train_inde
         [("*", helpers.ed_table("Made:Up", "happened"))],
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records == [
         EventRecord(sentence_id="unk-1", event_type="Made:Up", trigger="happened", arguments=())
     ]
     assert not any(e.stage.startswith("eae.") for e in result.transcript)
 
 
-def test_session_runs_on_empty_reference_index(ontology, embedder):
+def test_session_runs_on_empty_reference_index(ontology, embedder, pool):
     from dao.corpus import Sentence, build_index
 
     empty_index = build_index([], embedder)
@@ -460,13 +460,13 @@ def test_session_runs_on_empty_reference_index(ontology, embedder):
         [("*", helpers.ed_table("Conflict:Attack", "attacked")), ("*", table)],
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, empty_index, config)
+    result = run_session(sentence, ontology, empty_index, config, pool)
     assert len(result.records) == 1
     packets = [e.text for e in result.transcript if e.text.startswith("Reference information:")]
     assert packets and all("Examples:" not in p for p in packets)
 
 
-def test_backend_failure_aborts_with_transcript_preserved(ontology, train_index, embedder):
+def test_backend_failure_aborts_with_transcript_preserved(ontology, train_index, embedder, pool):
     from dao.errors import BackendError, ScriptExhausted
 
     # Debater B's script runs dry during cross-examination.
@@ -483,14 +483,14 @@ def test_backend_failure_aborts_with_transcript_preserved(ontology, train_index,
 
     sentence = Sentence.from_text("abort-1", "The blast killed the mayor .")
     with pytest.raises(ScriptExhausted) as excinfo:
-        run_session(sentence, ontology, train_index, config)
+        run_session(sentence, ontology, train_index, config, pool)
     assert isinstance(excinfo.value, BackendError)
     transcript = excinfo.value.transcript
     assert any(e.stage == "ed.opinion" for e in transcript)
     assert any(e.stage == "ed.retrieval" for e in transcript)
 
 
-def test_multi_row_agreement_runs_one_eae_per_row(ontology, train_index, embedder):
+def test_multi_row_agreement_runs_one_eae_per_row(ontology, train_index, embedder, pool):
     from dao.corpus import Sentence
 
     sentence = Sentence.from_text("multi-1", "The war is sure to kill many people .")
@@ -516,7 +516,7 @@ def test_multi_row_agreement_runs_one_eae_per_row(ontology, train_index, embedde
         [("*", ed_agreement), ("*", attack_table), ("*", die_table)],
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert [r.event_type for r in result.records] == ["Conflict:Attack", "Life:Die"]
     assert result.records[0].arguments == (("Target", "many people"),)
     assert result.records[1].arguments == (("Victim", "many people"),)
@@ -526,19 +526,20 @@ def test_multi_row_agreement_runs_one_eae_per_row(ontology, train_index, embedde
 
 
 class _BarrierChat:
-    """Chat backend whose calls, after the first `skip`, wait until its
-    peers are called too."""
+    """Chat backend whose calls, from the `skip`-th up to before the
+    `stop`-th, wait until its peers are called too."""
 
-    def __init__(self, inner, barrier, skip=0):
-        self.inner, self.barrier, self.calls, self.skip = inner, barrier, inner.calls, skip
+    def __init__(self, inner, barrier, skip=0, stop=None):
+        self.inner, self.barrier, self.calls = inner, barrier, inner.calls
+        self.skip, self.stop = skip, stop
 
     def complete(self, messages, temperature=0.0):
-        if len(self.calls) >= self.skip:
+        if self.skip <= len(self.calls) and (self.stop is None or len(self.calls) < self.stop):
             self.barrier.wait()
         return self.inner.complete(messages, temperature)
 
 
-def test_debater_calls_of_a_stage_run_at_once(ontology, train_index, embedder):
+def test_debater_calls_of_a_stage_run_at_once(ontology, train_index, embedder, pool):
     import threading
     from dataclasses import replace
 
@@ -556,12 +557,12 @@ def test_debater_calls_of_a_stage_run_at_once(ontology, train_index, embedder):
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
     sentence = Sentence.from_text("barrier-1", "The committee read the report on Monday .")
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records == []
     assert [len(b.backend.calls) for b in team.debaters] == [2, 2]
 
 
-def test_critic_call_overlaps_cross_examination(ontology, train_index, embedder):
+def test_critic_call_overlaps_cross_examination(ontology, train_index, embedder, pool):
     import threading
     from dataclasses import replace
 
@@ -585,12 +586,50 @@ def test_critic_call_overlaps_cross_examination(ontology, train_index, embedder)
     )
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
     sentence = Sentence.from_text("barrier-2", "The committee read the report on Monday .")
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records == []
     assert [len(b.backend.calls) for b in team.debaters] == [2, 2]
     assert len(team.critic.calls) == 1
     ce_roles = [e.role for e in result.transcript if e.stage == "ed.cross_examination"]
     assert ce_roles == ["debater_A", "debater_B", "critic"]
+
+
+def test_topk_runs_while_the_first_opinions_are_out(ontology, train_index, embedder, pool, monkeypatch):
+    import threading
+    from dataclasses import replace
+
+    import dao.drag
+    from dao.corpus import Sentence
+
+    # The top-K scan and both debaters' opinions wait for each other, which
+    # a scan made before or after the opinions would time out.
+    barrier = threading.Barrier(3, timeout=5)
+    real = dao.drag.retrieve_topk
+    scans = []
+
+    def waiting(*args):
+        scans.append(args)
+        barrier.wait()
+        return real(*args)
+
+    monkeypatch.setattr(dao.drag, "retrieve_topk", waiting)
+    team = helpers.make_team(
+        [[("*", "A: []"), ("*", "A: no event , [] .")], [("*", "B: []"), ("*", "B: none , [] .")]],
+        [("*", "Assessment .")],
+        [("*", "No event")],
+    )
+    team = replace(
+        team,
+        debaters=tuple(
+            replace(b, backend=_BarrierChat(b.backend, barrier, stop=1)) for b in team.debaters
+        ),
+    )
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    sentence = Sentence.from_text("barrier-3", "The committee read the report on Monday .")
+    result = run_session(sentence, ontology, train_index, config, pool)
+    assert result.records == []
+    assert len(scans) == 1
+    assert result.transcript[0].stage == "session.embed"
 
 
 def _ce_prompts(result):
@@ -601,7 +640,7 @@ def _ce_prompts(result):
     }
 
 
-def test_cross_examination_is_simultaneous_and_order_free(ontology, train_index, embedder):
+def test_cross_examination_is_simultaneous_and_order_free(ontology, train_index, embedder, pool):
     from dataclasses import replace
 
     from dao.backends import KeyedScorer
@@ -623,13 +662,13 @@ def test_cross_examination_is_simultaneous_and_order_free(ontology, train_index,
         )
         team = replace(team, debaters=team.debaters[::order])
         config = SessionConfig(team=team, scorer=KeyedScorer(keys=[("*", good)]), embedder=embedder)
-        prompts.append(_ce_prompts(run_session(sentence, ontology, train_index, config)))
+        prompts.append(_ce_prompts(run_session(sentence, ontology, train_index, config, pool)))
     assert prompts[0] == prompts[1]
     # B sees A's answer from before the cross-examination, not A's revision.
     assert f"Debater A's current answer: {wrong}" in prompts[0][("ed.cross_examination", 0, "debater_B")]
 
 
-def test_critic_sees_the_answers_cross_examination_started_from(ontology, train_index, embedder):
+def test_critic_sees_the_answers_cross_examination_started_from(ontology, train_index, embedder, pool):
     from dao.backends import KeyedScorer
     from dao.corpus import Sentence
 
@@ -645,7 +684,7 @@ def test_critic_sees_the_answers_cross_examination_started_from(ontology, train_
         [("*", "No event")],
     )
     config = SessionConfig(team=team, scorer=KeyedScorer(keys=[("*", good)]), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config)
+    result = run_session(sentence, ontology, train_index, config, pool)
     assert any(not r.accepted and r.debater == "A" for r in result.risk_log)
     prompts = {
         e.role: e.prompt
@@ -660,9 +699,9 @@ def test_critic_sees_the_answers_cross_examination_started_from(ontology, train_
     assert shown_answer_of_a(prompts["critic"]) == shown_answer_of_a(prompts["debater_B"])
 
 
-def test_each_distinct_scoring_request_is_sent_once(ontology, train_index, embedder):
+def test_each_distinct_scoring_request_is_sent_once(ontology, train_index, embedder, pool):
     for seed in range(12):
-        scenario, config, result = _run_scenario(seed, ontology, train_index, embedder)
+        scenario, config, result = _run_scenario(seed, ontology, train_index, embedder, pool)
         requests = [(prompt, completion) for prompt, completion, _ in config.scorer.calls]
         assert len(requests) == len(set(requests)), scenario.name
         if scenario.flow == "immediate_agree":  # both debaters give the same answer
@@ -671,9 +710,56 @@ def test_each_distinct_scoring_request_is_sent_once(ontology, train_index, embed
             assert sum(p == gates[0].prompt for p, _ in requests) == 1
 
 
-def test_failed_cross_examination_call_aborts_with_earlier_entries(ontology, train_index, embedder):
-    import threading
+class _InFlight:
+    """Counts the calls of the chat backends it wraps that have not yet
+    returned."""
 
+    def __init__(self):
+        import threading
+
+        self.count = 0
+        self._lock = threading.Lock()
+
+    def wrap(self, backend, delay=0.0):
+        return _InFlightChat(backend, self, delay)
+
+    def add(self, n):
+        with self._lock:
+            self.count += n
+
+
+class _InFlightChat:
+    """A chat backend counted by `in_flight`; `delay` makes its reply come
+    after a faster call of the same stage has failed."""
+
+    def __init__(self, inner, in_flight, delay):
+        self.inner, self.in_flight, self.delay, self.calls = inner, in_flight, delay, inner.calls
+
+    def complete(self, messages, temperature=0.0):
+        import time
+
+        self.in_flight.add(1)
+        try:
+            time.sleep(self.delay)
+            return self.inner.complete(messages, temperature)
+        finally:
+            self.in_flight.add(-1)
+
+
+def _counted(team, in_flight, slow_debaters, slow_critic):
+    from dataclasses import replace
+
+    return replace(
+        team,
+        debaters=tuple(
+            replace(b, backend=in_flight.wrap(b.backend, 0.05 * (i in slow_debaters)))
+            for i, b in enumerate(team.debaters)
+        ),
+        critic=in_flight.wrap(team.critic, 0.05 * slow_critic),
+    )
+
+
+def test_failed_cross_examination_call_aborts_with_earlier_entries(ontology, train_index, embedder, pool):
     from dao.corpus import Sentence
     from dao.errors import ScriptExhausted
 
@@ -693,25 +779,31 @@ def test_failed_cross_examination_call_aborts_with_earlier_entries(ontology, tra
         ontology,
         train_index,
         SessionConfig(team=team(2), scorer=helpers.passthrough_scorer(), embedder=embedder),
+        pool,
     )
     a_ce_row = next(
         i
         for i, e in enumerate(full.transcript)
         if e.stage == "ed.cross_examination" and e.role == "debater_A"
     )
-    threads = threading.active_count()
-    config = SessionConfig(team=team(1), scorer=helpers.passthrough_scorer(), embedder=embedder)
+    # A's cross-examination call fails at once; B's and the critic's reply
+    # later, and have all returned by the time the session raises.
+    in_flight = _InFlight()
+    config = SessionConfig(
+        team=_counted(team(1), in_flight, slow_debaters={1}, slow_critic=True),
+        scorer=helpers.passthrough_scorer(),
+        embedder=embedder,
+    )
     with pytest.raises(ScriptExhausted) as excinfo:
-        run_session(sentence, ontology, train_index, config)
+        run_session(sentence, ontology, train_index, config, pool)
+    assert in_flight.count == 0
     assert excinfo.value.transcript == full.transcript[:a_ce_row]
-    assert threading.active_count() == threads
+    assert len(config.team.critic.calls) == 1
 
 
 def test_failed_critic_call_aborts_before_the_cross_examination_rows(
-    ontology, train_index, embedder
+    ontology, train_index, embedder, pool
 ):
-    import threading
-
     from dao.corpus import Sentence
     from dao.errors import ScriptExhausted
 
@@ -731,15 +823,22 @@ def test_failed_critic_call_aborts_before_the_cross_examination_rows(
         ontology,
         train_index,
         SessionConfig(team=team(1), scorer=helpers.passthrough_scorer(), embedder=embedder),
+        pool,
     )
     first_ce_row = next(
         i for i, e in enumerate(full.transcript) if e.stage == "ed.cross_examination"
     )
-    threads = threading.active_count()
-    config = SessionConfig(team=team(0), scorer=helpers.passthrough_scorer(), embedder=embedder)
+    # The critic's call fails at once; the debaters' reply later, and have
+    # all returned by the time the session raises.
+    in_flight = _InFlight()
+    config = SessionConfig(
+        team=_counted(team(0), in_flight, slow_debaters={0, 1}, slow_critic=False),
+        scorer=helpers.passthrough_scorer(),
+        embedder=embedder,
+    )
     with pytest.raises(ScriptExhausted) as excinfo:
-        run_session(sentence, ontology, train_index, config)
+        run_session(sentence, ontology, train_index, config, pool)
+    assert in_flight.count == 0
     assert excinfo.value.transcript == full.transcript[:first_ce_row]
     # The debaters' cross-examination calls were made; none of them was noted.
     assert [len(b.backend.calls) for b in config.team.debaters] == [2, 2]
-    assert threading.active_count() == threads

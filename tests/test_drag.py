@@ -373,7 +373,7 @@ def test_retrieval_deterministic(ontology, train_index):
     assert first.definitions == second.definitions
 
 
-def test_topk_runs_once_per_sentence(ontology, train_index, embedder, monkeypatch):
+def test_topk_runs_once_per_sentence(ontology, train_index, embedder, monkeypatch, pool):
     real = dao.drag.retrieve_topk
     calls = []
 
@@ -383,7 +383,7 @@ def test_topk_runs_once_per_sentence(ontology, train_index, embedder, monkeypatc
 
     monkeypatch.setattr(dao.drag, "retrieve_topk", counting)
     scenario = helpers.build_scenario(1, ontology)  # agree_round2, then an EAE debate
-    result = run_session(scenario.sentence, ontology, train_index, scenario.build_config(embedder))
+    result = run_session(scenario.sentence, ontology, train_index, scenario.build_config(embedder), pool)
     ed_rounds = {e.round_index for e in result.transcript if e.stage == "ed.judgement"}
     assert len(ed_rounds) >= 2
     assert any(e.stage.startswith("eae.") for e in result.transcript)

@@ -36,6 +36,8 @@ class AdaCPConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        if not isinstance(self.initial_threshold, dict):
+            raise TypeError("initial_threshold must map task names to thresholds")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Usage:
     dao run -c config.json --input test.jsonl --out runs/exp1/ [--replay b.json]
     dao eval --pred p.jsonl --gold g.jsonl --task ed|eae|ee --metric exact|head|types
 
-Exit codes: 0 ok, 1 usage error, 2 runtime (backend or I/O) failure.
+Exit codes: 0 ok, 1 usage error, 2 runtime (backend, I/O or config) failure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .debate import (
     run_session,
 )
 from .drag import DragConfig
-from .errors import BackendError, DaoError, EmptyCalibrationSet
+from .errors import BackendError, DaoError, EmptyCalibrationSet, InvalidConfig
 from .evalkit import (
     argument_head_f1,
     lenient_head_of_span,
@@ -98,15 +98,20 @@ class RunConfig:
         Each dict-valued `backends` section is merged over its default
         section, so a partial section keeps the defaults it leaves out."""
 
-        def known(kind, section: dict) -> dict:
-            names = {f.name for f in dataclasses.fields(kind)}
-            return {key: value for key, value in section.items() if key in names}
+        def section(value, name: str) -> dict:
+            if not isinstance(value, dict):
+                raise TypeError(f"{name} must be a JSON object, not {type(value).__name__}")
+            return value
 
-        fields = known(cls, data)
-        fields["drag"] = DragConfig(**known(DragConfig, data.get("drag", {})))
-        fields["adacp"] = AdaCPConfig(**known(AdaCPConfig, data.get("adacp", {})))
+        def known(kind, value, name: str) -> dict:
+            names = {f.name for f in dataclasses.fields(kind)}
+            return {key: item for key, item in section(value, name).items() if key in names}
+
+        fields = known(cls, data, "a config")
+        fields["drag"] = DragConfig(**known(DragConfig, data.get("drag", {}), "drag"))
+        fields["adacp"] = AdaCPConfig(**known(AdaCPConfig, data.get("adacp", {}), "adacp"))
         backends = fields["backends"] = json.loads(json.dumps(_DEFAULT_BACKENDS))
-        for key, value in data.get("backends", {}).items():
+        for key, value in section(data.get("backends", {}), "backends").items():
             default = backends.get(key)
             if isinstance(default, dict) and isinstance(value, dict):
                 value = {**default, **value}
@@ -115,8 +120,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        """The config in the JSON file at `path`. A file that is not JSON,
+        or a value a setting rejects, raises `InvalidConfig` naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, TypeError) as exc:
+                raise InvalidConfig(f"{path}: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.dumps(), encoding="utf-8")
@@ -228,13 +238,23 @@ def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -
         fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _histograms(results: list[SessionResult], bins: int = 20) -> dict:
-    """Per-(task, round) histogram of observed risks: 20 equal-width bins
-    over [0, max risk seen in that round]."""
-    by_round: dict[tuple[str, int], list[float]] = {}
-    for result in results:
-        for record in result.risk_log:
-            by_round.setdefault((record.task, record.round_index), []).append(record.risk)
+def _write_prediction(fh, result: SessionResult) -> None:
+    """One sentence's `predictions.jsonl` row."""
+    events = [
+        {
+            "type": record.event_type,
+            "trigger": record.trigger,
+            "arguments": [{"role": role, "content": content} for role, content in record.arguments],
+        }
+        for record in result.records
+    ]
+    row = {"id": result.sentence.id, "text": result.sentence.text, "events": events}
+    fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _histograms(by_round: dict[tuple[str, int], list[float]], bins: int = 20) -> dict:
+    """Histogram of the risks observed per (task, round): 20 equal-width
+    bins over [0, max risk seen in that round]."""
     out = []
     for (task, round_index), risks in sorted(by_round.items()):
         top = max(risks)
@@ -257,6 +277,14 @@ def _histograms(results: list[SessionResult], bins: int = 20) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Debate every input sentence and write the run's artifacts.
+
+    After the index build, a sentence's `predictions.jsonl` and
+    `transcripts.jsonl` rows are written in input order once it and all
+    before it have finished, and its result is dropped. A completed run
+    then writes `risk_histogram.json`; a `BackendError` leaves the earlier
+    sentences' rows and the failed one's `aborted_transcript.jsonl`.
+    """
     config = RunConfig.load(args.config)
     for task in ("ed", "eae"):
         if config.adacp.initial_threshold.get(task) is None:
@@ -264,17 +292,27 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"no initial threshold for task {task!r}; run `dao calibrate` first"
             )
     ontology = load_ontology(config.ontology)
-    reference_entries = load_corpus(config.reference_corpus)
+    # Only the reference split is kept: the index holds it for the run.
+    split_entries = [
+        e for e in load_corpus(config.reference_corpus) if config.reference_split in ("all", e.split)
+    ]
     inputs = load_corpus(args.input)
     embedder, scorer, team_for, most_debaters = _backends(config, args.replay)
-    split_entries = [e for e in reference_entries if config.reference_split in ("all", e.split)]
     index = build_index(split_entries, embedder)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(config.dumps(), encoding="utf-8")
+    risks: dict[tuple[str, int], list[float]] = {}
+    extracted: list[int] = []  # events per written sentence
     # One call pool serves the whole run. A session makes one call of each
     # stage on its own thread and sends the others (the rest of its
     # debaters' and the critic's, or the top-K scan) here, so a thread per
     # debater per session means that no call waits for a thread.
-    with ThreadPoolExecutor(max_workers=config.workers * most_debaters) as calls:
+    with (
+        ThreadPoolExecutor(max_workers=config.workers * most_debaters) as calls,
+        open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as predictions,
+        open(out_dir / "transcripts.jsonl", "w", encoding="utf-8") as transcripts,
+    ):
 
         def process(entry: ReferenceEntry) -> SessionResult:
             session_config = SessionConfig(
@@ -287,55 +325,38 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return run_session(entry.sentence, ontology, index, session_config, calls)
 
+        def write(result: SessionResult) -> None:
+            _write_prediction(predictions, result)
+            _write_transcript(transcripts, result.sentence.id, result.transcript)
+            # A killed run keeps every row written so far.
+            predictions.flush()
+            transcripts.flush()
+            for record in result.risk_log:
+                risks.setdefault((record.task, record.round_index), []).append(record.risk)
+            extracted.append(len(result.records))
+
         try:
             if config.workers > 1:
+                # `map` yields in input order and drops each result it yields.
                 with ThreadPoolExecutor(max_workers=config.workers) as sessions:
-                    results = list(sessions.map(process, inputs))
+                    for result in sessions.map(process, inputs):
+                        write(result)
             else:
-                results = [process(entry) for entry in inputs]
+                for entry in inputs:
+                    write(process(entry))
         except BackendError as exc:
             transcript = getattr(exc, "transcript", None)
             if transcript:
-                out_dir.mkdir(parents=True, exist_ok=True)
                 aborted = out_dir / "aborted_transcript.jsonl"
                 with open(aborted, "w", encoding="utf-8") as fh:
                     _write_transcript(fh, getattr(exc, "sentence_id", ""), transcript)
                 print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
             raise
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(config.dumps(), encoding="utf-8")
-    with open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": result.sentence.id,
-                        "text": result.sentence.text,
-                        "events": [
-                            {
-                                "type": record.event_type,
-                                "trigger": record.trigger,
-                                "arguments": [
-                                    {"role": role, "content": content}
-                                    for role, content in record.arguments
-                                ],
-                            }
-                            for record in result.records
-                        ],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(out_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
-        for result in results:
-            _write_transcript(fh, result.sentence.id, result.transcript)
     (out_dir / "risk_histogram.json").write_text(
-        json.dumps(_histograms(results), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(_histograms(risks), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    extracted = sum(len(result.records) for result in results)
-    print(f"processed {len(results)} sentence(s), extracted {extracted} event(s)")
+    print(f"processed {len(extracted)} sentence(s), extracted {sum(extracted)} event(s)")
     print(f"outputs written to {out_dir}")
     return 0
 

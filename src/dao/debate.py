@@ -704,7 +704,9 @@ class _Session:
             try:
                 parsed.append(ctx.parse(reply))
             except ParseFailure as exc:
-                logger.warning("debater reply unparseable: %s", exc)
+                # The message only: a record kept by a handler would keep
+                # `exc`'s traceback and, through this frame, the session.
+                logger.warning("debater reply unparseable: %s", str(exc))
                 parsed.append(None)
         for i, answer in enumerate(parsed):
             state.live_opinions[i] = state.live_opinions.get(i) if answer is None else answer

@@ -91,3 +91,7 @@ class NoTableFound(ParseFailure):
 
 class HeaderMismatch(ParseFailure):
     """Pipe tables exist but none carries the expected header."""
+
+
+class InvalidConfig(DaoError, ValueError):
+    """A run config file is not JSON, or holds a value a setting rejects."""

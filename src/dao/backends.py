@@ -10,6 +10,7 @@ servers.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import threading
@@ -200,6 +201,8 @@ class HttpEmbeddingBackend(HttpTransport):
             raise MalformedResponse(
                 f"embedding has shape {vector.shape}, expected ({self.dim},)"
             )
+        if not np.isfinite(vector).all():
+            raise MalformedResponse("embedding has a non-finite component")
         return vector
 
 
@@ -211,7 +214,7 @@ class HttpScoringBackend(HttpTransport):
     def negative_log_likelihood(self, prompt: str, completion: str) -> float:
         data = self._post({"prompt": prompt, "completion": completion})
         nll = data.get("nll")
-        if not isinstance(nll, (int, float)) or nll < 0:
+        if not isinstance(nll, (int, float)) or not 0 <= nll < math.inf:
             raise MalformedResponse(f"bad nll field: {nll!r}")
         return float(nll)
 

@@ -29,7 +29,7 @@ from .backends import (
     HttpTransport,
     ScoringBackend,
 )
-from .corpus import ReferenceEntry, Sentence, build_index, load_corpus, read_jsonl
+from .corpus import ReferenceEntry, build_index, load_corpus, read_jsonl
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -43,17 +43,9 @@ from .debate import (
 )
 from .drag import DragConfig
 from .errors import BackendError, DaoError, EmptyCalibrationSet, InvalidConfig
-from .evalkit import (
-    argument_head_f1,
-    lenient_head_of_span,
-    trigger_f1,
-    type_overlap_f1,
-    PRF,
-)
+from .evalkit import PRF, Item, head_f1, trigger_f1, type_overlap_f1
 from .ontology import load_ontology
 from .replay import DEFAULT_DIMENSION, ReplayBundle
-
-logger = logging.getLogger(__name__)
 
 # timeout, max_attempts and backoff, as the HTTP clients default them.
 _RETRY_DEFAULTS = {f.name: f.default for f in dataclasses.fields(HttpTransport) if f.kw_only}
@@ -85,8 +77,12 @@ class RunConfig:
     backends: dict = dataclasses.field(default_factory=lambda: json.loads(json.dumps(_DEFAULT_BACKENDS)))
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for name in ("max_rounds", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -383,17 +379,17 @@ def _eval_row(record: dict) -> _EvalRow:
     return record["id"], record["text"], events
 
 
-def _trigger_items(rows: list[_EvalRow]) -> list[tuple[str, str, str]]:
+def _items(rows: list[_EvalRow], task: str) -> list[Item]:
+    """(id, label, span) items: for "ed" one per trigger, labelled by its
+    event type; otherwise one per filled argument, labelled (type, role)."""
+    if task == "ed":
+        return [
+            (sentence_id, event_type, trigger)
+            for sentence_id, _, events in rows
+            for event_type, trigger, _ in events
+        ]
     return [
-        (sentence_id, event_type, trigger)
-        for sentence_id, _, events in rows
-        for event_type, trigger, _ in events
-    ]
-
-
-def _argument_items(rows: list[_EvalRow]) -> list[tuple[str, str, str, str]]:
-    return [
-        (sentence_id, event_type, role, content)
+        (sentence_id, (event_type, role), content)
         for sentence_id, _, events in rows
         for event_type, _, arguments in events
         for role, content in arguments
@@ -404,52 +400,22 @@ def _argument_items(rows: list[_EvalRow]) -> list[tuple[str, str, str, str]]:
 def cmd_eval(args: argparse.Namespace) -> int:
     pred_rows = read_jsonl(args.pred, _eval_row)
     gold_rows = read_jsonl(args.gold, _eval_row)
-    sentences: dict[str, Sentence] = {}
     texts: dict[str, str] = {}
     for sentence_id, text, _ in gold_rows + pred_rows:
         texts.setdefault(sentence_id, text)
-        try:
-            sentences.setdefault(sentence_id, Sentence.from_text(sentence_id, text))
-        except ValueError:
-            logger.warning("sentence %s is not single-spaced; kept text-only", sentence_id)
 
+    preds, golds = _items(pred_rows, args.task), _items(gold_rows, args.task)
     note = None
-    if args.task == "ed":
-        preds, golds = _trigger_items(pred_rows), _trigger_items(gold_rows)
-        if args.metric == "exact":
-            score = trigger_f1(preds, golds)
-        elif args.metric == "head":
-            score = argument_head_f1(
-                [(s, t, "trigger", w) for s, t, w in preds],
-                [(s, t, "trigger", w) for s, t, w in golds],
-                sentences,
-                head_extractor=lenient_head_of_span,
-            )
-        else:
-            score = type_overlap_f1(preds, golds, texts)
-            note = "span-overlap stand-in metric"
+    if args.metric == "exact":
+        score = trigger_f1(preds, golds)
+    elif args.metric == "head":
+        score = head_f1(preds, golds, texts)
     else:
-        preds, golds = _argument_items(pred_rows), _argument_items(gold_rows)
-        slots = [[(s, (t, r), c) for s, t, r, c in items] for items in (preds, golds)]
-        if args.metric == "exact":
-            score = trigger_f1(*slots)
-        elif args.metric == "head":
-            score = argument_head_f1(preds, golds, sentences, head_extractor=lenient_head_of_span)
-        else:
-            score = type_overlap_f1(*slots, texts)
-            note = "span-overlap stand-in metric"
+        score = type_overlap_f1(preds, golds, texts)
+        note = "span-overlap stand-in metric"
 
     _print_score(args.task, args.metric, score, note)
-    report = {
-        "task": args.task,
-        "metric": args.metric,
-        "precision": score.precision,
-        "recall": score.recall,
-        "f1": score.f1,
-        "tp": score.tp,
-        "fp": score.fp,
-        "fn": score.fn,
-    }
+    report = {"task": args.task, "metric": args.metric, **dataclasses.asdict(score)}
     if note:
         report["note"] = note
     report_path = args.report or f"{args.pred}.scores.json"

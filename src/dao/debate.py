@@ -27,7 +27,7 @@ import hashlib
 import logging
 import re
 from concurrent.futures import Executor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
@@ -204,7 +204,7 @@ class JudgeVerdict:
     argument_rows: tuple[tuple[str, str | None], ...] = ()
 
 
-def parse_judge(text: str, task: str) -> JudgeVerdict:
+def parse_judge(text: str, task: Task) -> JudgeVerdict:
     """Interpret the judge's reply; sentinels take precedence over tables.
 
     Unparseable replies degrade to a "continue" verdict with a warning
@@ -216,22 +216,7 @@ def parse_judge(text: str, task: str) -> JudgeVerdict:
     if "no event" in lowered:
         return JudgeVerdict(VerdictKind.NO_EVENT)
     try:
-        if task == "ed":
-            rows = parse_table(text, ED_JUDGE_HEADER)
-            answers: list[TriggerAnswer] = []
-            for event_type, trigger in dict.fromkeys(rows):
-                if event_type is None or trigger is None:
-                    logger.warning("judge table row with empty cell skipped")
-                    continue
-                answers.append(TriggerAnswer(event_type, trigger))
-            if not answers:
-                raise ParseFailure("judge agreement table had no usable rows")
-            return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=tuple(answers))
-        rows = parse_table(text, EAE_HEADER)
-        argument_rows = tuple(
-            (role, content) for _, role, content in rows if role is not None
-        )
-        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=argument_rows)
+        return task.agreement(parse_table(text, task.judge_header))
     except ParseFailure as exc:
         logger.warning("judge reply unparseable (%s); debate continues", exc)
         return JudgeVerdict(VerdictKind.CONTINUE)
@@ -249,6 +234,7 @@ class Detection:
 
     task: ClassVar[str] = "ed"
     event_type: ClassVar[None] = None
+    judge_header: ClassVar[tuple[str, ...]] = ED_JUDGE_HEADER
 
     def prompt(self, sentence: Sentence, ontology: EventOntology, role_label: str = "Debater") -> str:
         """The task prompt; also the scoring context of its answers, so
@@ -273,8 +259,18 @@ class Detection:
         """Abstentions and no-event answers bypass the gate."""
         return answer is None or answer.is_no_event
 
-    def judge(self, text: str) -> JudgeVerdict:
-        return parse_judge(text, self.task)
+    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> JudgeVerdict:
+        """The distinct agreed (type, trigger) rows; rows with an empty
+        cell are skipped, and a table with none left is a ParseFailure."""
+        answers: list[TriggerAnswer] = []
+        for event_type, trigger in dict.fromkeys(rows):
+            if event_type is None or trigger is None:
+                logger.warning("judge table row with empty cell skipped")
+                continue
+            answers.append(TriggerAnswer(event_type, trigger))
+        if not answers:
+            raise ParseFailure("judge agreement table had no usable rows")
+        return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=tuple(answers))
 
     def adopt(self, answer: TriggerAnswer) -> JudgeVerdict:
         return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=(answer,))
@@ -292,6 +288,7 @@ class ArgumentExtraction:
     """The argument-extraction debate for one agreed (type, trigger)."""
 
     task: ClassVar[str] = "eae"
+    judge_header: ClassVar[tuple[str, ...]] = EAE_HEADER
     event_type: str
     trigger: str
     roles: tuple[str, ...]
@@ -326,11 +323,8 @@ class ArgumentExtraction:
         """Abstentions and empty tables bypass the gate."""
         return answer is None or answer.is_empty
 
-    def judge(self, text: str) -> JudgeVerdict:
-        verdict = parse_judge(text, self.task)
-        if verdict.kind is not VerdictKind.AGREEMENT:
-            return verdict
-        return replace(verdict, argument_rows=self._clean(verdict.argument_rows))
+    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> JudgeVerdict:
+        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=self._clean([row[1:] for row in rows]))
 
     def adopt(self, answer: ArgumentAnswer) -> JudgeVerdict:
         return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=answer.rows)
@@ -662,7 +656,8 @@ class _Session:
         # (5) Judgement on this round's admissible statements only.
         if statements:
             judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
-            verdict = ctx.judge(self._chat(team.judge, rnd, stage("judgement"), "judge", judge_prompt))
+            reply = self._chat(team.judge, rnd, stage("judgement"), "judge", judge_prompt)
+            verdict = parse_judge(reply, ctx)
         else:
             self._note(
                 rnd, stage("judgement"), "engine", "no admissible statements; debate continues"

@@ -1,10 +1,13 @@
 """Scoring of predictions against gold annotations.
 
-Three metrics: exact-match trigger F1, argument head F1 (heads via a
-pluggable extractor with a documented heuristic default), and a
-span-overlap metric for corpora scored by type overlap. The overlap rule
-is a stand-in for that corpus family's official definition and reports
-label it as such.
+Each item is (sentence id, label, span): the event type and trigger for
+detection, or the (event type, role) pair and argument content for
+argument extraction. Three metrics: exact-match F1, head F1 (each span
+replaced by its head token, by a documented heuristic, for triggers and
+argument contents alike; a span missing from its sentence is scored by
+its own head with a warning), and a span-overlap metric for corpora
+scored by type overlap. The overlap rule is a stand-in for that corpus
+family's official definition and reports label it as such.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .corpus import Sentence
 from .errors import SpanNotInSentence
@@ -22,12 +25,8 @@ logger = logging.getLogger(__name__)
 _TRAILING_PUNCT = ".,;:!?'\""
 _PREPOSITIONS = (" of ", " in ", " at ", " from ")
 
-# (sentence_id, event_type, trigger)
-TriggerItem = tuple[str, str, str]
-# (sentence_id, event_type, role, content)
-ArgumentItem = tuple[str, str, str, str]
-
-HeadExtractor = Callable[[Sentence, str], str]
+# (sentence_id, label, span)
+Item = tuple[str, Hashable, str]
 
 
 @dataclass(frozen=True)
@@ -50,15 +49,11 @@ def _prf(tp: int, fp: int, fn: int) -> PRF:
     return PRF(precision, recall, f1, tp, fp, fn)
 
 
-def _counter_match(preds: Sequence[tuple], golds: Sequence[tuple]) -> PRF:
+def trigger_f1(preds: Sequence[Item], golds: Sequence[Item]) -> PRF:
+    """Exact-match F1 on (sentence, label, span) with one-to-one matching."""
     pred_counts, gold_counts = Counter(preds), Counter(golds)
     tp = sum(min(count, gold_counts[key]) for key, count in pred_counts.items())
     return _prf(tp, len(preds) - tp, len(golds) - tp)
-
-
-def trigger_f1(preds: Sequence[TriggerItem], golds: Sequence[TriggerItem]) -> PRF:
-    """Exact-match F1 on (sentence, type, trigger) with one-to-one matching."""
-    return _counter_match(list(preds), list(golds))
 
 
 def _head_from_span(span: str) -> str:
@@ -81,34 +76,19 @@ def head_of_span(sentence: Sentence, span: str) -> str:
     return _head_from_span(span)
 
 
-def lenient_head_of_span(sentence: Sentence, span: str) -> str:
-    """Like head_of_span, but tolerates spans absent from the sentence."""
-    if span not in sentence.text:
-        logger.warning("%s: span %r not in sentence; head taken from span text", sentence.id, span)
-    return _head_from_span(span)
+def head_f1(preds: Sequence[Item], golds: Sequence[Item], texts: Mapping[str, str]) -> PRF:
+    """Exact-match F1 with each span replaced by its head. A span that is
+    not in its sentence's text is scored by its own head, with a warning."""
 
-
-def argument_head_f1(
-    preds: Sequence[ArgumentItem],
-    golds: Sequence[ArgumentItem],
-    sentences: Mapping[str, Sentence],
-    head_extractor: HeadExtractor = head_of_span,
-) -> PRF:
-    """F1 on (sentence, type, role, head-of-content), one-to-one matching."""
-
-    def keyed(items: Sequence[ArgumentItem]) -> list[tuple]:
+    def keyed(items: Sequence[Item]) -> list[Item]:
         result = []
-        for sentence_id, event_type, role, content in items:
-            sentence = sentences.get(sentence_id)
-            if sentence is None:
-                logger.warning("no sentence %r; head taken from span text", sentence_id)
-                head = _head_from_span(content)
-            else:
-                head = head_extractor(sentence, content)
-            result.append((sentence_id, event_type, role, head))
+        for sentence_id, label, span in items:
+            if span not in texts.get(sentence_id, ""):
+                logger.warning("%s: span %r not in sentence; head taken from span text", sentence_id, span)
+            result.append((sentence_id, label, _head_from_span(span)))
         return result
 
-    return _counter_match(keyed(preds), keyed(golds))
+    return trigger_f1(keyed(preds), keyed(golds))
 
 
 def _locate(texts: Mapping[str, str], sentence_id: str, span: str) -> tuple[int, int] | None:
@@ -122,8 +102,8 @@ def _locate(texts: Mapping[str, str], sentence_id: str, span: str) -> tuple[int,
 
 
 def type_overlap_f1(
-    preds: Sequence[TriggerItem],
-    golds: Sequence[TriggerItem],
+    preds: Sequence[Item],
+    golds: Sequence[Item],
     texts: Mapping[str, str],
 ) -> PRF:
     """F1 where a pair matches when types agree and spans overlap by at

@@ -82,6 +82,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._reply(200, {"nll": 1.25})
         elif self.path == "/score-negative":
             self._reply(200, {"nll": -1.0})
+        elif self.path == "/score-nan":
+            self._reply(200, b'{"nll": NaN}')
+        elif self.path == "/embed-nan":
+            self._reply(200, b'{"data": [{"embedding": [1.0, NaN, 1.0, 1.0, 1.0, 1.0, 1.0, Infinity]}]}')
         else:
             self._reply(404, {"error": "no such path"})
 
@@ -262,6 +266,18 @@ def test_http_scoring_negative_nll_is_malformed(stub_server):
     backend = HttpScoringBackend(endpoint=f"{stub_server}/score-negative")
     with pytest.raises(MalformedResponse):
         backend.negative_log_likelihood("p", "c")
+
+
+def test_http_scoring_nan_nll_is_malformed(stub_server):
+    backend = HttpScoringBackend(endpoint=f"{stub_server}/score-nan")
+    with pytest.raises(MalformedResponse, match="bad nll field: nan"):
+        backend.negative_log_likelihood("p", "c")
+
+
+def test_http_embedding_non_finite_component_is_malformed(stub_server):
+    backend = HttpEmbeddingBackend(endpoint=f"{stub_server}/embed-nan", model="m", dim=8)
+    with pytest.raises(MalformedResponse, match="non-finite"):
+        backend.embed("hello")
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,8 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("run", "{not json", "Expecting property name enclosed in double quotes"),
         ("calibrate", {"drag": {"top_k": 0}}, "top_k and max_examples must be positive"),
         ("calibrate", {"workers": 0}, "workers must be at least 1"),
+        ("run", {"max_rounds": 0}, "max_rounds must be at least 1"),
+        ("run", {"max_rounds": "3"}, "max_rounds must be an integer, got '3'"),
     ],
 )
 def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command, edit, message):
@@ -663,6 +665,60 @@ def test_eval_types_metric_labeled_as_standin(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["f1"] == 1.0
     assert "stand-in" in report["note"]
+
+
+def _event(event_type, trigger, **arguments):
+    args = [{"role": role, "content": content} for role, content in arguments.items()]
+    return {"type": event_type, "trigger": trigger, "arguments": args}
+
+
+# s1's predicted Attacker is not in its sentence and its Target is null;
+# s2's text is double-spaced; s3's type changed, its predicted Destination
+# is not in its sentence and its Time is a role gold does not fill.
+_EVAL_TEXTS = {
+    "s1": "Rebels attacked the town at dawn .",
+    "s2": "The general was killed in  Baghdad .",
+    "s3": "Troops moved to the border on Monday .",
+}
+_EVAL_GOLDS = {
+    "s1": [_event("Conflict:Attack", "attacked", Attacker="Rebels", Place="the town")],
+    "s2": [_event("Life:Die", "killed", Victim="The general", Place="Baghdad")],
+    "s3": [_event("Movement:Transport", "moved", Artifact="Troops", Destination="the border")],
+}
+_EVAL_PREDS = {
+    "s1": [_event("Conflict:Attack", "attacked the town", Attacker="the rebels", Place="town", Target=None)],
+    "s2": [_event("Life:Die", "was killed", Victim="general", Place="in  Baghdad")],
+    "s3": [
+        _event("Conflict:Attack", "moved", Artifact="Troops", Destination="the border of Iraq", Time="Monday")
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "task, metric, counts",
+    [
+        ("ed", "exact", (0, 3, 3)),
+        ("ed", "head", (1, 2, 2)),
+        ("ed", "types", (2, 1, 1)),
+        ("eae", "exact", (0, 7, 6)),
+        ("eae", "head", (3, 4, 3)),
+        ("eae", "types", (3, 4, 3)),
+        ("ee", "exact", (0, 7, 6)),
+        ("ee", "head", (3, 4, 3)),
+        ("ee", "types", (3, 4, 3)),
+    ],
+)
+def test_eval_counts_for_every_task_and_metric(tmp_path, capsys, task, metric, counts):
+    def rows(events):
+        return [_row(sentence_id, text, events[sentence_id]) for sentence_id, text in _EVAL_TEXTS.items()]
+
+    pred_path, gold_path = _eval_files(tmp_path, rows(_EVAL_PREDS), rows(_EVAL_GOLDS))
+    argv = ["eval", "--pred", str(pred_path), "--gold", str(gold_path), "--task", task, "--metric", metric]
+    assert main(argv) == 0
+    report = json.loads(Path(f"{pred_path}.scores.json").read_text())
+    assert (report["task"], report["metric"]) == (task, metric)
+    assert (report["tp"], report["fp"], report["fn"]) == counts
+    assert f"| tp/fp/fn  | {'/'.join(map(str, counts))} |" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

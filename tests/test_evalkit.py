@@ -5,13 +5,7 @@ from hypothesis import given, strategies as st
 
 from dao.corpus import Sentence
 from dao.errors import SpanNotInSentence
-from dao.evalkit import (
-    argument_head_f1,
-    head_of_span,
-    lenient_head_of_span,
-    trigger_f1,
-    type_overlap_f1,
-)
+from dao.evalkit import head_f1, head_of_span, trigger_f1, type_overlap_f1
 
 GOV_TEXT = (
     "Powell said that talks were now underway with the South Korean, Japanese, Russian "
@@ -128,41 +122,43 @@ def test_span_not_in_sentence_raises():
         head_of_span(sentence, "absent span")
 
 
-def test_lenient_extractor_tolerates_missing_span():
-    sentence = _sentence("s6", "Nothing here .")
-    assert lenient_head_of_span(sentence, "some other phrase") == "phrase"
+def test_lenient_extractor_tolerates_missing_span(caplog):
+    texts = {"s6": "Nothing here ."}
+    score = head_f1([("s6", "A:B", "some other phrase")], [("s6", "A:B", "phrase")], texts)
+    assert (score.tp, score.fp, score.fn) == (1, 0, 0)
+    assert "span 'some other phrase' not in sentence" in caplog.text
 
 
-# -- argument_head_f1
+# -- head_f1
 
 
 def test_head_match_despite_longer_span():
-    sentences = {"s1": _sentence("s1", GOV_TEXT)}
-    golds = [("s1", "Contact:Meet", "Entity", GOV_SPAN)]
-    preds = [("s1", "Contact:Meet", "Entity", "other governments")]
-    score = argument_head_f1(preds, golds, sentences)
+    texts = {"s1": GOV_TEXT}
+    golds = [("s1", ("Contact:Meet", "Entity"), GOV_SPAN)]
+    preds = [("s1", ("Contact:Meet", "Entity"), "other governments")]
+    score = head_f1(preds, golds, texts)
     assert (score.tp, score.fp, score.fn) == (1, 0, 0)
 
 
 def test_hawaii_vs_hawaiian_mismatch():
-    sentences = {"s1": _sentence("s1", HAWAII_TEXT)}
-    golds = [("s1", "Movement:Transport", "Destination", "Hawaiian")]
-    preds = [("s1", "Movement:Transport", "Destination", "Hawaii")]
-    score = argument_head_f1(preds, golds, sentences)
+    texts = {"s1": HAWAII_TEXT}
+    golds = [("s1", ("Movement:Transport", "Destination"), "Hawaiian")]
+    preds = [("s1", ("Movement:Transport", "Destination"), "Hawaii")]
+    score = head_f1(preds, golds, texts)
     assert (score.tp, score.fp, score.fn) == (0, 1, 1)
 
 
 def test_exact_equality_is_tp():
-    sentences = {"s1": _sentence("s1", "The blast killed the mayor .")}
-    items = [("s1", "Life:Die", "Victim", "the mayor")]
-    score = argument_head_f1(items, items, sentences)
+    texts = {"s1": "The blast killed the mayor ."}
+    items = [("s1", ("Life:Die", "Victim"), "the mayor")]
+    score = head_f1(items, items, texts)
     assert score.f1 == 1.0
 
 
 def test_unknown_sentence_id_scored_not_crashed():
-    golds = [("s1", "Life:Die", "Victim", "the mayor")]
-    preds = [("s9", "Life:Die", "Victim", "the mayor")]
-    score = argument_head_f1(preds, golds, {"s1": _sentence("s1", "The blast killed the mayor .")})
+    golds = [("s1", ("Life:Die", "Victim"), "the mayor")]
+    preds = [("s9", ("Life:Die", "Victim"), "the mayor")]
+    score = head_f1(preds, golds, {"s1": "The blast killed the mayor ."})
     assert (score.tp, score.fp, score.fn) == (0, 1, 1)
 
 

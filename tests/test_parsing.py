@@ -3,6 +3,8 @@ import pytest
 from dao.debate import (
     EAE_HEADER,
     ED_JUDGE_HEADER,
+    ArgumentExtraction,
+    Detection,
     TriggerAnswer,
     VerdictKind,
     parse_debater_ed,
@@ -121,19 +123,21 @@ def test_rows_with_wrong_width_dropped():
 
 # -- parse_judge
 
+_LIFE_DIE = ArgumentExtraction("Life:Die", "killed", ("Victim", "Place"))
+
 
 def test_no_agreement_sentinel():
-    verdict = parse_judge("No agreement, debate continues", "ed")
+    verdict = parse_judge("No agreement, debate continues", Detection())
     assert verdict.kind is VerdictKind.CONTINUE
 
 
 def test_no_event_sentinel():
-    assert parse_judge("No event", "ed").kind is VerdictKind.NO_EVENT
+    assert parse_judge("No event", Detection()).kind is VerdictKind.NO_EVENT
 
 
 def test_ed_agreement_table():
     text = "| event type | event trigger |\n|---|---|\n| Life:Die | killed |"
-    verdict = parse_judge(text, "ed")
+    verdict = parse_judge(text, Detection())
     assert verdict.kind is VerdictKind.AGREEMENT
     assert verdict.trigger_answers == (TriggerAnswer("Life:Die", "killed"),)
 
@@ -143,7 +147,7 @@ def test_ed_agreement_multiple_rows_deduplicated():
         "| event type | event trigger |\n|---|---|\n"
         "| Life:Die | kill |\n| Conflict:Attack | war |\n| Life:Die | kill |"
     )
-    verdict = parse_judge(text, "ed")
+    verdict = parse_judge(text, Detection())
     assert verdict.trigger_answers == (
         TriggerAnswer("Life:Die", "kill"),
         TriggerAnswer("Conflict:Attack", "war"),
@@ -157,13 +161,13 @@ def test_eae_agreement_rows():
         "| Life:Die | Victim | the general |\n"
         "| Life:Die | Place | None |"
     )
-    verdict = parse_judge(text, "eae")
+    verdict = parse_judge(text, _LIFE_DIE)
     assert verdict.kind is VerdictKind.AGREEMENT
     assert verdict.argument_rows == (("Victim", "the general"), ("Place", None))
 
 
 def test_eae_disagreement_sentinel():
-    verdict = parse_judge("Disagreement observed, debate continues", "eae")
+    verdict = parse_judge("Disagreement observed, debate continues", _LIFE_DIE)
     assert verdict.kind is VerdictKind.CONTINUE
 
 
@@ -172,13 +176,13 @@ def test_sentinel_precedence_over_table():
         "No agreement, debate continues\n"
         "| event type | event trigger |\n| Life:Die | killed |"
     )
-    assert parse_judge(text, "ed").kind is VerdictKind.CONTINUE
+    assert parse_judge(text, Detection()).kind is VerdictKind.CONTINUE
 
 
 def test_unparseable_judge_reply_degrades_to_continue():
-    assert parse_judge("I cannot decide.", "ed").kind is VerdictKind.CONTINUE
+    assert parse_judge("I cannot decide.", Detection()).kind is VerdictKind.CONTINUE
 
 
 def test_empty_agreement_table_degrades_to_continue():
     text = "| event type | event trigger |\n| --- | --- |"
-    assert parse_judge(text, "ed").kind is VerdictKind.CONTINUE
+    assert parse_judge(text, Detection()).kind is VerdictKind.CONTINUE

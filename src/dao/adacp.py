@@ -40,14 +40,7 @@ class AdaCPConfig:
             raise TypeError("initial_threshold must map task names to thresholds")
 
 
-@dataclass(frozen=True)
-class RiskThreshold:
-    """The acceptance cutoff at a given debate round; may be +infinity."""
-
-    value: float
-
-
-def calibrate(risks: Sequence[float], delta: float) -> RiskThreshold:
+def calibrate(risks: Sequence[float], delta: float) -> float:
     """Conformal quantile of the calibration risks at miscoverage `delta`.
 
     Returns the ceil((n+1)(1-delta))-th smallest risk (1-based); when the
@@ -67,8 +60,8 @@ def calibrate(risks: Sequence[float], delta: float) -> RiskThreshold:
     n = len(ordered)
     index = math.ceil((n + 1) * (1 - Fraction(delta)))
     if index > n:
-        return RiskThreshold(value=math.inf)
-    return RiskThreshold(value=float(ordered[index - 1]))
+        return math.inf
+    return float(ordered[index - 1])
 
 
 def risk_score(scorer: ScoringBackend, input_text: str, retrieved: str, answer: str) -> float:
@@ -83,13 +76,14 @@ def risk_score(scorer: ScoringBackend, input_text: str, retrieved: str, answer: 
     return scorer.negative_log_likelihood(prompt, answer)
 
 
-def accept(risk: float, threshold: RiskThreshold) -> bool:
-    """True iff the risk does not exceed the threshold (rejection is strict)."""
-    return risk <= threshold.value
+def accept(risk: float, threshold: float) -> bool:
+    """True iff the risk does not exceed the threshold, which may be
+    +infinity (rejection is strict)."""
+    return risk <= threshold
 
 
-def decay_threshold(threshold: RiskThreshold, beta: float) -> RiskThreshold:
+def decay_threshold(threshold: float, beta: float) -> float:
     """Tighten the threshold by the constant factor `beta`."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    return RiskThreshold(value=threshold.value * beta)
+    return threshold * beta

@@ -15,7 +15,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
@@ -332,9 +332,6 @@ class KeyedScorer:
     miss_cost: float = 1.0
     scale: float = 1.0
 
-    calls: list[tuple[str, str, float]] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
     def key_phrase(self, prompt: str) -> str:
         for matcher, key in self.keys:
             if matcher == "*" or matcher in prompt:
@@ -347,7 +344,4 @@ class KeyedScorer:
         for i, token in enumerate(completion.split()):
             matched = i < len(key_tokens) and token == key_tokens[i]
             total += self.match_cost if matched else self.miss_cost
-        nll = total * self.scale
-        with self._lock:
-            self.calls.append((prompt, completion, nll))
-        return nll
+        return total * self.scale

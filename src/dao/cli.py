@@ -200,9 +200,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
         risks = [risk_score(scorer, prompt, "", answer) for prompt, answer in pairs]
-        threshold = calibrate(risks, config.adacp.delta)
-        thresholds[task] = threshold.value
-        print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={threshold.value}")
+        thresholds[task] = calibrate(risks, config.adacp.delta)
+        print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={thresholds[task]}")
     config.adacp = AdaCPConfig(
         delta=config.adacp.delta, beta=config.adacp.beta, initial_threshold=thresholds
     )

@@ -1,8 +1,9 @@
 """Annotated reference corpus and the embedded index searched by retrieval.
 
 Corpus rows are JSONL: `{"id", "text", "split", "events": [{"type",
-"trigger", "arguments": [{"role", "content"}]}]}`. Polarity is always
-derived from the events list, never read from the file.
+"trigger", "arguments": [{"role", "content"}]}]}`. Each row becomes a
+`ReferenceEntry` holding its sentence, events and split; the entry's
+polarity is derived from its events, never read from the file.
 """
 
 from __future__ import annotations
@@ -58,17 +59,16 @@ class EventMention:
 
 
 @dataclass(frozen=True, slots=True)
-class GoldAnnotation:
-    sentence_id: str
-    events: tuple[EventMention, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
 class ReferenceEntry:
+    """An annotated sentence; with no events it is a negative example."""
+
     sentence: Sentence
-    annotation: GoldAnnotation
-    polarity: Polarity
+    events: tuple[EventMention, ...] = ()
     split: str = "train"
+
+    @property
+    def polarity(self) -> Polarity:
+        return Polarity.POSITIVE if self.events else Polarity.NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,7 @@ def _reference_entry(record: dict) -> ReferenceEntry:
         _check_span(sentence, event.trigger, "trigger")
         for _, content in event.arguments:
             _check_span(sentence, content, "argument content")
-    return ReferenceEntry(
-        sentence=sentence,
-        annotation=GoldAnnotation(sentence.id, events),
-        polarity=Polarity.POSITIVE if events else Polarity.NEGATIVE,
-        split=record.get("split", "train"),
-    )
+    return ReferenceEntry(sentence=sentence, events=events, split=record.get("split", "train"))
 
 
 def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> EmbeddedIndex:

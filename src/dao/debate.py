@@ -35,9 +35,9 @@ from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
 import numpy as np
 
 from . import drag
-from .adacp import AdaCPConfig, RiskThreshold, accept, decay_threshold, risk_score
+from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
-from .corpus import EmbeddedIndex, ReferenceEntry, Sentence, l2_normalize
+from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, l2_normalize
 from .drag import Candidate, DragConfig, RetrievalResult, decay_radius, gather_event_info
 from .errors import BackendError, InvalidTeam, ParseFailure
 from .ontology import EventOntology
@@ -278,7 +278,7 @@ class Detection:
     def example(self, entry: ReferenceEntry) -> str:
         answers = (
             serialize_trigger_answer(TriggerAnswer(e.event_type, e.trigger))
-            for e in entry.annotation.events
+            for e in entry.events
         )
         return "; ".join(answers) or "[]"
 
@@ -330,7 +330,7 @@ class ArgumentExtraction:
         return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=answer.rows)
 
     def example(self, entry: ReferenceEntry) -> str:
-        for event in entry.annotation.events:
+        for event in entry.events:
             if event.event_type == self.event_type:
                 filled = dict(event.arguments)
                 return "\n" + serialize_argument_table(event.event_type, tuple(filled.items()))
@@ -362,7 +362,7 @@ def calibration_pairs(
     pairs: list[tuple[str, str]] = []
     detection = Detection()
     for entry in entries:
-        sentence, events = entry.sentence, entry.annotation.events
+        sentence, events = entry.sentence, entry.events
         if task == "ed":
             prompt = detection.prompt(sentence, ontology)
             golds = [TriggerAnswer(e.event_type, e.trigger) for e in events] or [TriggerAnswer()]
@@ -459,25 +459,17 @@ class DebateState:
     ctx: Task
     risk_base: str
     radius: float
-    threshold: RiskThreshold
+    threshold: float
     round_index: int = 0
     live_opinions: dict[int, Answer | None] = field(default_factory=dict)
     gated_out: set[int] = field(default_factory=set)
     packet_text: str = ""
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    sentence_id: str
-    event_type: str
-    trigger: str
-    arguments: tuple[tuple[str, str], ...] = ()
-
-
 @dataclass
 class SessionResult:
     sentence: Sentence
-    records: list[EventRecord]
+    records: list[EventMention]
     transcript: list[TranscriptEntry]
     risk_log: list[RiskRecord]
 
@@ -748,7 +740,7 @@ class _Session:
             ok = accept(risk, state.threshold)
             note = (
                 f"debater_{name} answer {serialized!r} risk={risk:.6f} "
-                f"threshold={state.threshold.value:.6f} accepted={ok}"
+                f"threshold={state.threshold:.6f} accepted={ok}"
             )
             record = RiskRecord(state.ctx.task, state.round_index, name, serialized, risk, ok)
             scored[i] = (record, note)
@@ -778,7 +770,7 @@ class _Session:
             ctx=ctx,
             risk_base=ctx.prompt(self.sentence, self.ontology),
             radius=self.config.drag.initial_radius,
-            threshold=RiskThreshold(value=float(threshold0)),
+            threshold=float(threshold0),
         )
         while state.round_index < self.config.max_rounds:
             verdict = self.run_round(state)
@@ -818,9 +810,8 @@ class _Session:
         self,
         ed_answer: TriggerAnswer,
         argument_rows: tuple[tuple[str, str | None], ...],
-    ) -> EventRecord:
-        record = EventRecord(
-            sentence_id=self.sentence.id,
+    ) -> EventMention:
+        record = EventMention(
             event_type=ed_answer.event_type or "",
             trigger=ed_answer.trigger or "",
             arguments=tuple(
@@ -842,8 +833,8 @@ class _Session:
         self,
         ed_answer: TriggerAnswer,
         argument_rows: tuple[tuple[str, str | None], ...],
-        fallback: EventRecord,
-    ) -> EventRecord:
+        fallback: EventMention,
+    ) -> EventMention:
         agreed = (
             f"Detection answer: {serialize_trigger_answer(ed_answer)}\n"
             + serialize_argument_table(ed_answer.event_type or "", argument_rows)
@@ -860,8 +851,7 @@ class _Session:
         except ParseFailure:
             logger.warning("summarizer reply unparseable; using deterministic merge")
             return fallback
-        return EventRecord(
-            sentence_id=fallback.sentence_id,
+        return EventMention(
             event_type=fallback.event_type,
             trigger=fallback.trigger,
             arguments=tuple(
@@ -902,7 +892,7 @@ def run_session(
         # sentence embedding; only radius and type filter vary.
         session.topk = partial(drag.retrieve_topk, index, query_vector, config.drag.top_k)
         ed_verdict = session.run_debate(Detection())
-        records: list[EventRecord] = []
+        records: list[EventMention] = []
         # A no-event verdict carries no answers or rows.
         for answer in ed_verdict.trigger_answers:
             rows: tuple[tuple[str, str | None], ...] = ()

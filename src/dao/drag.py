@@ -1,13 +1,14 @@
 """Diversity-constrained retrieval over the embedded reference index.
 
 Candidates nearest to the query are grouped by greedy leader clustering
-under a radius that shrinks every round, and at most one entry per
-cluster is selected, balancing positive and negative examples.
+under a radius that shrinks every round; a cluster is a list of
+candidates whose first member is its leader. At most one entry per
+cluster is selected, ceil(m/2) positive and m//2 negative examples
+when the clusters have them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -30,18 +31,14 @@ class DragConfig:
             raise ValueError("top_k and max_examples must be positive")
         if self.max_examples > self.top_k:
             raise ValueError("max_examples cannot exceed top_k")
+        for name in ("top_k", "max_examples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.initial_radius <= 0:
             raise ValueError("initial_radius must be positive")
         if not 0.0 < self.radius_decay <= 1.0:
             raise ValueError("radius_decay must be in (0, 1]")
-
-    @property
-    def positive_quota(self) -> int:
-        return math.ceil(self.max_examples / 2)
-
-    @property
-    def negative_quota(self) -> int:
-        return self.max_examples // 2
 
 
 @dataclass(frozen=True)
@@ -49,12 +46,6 @@ class Candidate:
     entry: ReferenceEntry
     distance: float
     vector: np.ndarray
-
-
-@dataclass
-class Cluster:
-    leader: Candidate
-    members: list[Candidate]
 
 
 @dataclass(frozen=True)
@@ -107,52 +98,47 @@ def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> list[Candi
     ]
 
 
-def cluster_candidates(candidates: Sequence[Candidate], radius: float) -> list[Cluster]:
+def cluster_candidates(candidates: Sequence[Candidate], radius: float) -> list[list[Candidate]]:
     """Greedy leader clustering over candidates sorted by query distance.
 
     Scanning in order, a candidate joins the first cluster whose leader
-    lies within `radius` (cosine distance <= radius) and otherwise founds
-    a new cluster. Leaders are therefore pairwise more than `radius`
-    apart, and each leader is its cluster's closest member to the query.
+    (its first member) lies within `radius` (cosine distance <= radius)
+    and otherwise founds a new cluster. Leaders are therefore pairwise
+    more than `radius` apart, and each leader is its cluster's closest
+    member to the query.
     """
-    clusters: list[Cluster] = []
+    clusters: list[list[Candidate]] = []
     for candidate in candidates:
         for cluster in clusters:
-            if cosine_distance(candidate.vector, cluster.leader.vector) <= radius:
-                cluster.members.append(candidate)
+            if cosine_distance(candidate.vector, cluster[0].vector) <= radius:
+                cluster.append(candidate)
                 break
         else:
-            clusters.append(Cluster(leader=candidate, members=[candidate]))
+            clusters.append([candidate])
     return clusters
 
 
-def select_diverse(
-    clusters: Sequence[Cluster],
-    m: int,
-    polarity_quota: tuple[int, int],
-) -> list[ReferenceEntry]:
+def select_diverse(clusters: Sequence[Sequence[Candidate]], m: int) -> list[ReferenceEntry]:
     """Pick at most `m` entries, one per cluster, balancing polarity.
 
-    Walks clusters by leader distance ascending and takes each cluster's
+    The quota is ceil(m/2) positive and m//2 negative entries. Walks
+    clusters by leader distance ascending and takes each cluster's
     closest member whose polarity quota is still open; if one polarity is
     exhausted in the corpus, remaining slots are backfilled with the
     other from clusters not yet used. The result is sorted by distance to
     the query.
 
-    Each cluster's members must already be ordered by (distance, entry
-    id), so its first open member is its closest; `cluster_candidates`
-    builds them that way from `retrieve_topk`'s order.
+    Each cluster must already be ordered by (distance, entry id), so its
+    first open member is its closest; `cluster_candidates` builds them
+    that way from `retrieve_topk`'s order.
     """
-    pos_quota, neg_quota = polarity_quota
-    if pos_quota + neg_quota != m:
-        raise ValueError(f"polarity quota {polarity_quota} does not sum to m={m}")
-    remaining = {Polarity.POSITIVE: pos_quota, Polarity.NEGATIVE: neg_quota}
+    remaining = {Polarity.POSITIVE: m - m // 2, Polarity.NEGATIVE: m // 2}
     picked: list[Candidate] = []
     used: set[int] = set()
     for i, cluster in enumerate(clusters):
         if len(picked) == m:
             break
-        for member in cluster.members:
+        for member in cluster:
             if remaining[member.entry.polarity] > 0:
                 remaining[member.entry.polarity] -= 1
                 picked.append(member)
@@ -164,7 +150,7 @@ def select_diverse(
                 break
             if i in used:
                 continue
-            picked.append(cluster.members[0])
+            picked.append(cluster[0])
             used.add(i)
     picked.sort(key=lambda c: (c.distance, c.entry.sentence.id))
     return [candidate.entry for candidate in picked]
@@ -178,7 +164,7 @@ def decay_radius(radius: float, decay: float) -> float:
 
 
 def _entry_mentions_type(entry: ReferenceEntry, event_type: EventTypeId) -> bool:
-    return any(event.event_type == event_type for event in entry.annotation.events)
+    return any(event.event_type == event_type for event in entry.events)
 
 
 def gather_event_info(
@@ -216,11 +202,7 @@ def gather_event_info(
         if filtered:
             candidates = filtered
     clusters = cluster_candidates(candidates, radius)
-    examples = select_diverse(
-        clusters,
-        config.max_examples,
-        (config.positive_quota, config.negative_quota),
-    )
+    examples = select_diverse(clusters, config.max_examples)
     return RetrievalResult(
         examples=tuple(examples),
         definitions=tuple(definitions),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,22 @@ def rejecting_scorer() -> KeyedScorer:
     """Scorer with no keys at full miss cost: extraction answers fail the
     detection gate (>= 2 tokens -> risk >= 2 > 1)."""
     return KeyedScorer(keys=[])
+
+
+class RecordingScorer:
+    """Wraps a scorer and keeps every (prompt, completion, nll) it is
+    asked for, in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[str, str, float]] = []
+        self._lock = threading.Lock()
+
+    def negative_log_likelihood(self, prompt: str, completion: str) -> float:
+        nll = self.inner.negative_log_likelihood(prompt, completion)
+        with self._lock:
+            self.calls.append((prompt, completion, nll))
+        return nll
 
 
 def ed_table(event_type: str, trigger: str) -> str:
@@ -117,7 +134,7 @@ class Scenario:
             scorer = passthrough_scorer()
         return SessionConfig(
             team=make_team(self.debater_scripts, self.critic_script, self.judge_script),
-            scorer=scorer,
+            scorer=RecordingScorer(scorer),
             embedder=embedder,
         )
 

@@ -16,7 +16,7 @@ import pytest
 
 import helpers
 from synthetic import SyntheticSpec, gen_clustered_points, gen_risks
-from dao.adacp import RiskThreshold, accept, calibrate, decay_threshold
+from dao.adacp import accept, calibrate, decay_threshold
 from dao.backends import HashEmbedder
 from dao.cli import main
 from dao.corpus import build_index, l2_normalize
@@ -56,7 +56,7 @@ def test_criterion_1_quantile_oracle_equivalence():
         else:
             risks = list(rng.lognormal(0.0, 1.0, n))
         delta = deltas[i % len(deltas)]
-        assert calibrate(risks, delta).value == _oracle_quantile(risks, delta)
+        assert calibrate(risks, delta) == _oracle_quantile(risks, delta)
         instances += 1
     elapsed = time.monotonic() - started
     assert instances == 1000
@@ -91,14 +91,14 @@ def test_criterion_3_decay_schedules():
     # equality holds to full floating-point precision.
     assert abs(radii[2] - 1.0935) <= math.ulp(1.0935)
 
-    threshold = RiskThreshold(1.0)
-    values = [threshold.value]
+    threshold = 1.0
+    values = [threshold]
     for _ in range(2):
         threshold = decay_threshold(threshold, 0.5)
-        values.append(threshold.value)
+        values.append(threshold)
     assert values == [1.0, 0.5, 0.25]
-    eae = RiskThreshold(3.0)
-    assert decay_threshold(eae, 0.5).value == 1.5
+    eae = 3.0
+    assert decay_threshold(eae, 0.5) == 1.5
     _report(f"criterion 3: radius schedule {radii}, threshold schedule {values}")
 
 
@@ -110,7 +110,7 @@ def _random_candidates(rng, n, dim=32):
         vector = l2_normalize(emb.embed(f"candidate {rng.integers(0, 1 << 30)} token {i}"))
         candidates.append((cosine_distance(query, vector), i, vector))
     candidates.sort()
-    from dao.corpus import GoldAnnotation, Polarity, ReferenceEntry, Sentence
+    from dao.corpus import ReferenceEntry, Sentence
 
     result = []
     for distance, i, vector in candidates:
@@ -120,8 +120,7 @@ def _random_candidates(rng, n, dim=32):
         events = (EventMention(event_type="Conflict:Attack", trigger="x"),) if positive else ()
         entry = ReferenceEntry(
             sentence=Sentence.from_text(f"r{i:03d}", f"candidate sentence {i} ."),
-            annotation=GoldAnnotation(f"r{i:03d}", events),
-            polarity=Polarity.POSITIVE if positive else Polarity.NEGATIVE,
+            events=events,
         )
         result.append(Candidate(entry=entry, distance=distance, vector=vector))
     return result
@@ -135,14 +134,14 @@ def test_criterion_4_cluster_separation():
         candidates = _random_candidates(rng, int(rng.integers(5, 30)))
         radius = radii[trial % len(radii)]
         clusters = cluster_candidates(candidates, radius)
-        leaders = [c.leader for c in clusters]
+        leaders = [c[0] for c in clusters]
         for a, b in itertools.combinations(leaders, 2):
             assert cosine_distance(a.vector, b.vector) > radius
         covered = 0
         for cluster in clusters:
-            for member in cluster.members:
+            for member in cluster:
                 covered += 1
-                assert cosine_distance(member.vector, cluster.leader.vector) <= radius
+                assert cosine_distance(member.vector, cluster[0].vector) <= radius
         assert covered == len(candidates)
     # Planted-partition recovery.
     for seed in range(10):
@@ -150,14 +149,13 @@ def test_criterion_4_cluster_separation():
             seed=seed, n_points=24, n_planted_clusters=3, intra_spread=0.1, inter_separation=0.9
         )
         points, labels = gen_clustered_points(spec)
-        from dao.corpus import GoldAnnotation, Polarity, ReferenceEntry, Sentence
+        from dao.corpus import ReferenceEntry, Sentence
 
         candidates = [
             Candidate(
                 entry=ReferenceEntry(
                     sentence=Sentence.from_text(f"p{i}", f"point {i} ."),
-                    annotation=GoldAnnotation(f"p{i}", ()),
-                    polarity=Polarity.NEGATIVE,
+                    events=(),
                 ),
                 distance=float(i),
                 vector=point,
@@ -168,7 +166,7 @@ def test_criterion_4_cluster_separation():
         assert len(clusters) == 3
         mapping = {}
         for cluster_label, cluster in enumerate(clusters):
-            for member in cluster.members:
+            for member in cluster:
                 planted = labels[int(member.entry.sentence.id[1:])]
                 assert mapping.setdefault(cluster_label, planted) == planted
     elapsed = time.monotonic() - started
@@ -181,7 +179,7 @@ def test_criterion_5_diversity_selection():
     for trial in range(100):
         candidates = _random_candidates(rng, int(rng.integers(8, 40)))
         clusters = cluster_candidates(candidates, float(rng.uniform(0.5, 1.3)))
-        selected = select_diverse(clusters, 10, (5, 5))
+        selected = select_diverse(clusters, 10)
         assert len(selected) <= 10
         assert len(selected) == min(10, len(clusters))
         owners = []
@@ -189,17 +187,17 @@ def test_criterion_5_diversity_selection():
             owner = [
                 i
                 for i, cluster in enumerate(clusters)
-                if any(m.entry.sentence.id == entry.sentence.id for m in cluster.members)
+                if any(m.entry.sentence.id == entry.sentence.id for m in cluster)
             ]
             owners.extend(owner)
         assert len(owners) == len(set(owners))
         positives = sum(1 for e in selected if e.polarity.value == "positive")
         negatives = len(selected) - positives
         cluster_pos = sum(
-            1 for c in clusters if any(m.entry.polarity.value == "positive" for m in c.members)
+            1 for c in clusters if any(m.entry.polarity.value == "positive" for m in c)
         )
         cluster_neg = sum(
-            1 for c in clusters if any(m.entry.polarity.value == "negative" for m in c.members)
+            1 for c in clusters if any(m.entry.polarity.value == "negative" for m in c)
         )
         # Quota exceeded only by backfill, i.e. when the other polarity has
         # run out of distinct clusters to draw from.

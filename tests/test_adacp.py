@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from dao.adacp import (
     AdaCPConfig,
-    RiskThreshold,
     accept,
     calibrate,
     decay_threshold,
@@ -31,15 +30,15 @@ def oracle_quantile(risks, delta):
 
 def test_calibrate_nine_risks():
     risks = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    assert calibrate(risks, 0.1).value == 0.9
+    assert calibrate(risks, 0.1) == 0.9
 
 
 def test_calibrate_small_n_gives_infinity():
-    assert calibrate([0.1, 0.2, 0.3, 0.4], 0.1).value == math.inf
+    assert calibrate([0.1, 0.2, 0.3, 0.4], 0.1) == math.inf
 
 
 def test_calibrate_singleton():
-    assert calibrate([0.42], 0.5).value == 0.42
+    assert calibrate([0.42], 0.5) == 0.42
 
 
 def test_calibrate_empty_rejected():
@@ -52,7 +51,7 @@ def test_calibrate_oracle_on_all_subsets_of_pool():
     for size in range(1, len(pool) + 1):
         for subset in itertools.combinations(pool, size):
             for delta in (0.05, 0.1, 0.2):
-                assert calibrate(list(subset), delta).value == oracle_quantile(subset, delta)
+                assert calibrate(list(subset), delta) == oracle_quantile(subset, delta)
 
 
 @given(
@@ -60,7 +59,7 @@ def test_calibrate_oracle_on_all_subsets_of_pool():
     st.sampled_from([0.05, 0.1, 0.2, 0.5]),
 )
 def test_calibrate_matches_oracle(risks, delta):
-    assert calibrate(risks, delta).value == oracle_quantile(risks, delta)
+    assert calibrate(risks, delta) == oracle_quantile(risks, delta)
 
 
 def test_coverage_on_lognormal_draws():
@@ -117,41 +116,41 @@ def test_risk_score_rejects_empty_answer():
 
 
 def test_boundary_risk_accepted():
-    assert accept(0.5, RiskThreshold(0.5))
+    assert accept(0.5, 0.5)
 
 
 def test_above_threshold_rejected():
-    assert not accept(0.6, RiskThreshold(0.5))
+    assert not accept(0.6, 0.5)
 
 
 def test_infinite_threshold_accepts_everything():
-    assert accept(1e12, RiskThreshold(math.inf))
+    assert accept(1e12, math.inf)
 
 
 # -- decay_threshold
 
 
 def test_decay_ed_default():
-    assert decay_threshold(RiskThreshold(1.0), 0.5) == RiskThreshold(0.5)
+    assert decay_threshold(1.0, 0.5) == 0.5
 
 
 def test_decay_eae_default():
-    assert decay_threshold(RiskThreshold(3.0), 0.5).value == 1.5
+    assert decay_threshold(3.0, 0.5) == 1.5
 
 
 def test_decay_identity_keeps_value():
-    assert decay_threshold(RiskThreshold(0.7), 1.0).value == 0.7
+    assert decay_threshold(0.7, 1.0) == 0.7
 
 
 def test_decay_keeps_infinity():
-    assert decay_threshold(RiskThreshold(math.inf), 0.5).value == math.inf
+    assert decay_threshold(math.inf, 0.5) == math.inf
 
 
 def test_threshold_sequence_exact_for_halving():
-    threshold = RiskThreshold(1.0)
+    threshold = 1.0
     for t in range(1, 11):
         threshold = decay_threshold(threshold, 0.5)
-        assert threshold.value == 1.0 * 0.5**t
+        assert threshold == 1.0 * 0.5**t
 
 
 @given(
@@ -160,7 +159,7 @@ def test_threshold_sequence_exact_for_halving():
     st.floats(min_value=0.01, max_value=5.0),
 )
 def test_accepted_sets_shrink_as_threshold_decays(risks, beta, start):
-    before = RiskThreshold(start)
+    before = start
     after = decay_threshold(before, beta)
     accepted_before = {i for i, r in enumerate(risks) if accept(r, before)}
     accepted_after = {i for i, r in enumerate(risks) if accept(r, after)}

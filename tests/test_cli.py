@@ -76,6 +76,8 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("calibrate", {"workers": 0}, "workers must be at least 1"),
         ("run", {"max_rounds": 0}, "max_rounds must be at least 1"),
         ("run", {"max_rounds": "3"}, "max_rounds must be an integer, got '3'"),
+        ("run", {"drag": {"max_examples": 2.5}}, "max_examples must be an integer, got 2.5"),
+        ("run", {"drag": {"top_k": True, "max_examples": 1}}, "top_k must be an integer, got True"),
     ],
 )
 def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command, edit, message):

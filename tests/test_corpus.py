@@ -103,8 +103,8 @@ def test_tokens_reconstruct_text(corpus_entries):
 
 
 def test_corpus_records_have_no_instance_dict(corpus_entries):
-    entry = next(e for e in corpus_entries if e.annotation.events)
-    for record in (entry, entry.sentence, entry.annotation, entry.annotation.events[0]):
+    entry = next(e for e in corpus_entries if e.events)
+    for record in (entry, entry.sentence, entry.events[0]):
         assert not hasattr(record, "__dict__"), type(record).__name__
     assert not hasattr(entry.sentence, "tokens")
 

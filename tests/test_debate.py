@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from dao.corpus import build_index
+from dao.corpus import EventMention, build_index
 from dao.debate import (
-    EventRecord,
     SessionConfig,
     TriggerAnswer,
     calibration_pairs,
@@ -261,8 +260,7 @@ def replay_3a(ontology, train_entries, sentence_by_id, pool):
 def test_replay_revision_after_retrieval(replay_3a):
     team, result = replay_3a
     assert result.records == [
-        EventRecord(
-            sentence_id="test-001",
+        EventMention(
             event_type="Personnel:End-Position",
             trigger="formerly",
             arguments=(
@@ -340,8 +338,7 @@ def test_full_pipeline_scripted_life_die(ontology, train_index, embedder, pool):
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
     result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records == [
-        EventRecord(
-            sentence_id="pipeline-1",
+        EventMention(
             event_type="Life:Die",
             trigger="killed",
             arguments=(("Victim", "the mayor"), ("Instrument", "the blast")),
@@ -352,10 +349,10 @@ def test_full_pipeline_scripted_life_die(ontology, train_index, embedder, pool):
 def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, train_index, embedder, pool):
     # Calibrated and in-debate risks are exchangeable only if both score the
     # same prompt and answer text; the gate appends the retrieval packet.
-    calib = [e for e in corpus_entries if e.split == "calib" and e.annotation.events]
+    calib = [e for e in corpus_entries if e.split == "calib" and e.events]
     assert calib
     for entry in calib:
-        (event,) = entry.annotation.events
+        (event,) = entry.events
         roles = ontology.lookup(event.event_type).roles
         answer = serialize_trigger_answer(TriggerAnswer(event.event_type, event.trigger))
         table = helpers.eae_table(event.event_type, canonical_argument_rows(roles, dict(event.arguments)))
@@ -365,7 +362,8 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
             [("*", "Assessment .")] * 2,
             [("*", helpers.ed_table(event.event_type, event.trigger)), ("*", table)],
         )
-        config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+        scorer = helpers.RecordingScorer(helpers.passthrough_scorer())
+        config = SessionConfig(team=team, scorer=scorer, embedder=embedder)
         result = run_session(entry.sentence, ontology, train_index, config, pool)
         assert len(result.records) == 1
         scored = [(prompt, completion) for prompt, completion, _ in config.scorer.calls]
@@ -439,7 +437,7 @@ def test_agreed_unknown_type_emits_record_without_arguments(ontology, train_inde
     config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
     result = run_session(sentence, ontology, train_index, config, pool)
     assert result.records == [
-        EventRecord(sentence_id="unk-1", event_type="Made:Up", trigger="happened", arguments=())
+        EventMention(event_type="Made:Up", trigger="happened", arguments=())
     ]
     assert not any(e.stage.startswith("eae.") for e in result.transcript)
 

@@ -25,7 +25,7 @@ from dao.errors import DimensionMismatch
 
 def _entry(entry_id, text="placeholder text .", polarity_positive=True):
     """Minimal reference entry stand-in for pure clustering tests."""
-    from dao.corpus import EventMention, GoldAnnotation, Polarity, ReferenceEntry, Sentence
+    from dao.corpus import EventMention, ReferenceEntry, Sentence
 
     events = (
         (EventMention(event_type="Conflict:Attack", trigger="placeholder"),)
@@ -35,8 +35,7 @@ def _entry(entry_id, text="placeholder text .", polarity_positive=True):
     sentence = Sentence.from_text(entry_id, text if "placeholder" in text else text)
     return ReferenceEntry(
         sentence=sentence,
-        annotation=GoldAnnotation(entry_id, events),
-        polarity=Polarity.POSITIVE if polarity_positive else Polarity.NEGATIVE,
+        events=events,
         split="train",
     )
 
@@ -125,7 +124,7 @@ def test_identical_vectors_form_one_cluster():
     candidates = [_candidate(f"s{i}", np.ones(8), query) for i in range(5)]
     clusters = cluster_candidates(candidates, 0.5)
     assert len(clusters) == 1
-    assert len(clusters[0].members) == 5
+    assert len(clusters[0]) == 5
 
 
 def test_far_apart_vectors_stay_singletons():
@@ -162,14 +161,14 @@ def test_leader_separation_against_pairwise_oracle():
     candidates = _hash_candidates(texts, "sample sentence about a topic")
     radius = 0.8
     clusters = cluster_candidates(candidates, radius)
-    for a, b in itertools.combinations([c.leader for c in clusters], 2):
+    for a, b in itertools.combinations([c[0] for c in clusters], 2):
         assert cosine_distance(a.vector, b.vector) > radius
     # Coverage: every candidate in exactly one cluster, within radius of its leader.
     seen = []
     for cluster in clusters:
-        for member in cluster.members:
+        for member in cluster:
             seen.append(member.entry.sentence.id)
-            assert cosine_distance(member.vector, cluster.leader.vector) <= radius
+            assert cosine_distance(member.vector, cluster[0].vector) <= radius
     assert sorted(seen) == sorted(c.entry.sentence.id for c in candidates)
 
 
@@ -177,7 +176,7 @@ def test_leader_is_closest_to_query_in_cluster():
     texts = [f"short text {i}" for i in range(12)]
     candidates = _hash_candidates(texts, "short text")
     for cluster in cluster_candidates(candidates, 0.9):
-        assert cluster.leader.distance == min(m.distance for m in cluster.members)
+        assert cluster[0].distance == min(m.distance for m in cluster)
 
 
 def test_monotone_refinement_on_seeded_sets():
@@ -207,7 +206,7 @@ def _quota_walk_oracle(clusters, m, quota):
     for i, cluster in enumerate(clusters):
         if len(picked) == m:
             break
-        members = sorted(cluster.members, key=lambda c: (c.distance, c.entry.sentence.id))
+        members = sorted(cluster, key=lambda c: (c.distance, c.entry.sentence.id))
         for member in members:
             positive = member.entry.polarity.value == "positive"
             if remaining[positive] > 0:
@@ -220,7 +219,7 @@ def _quota_walk_oracle(clusters, m, quota):
             break
         if i in used:
             continue
-        members = sorted(cluster.members, key=lambda c: (c.distance, c.entry.sentence.id))
+        members = sorted(cluster, key=lambda c: (c.distance, c.entry.sentence.id))
         picked.append(members[0])
     return sorted(
         (c.entry.sentence.id for c in picked),
@@ -241,7 +240,7 @@ def _singleton_clusters(n_positive, n_negative):
 
 def test_balanced_selection_from_abundant_clusters():
     clusters = _singleton_clusters(6, 6)  # 12 singleton clusters, alternating handled by quota
-    selected = select_diverse(clusters, 10, (5, 5))
+    selected = select_diverse(clusters, 10)
     assert len(selected) == 10
     positives = sum(1 for e in selected if e.polarity.value == "positive")
     assert positives == 5
@@ -252,14 +251,21 @@ def test_balanced_selection_from_abundant_clusters():
 
 def test_backfill_when_one_polarity_missing():
     clusters = _singleton_clusters(12, 0)
-    selected = select_diverse(clusters, 10, (5, 5))
+    selected = select_diverse(clusters, 10)
     assert len(selected) == 10
     assert all(e.polarity.value == "positive" for e in selected)
 
 
+def test_odd_m_gives_the_extra_slot_to_positives():
+    clusters = _singleton_clusters(4, 4)
+    selected = select_diverse(clusters, 3)
+    assert [e.polarity.value for e in selected] == ["positive", "positive", "negative"]
+    assert sorted(e.sentence.id for e in selected) == _quota_walk_oracle(clusters, 3, (2, 1))
+
+
 def test_fewer_clusters_than_m():
     clusters = _singleton_clusters(2, 1)
-    selected = select_diverse(clusters, 10, (5, 5))
+    selected = select_diverse(clusters, 10)
     assert len(selected) == 3
 
 
@@ -267,7 +273,7 @@ def test_selected_examples_sorted_by_distance(train_index):
     query = train_index.vectors[0]
     candidates = retrieve_topk(train_index, query, 128)
     clusters = cluster_candidates(candidates, 0.8)
-    selected = select_diverse(clusters, 10, (5, 5))
+    selected = select_diverse(clusters, 10)
     ids = [e.sentence.id for e in selected]
     by_distance = {c.entry.sentence.id: c.distance for c in candidates}
     distances = [by_distance[i] for i in ids]
@@ -329,7 +335,7 @@ def test_decayed_radius_tightens_leaders(ontology, train_index, embedder):
     candidates = retrieve_topk(train_index, query, 128)
     for radius in (1.35, decay_radius(1.35, 0.9)):
         clusters = cluster_candidates(candidates, radius)
-        for a, b in itertools.combinations([c.leader for c in clusters], 2):
+        for a, b in itertools.combinations([c[0] for c in clusters], 2):
             assert cosine_distance(a.vector, b.vector) > radius
 
 
@@ -345,7 +351,7 @@ def test_event_type_filter_narrows_examples(ontology, train_index):
     )
     for example in result.examples:
         assert any(
-            e.event_type == "Personnel:End-Position" for e in example.annotation.events
+            e.event_type == "Personnel:End-Position" for e in example.events
         )
 
 
@@ -395,5 +401,3 @@ def test_config_validation():
         DragConfig(max_examples=200, top_k=128)
     with pytest.raises(ValueError):
         DragConfig(radius_decay=0.0)
-    config = DragConfig()
-    assert (config.positive_quota, config.negative_quota) == (5, 5)

@@ -25,7 +25,7 @@ def test_degenerate_spread_gives_full_coverage():
     from dao.adacp import accept, calibrate
 
     threshold = calibrate(calib, 0.1)
-    assert threshold.value == calib[0]
+    assert threshold == calib[0]
     assert all(accept(r, threshold) for r in test)
 
 
@@ -44,14 +44,13 @@ def test_resplit_exchangeability_preserves_coverage():
 
 
 def _points_to_candidates(points):
-    from dao.corpus import GoldAnnotation, Polarity, ReferenceEntry, Sentence
+    from dao.corpus import ReferenceEntry, Sentence
 
     candidates = []
     for i, point in enumerate(points):
         entry = ReferenceEntry(
             sentence=Sentence.from_text(f"p{i:03d}", f"point {i:03d} ."),
-            annotation=GoldAnnotation(f"p{i:03d}", ()),
-            polarity=Polarity.NEGATIVE,
+            events=(),
             split="train",
         )
         candidates.append(Candidate(entry=entry, distance=float(i), vector=point))
@@ -62,7 +61,7 @@ def _recovered_partition(points, radius):
     clusters = cluster_candidates(_points_to_candidates(points), radius)
     assignment = {}
     for label, cluster in enumerate(clusters):
-        for member in cluster.members:
+        for member in cluster:
             assignment[member.entry.sentence.id] = label
     return [assignment[f"p{i:03d}"] for i in range(len(points))], len(clusters)
 

@@ -36,8 +36,6 @@ class AdaCPConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if not isinstance(self.initial_threshold, dict):
-            raise TypeError("initial_threshold must map task names to thresholds")
 
 
 def calibrate(risks: Sequence[float], delta: float) -> float:
@@ -54,8 +52,6 @@ def calibrate(risks: Sequence[float], delta: float) -> float:
 
     if not risks:
         raise EmptyCalibrationSet("cannot calibrate from zero risk scores")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     ordered = sorted(risks)
     n = len(ordered)
     index = math.ceil((n + 1) * (1 - Fraction(delta)))
@@ -83,7 +79,5 @@ def accept(risk: float, threshold: float) -> bool:
 
 
 def decay_threshold(threshold: float, beta: float) -> float:
-    """Tighten the threshold by the constant factor `beta`."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    """Tighten the threshold by the constant factor `beta`, in (0, 1]."""
     return threshold * beta

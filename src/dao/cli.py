@@ -16,7 +16,8 @@ import hashlib
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
@@ -61,6 +62,49 @@ _DEFAULT_BACKENDS = {
     "scoring": {"endpoint": ""},
 }
 
+# Keys older versions wrote; a config that still holds one is rejected.
+_RETIRED = {"seed", "drag.freeze_topk", "drag.positive_quota", "drag.negative_quota"}
+
+# The JSON values a setting takes, by the type of its default, and their
+# name; a `null` default is an unset path.
+_TAKES = {
+    dict: (dict, "be a JSON object"),
+    list: (list, "be a JSON array"),
+    bool: (bool, "be true or false"),
+    int: (int, "be an integer"),
+    float: ((int, float), "be a number"),
+    str: (str, "be a string"),
+    type(None): ((str, type(None)), "be a string or null"),
+}
+
+
+def _check(value, default, path: str = "") -> None:
+    """Raise `InvalidConfig` unless `value` has the shape of `default`, the
+    part of `RunConfig().to_dict()` at the dotted `path`: an object holds
+    only its default's keys, an array entries shaped like its default's
+    first, and a scalar its default's type, where a number may be an
+    integer but never a boolean."""
+    if value is None and path.startswith("adacp.initial_threshold."):
+        return  # `dao calibrate` fills it in
+    kind = type(default)
+    types, what = _TAKES[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        if path == "adacp.initial_threshold":
+            what = "map task names to thresholds"
+        got = f"not {type(value).__name__}" if kind in (dict, list) else f"got {value!r}"
+        raise InvalidConfig(f"{path or 'a config'} must {what}, {got}")
+    if kind is list:
+        for i, item in enumerate(value):
+            _check(item, default[0], f"{path}[{i}]")
+    elif kind is dict:
+        for key, item in value.items():
+            name = f"{path}.{key}" if path else key
+            if name in _RETIRED:
+                raise InvalidConfig(f"{name} was removed; delete it from the config")
+            if key not in default:
+                raise InvalidConfig(f"unknown key {name}")
+            _check(item, default[key], name)
+
 
 @dataclasses.dataclass
 class RunConfig:
@@ -78,10 +122,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("max_rounds", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
     def to_dict(self) -> dict:
@@ -89,39 +130,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Every field the file sets; unset fields keep their defaults and
-        unknown keys (such as ones older versions wrote) are ignored.
-        Each dict-valued `backends` section is merged over its default
-        section, so a partial section keeps the defaults it leaves out."""
-
-        def section(value, name: str) -> dict:
-            if not isinstance(value, dict):
-                raise TypeError(f"{name} must be a JSON object, not {type(value).__name__}")
-            return value
-
-        def known(kind, value, name: str) -> dict:
-            names = {f.name for f in dataclasses.fields(kind)}
-            return {key: item for key, item in section(value, name).items() if key in names}
-
-        fields = known(cls, data, "a config")
-        fields["drag"] = DragConfig(**known(DragConfig, data.get("drag", {}), "drag"))
-        fields["adacp"] = AdaCPConfig(**known(AdaCPConfig, data.get("adacp", {}), "adacp"))
-        backends = fields["backends"] = json.loads(json.dumps(_DEFAULT_BACKENDS))
-        for key, value in section(data.get("backends", {}), "backends").items():
-            default = backends.get(key)
-            if isinstance(default, dict) and isinstance(value, dict):
-                value = {**default, **value}
-            backends[key] = value
-        return cls(**fields)
+        """Every setting `data` makes, checked by `_check`; unset ones keep
+        their defaults. Each object-valued `backends` section is merged over
+        its default, so a partial section keeps the defaults it leaves out."""
+        defaults = cls().to_dict()
+        _check(data, defaults)
+        backends = defaults["backends"]
+        for key, value in data.get("backends", {}).items():
+            backends[key] = {**backends[key], **value} if isinstance(value, dict) else value
+        drag, adacp = DragConfig(**data.get("drag", {})), AdaCPConfig(**data.get("adacp", {}))
+        return cls(**{**data, "drag": drag, "adacp": adacp, "backends": backends})
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         """The config in the JSON file at `path`. A file that is not JSON,
-        or a value a setting rejects, raises `InvalidConfig` naming it."""
+        or that `from_dict` rejects, raises `InvalidConfig` naming it."""
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise InvalidConfig(f"{path}: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
@@ -202,9 +229,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         risks = [risk_score(scorer, prompt, "", answer) for prompt, answer in pairs]
         thresholds[task] = calibrate(risks, config.adacp.delta)
         print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={thresholds[task]}")
-    config.adacp = AdaCPConfig(
-        delta=config.adacp.delta, beta=config.adacp.beta, initial_threshold=thresholds
-    )
+    config.adacp = dataclasses.replace(config.adacp, initial_threshold=thresholds)
     config.save(args.config)
     print(f"thresholds written to {args.config}")
     return 0
@@ -305,6 +330,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # debater per session means that no call waits for a thread.
     with (
         ThreadPoolExecutor(max_workers=config.workers * most_debaters) as calls,
+        ThreadPoolExecutor(max_workers=config.workers) as sessions,
         open(out_dir / "predictions.jsonl", "w", encoding="utf-8") as predictions,
         open(out_dir / "transcripts.jsonl", "w", encoding="utf-8") as transcripts,
     ):
@@ -332,10 +358,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         try:
             if config.workers > 1:
-                # `map` yields in input order and drops each result it yields.
-                with ThreadPoolExecutor(max_workers=config.workers) as sessions:
-                    for result in sessions.map(process, inputs):
-                        write(result)
+                # Sessions run at most 2 × workers ahead of the writer, so a
+                # slow sentence holds that many results, not all later ones.
+                window: deque[Future[SessionResult]] = deque()
+                for entry in inputs:
+                    window.append(sessions.submit(process, entry))
+                    if len(window) == 2 * config.workers:
+                        write(window.popleft().result())
+                for future in window:
+                    write(future.result())
             else:
                 for entry in inputs:
                     write(process(entry))
@@ -347,6 +378,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     _write_transcript(fh, getattr(exc, "sentence_id", ""), transcript)
                 print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
             raise
+        finally:
+            sessions.shutdown(cancel_futures=True)
 
     (out_dir / "risk_histogram.json").write_text(
         json.dumps(_histograms(risks), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -94,4 +94,4 @@ class HeaderMismatch(ParseFailure):
 
 
 class InvalidConfig(DaoError, ValueError):
-    """A run config file is not JSON, or holds a value a setting rejects."""
+    """A run config file is not JSON, or holds a key or value it may not."""

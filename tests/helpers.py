@@ -216,7 +216,6 @@ def build_replay_run(
     )
     config_path = tmp_path / "config.json"
     config = {
-        "seed": 0,
         "workers": workers,
         "ontology": str(fixtures_dir / "ontology_ace.jsonl"),
         "reference_corpus": str(fixtures_dir / "corpus_small.jsonl"),

@@ -19,6 +19,7 @@ from dao.backends import HashEmbedder
 from dao.cli import RunConfig, _backends, main
 from dao.corpus import INDEX_SLICES
 from dao.debate import debater_name
+from dao.errors import InvalidConfig
 from dao.replay import ReplayBundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -38,6 +39,21 @@ def test_config_round_trip_byte_stable(tmp_path):
     first = path.read_bytes()
     RunConfig.load(path).save(path)
     assert path.read_bytes() == first
+
+
+def test_configs_that_run_and_calibrate_write_reload_to_the_same_settings(tmp_path):
+    paths = helpers.build_replay_run(tmp_path / "run", 1, FIXTURES)
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    snapshot = RunConfig.load(out_dir / "config.json").to_dict()
+    assert snapshot == RunConfig.load(paths["config"]).to_dict()
+    # Five calibration rows at delta 0.1 give an infinite threshold, which
+    # the written config holds as JSON `Infinity`.
+    config_path, _ = _calibration_setup(tmp_path, keyed_rows=5, total_rows=5)
+    assert main(["calibrate", "-c", str(config_path)]) == 0
+    written = json.loads(config_path.read_text())
+    assert math.inf in written["adacp"]["initial_threshold"].values()
+    assert RunConfig.load(config_path).to_dict() == written
 
 
 def test_config_defaults_match_standard_values():
@@ -68,7 +84,7 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("run", {"workers": 0}, "workers must be at least 1"),
         ("run", {"drag": {"top_k": 0}}, "top_k and max_examples must be positive"),
         ("run", {"adacp": {"delta": 2}}, "delta must be in (0, 1), got 2"),
-        ("run", {"drag": {"max_examples": "5"}}, "not supported between instances of 'str' and 'int'"),
+        ("run", {"drag": {"max_examples": "5"}}, "drag.max_examples must be an integer, got '5'"),
         ("run", {"drag": 5}, "drag must be a JSON object, not int"),
         ("run", {"adacp": {"initial_threshold": 1.0}}, "initial_threshold must map task names"),
         ("run", "{not json", "Expecting property name enclosed in double quotes"),
@@ -78,6 +94,23 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("run", {"max_rounds": "3"}, "max_rounds must be an integer, got '3'"),
         ("run", {"drag": {"max_examples": 2.5}}, "max_examples must be an integer, got 2.5"),
         ("run", {"drag": {"top_k": True, "max_examples": 1}}, "top_k must be an integer, got True"),
+        ("run", {"backends": {"chat": {"endpont": "x"}}}, ": unknown key backends.chat.endpont"),
+        ("run", {"backends": {"debaters": [{"nme": "A"}, {}]}}, ": unknown key backends.debaters[0].nme"),
+        (
+            "run",
+            {"backends": {"debaters": [{}, {"temperature": True}]}},
+            "backends.debaters[1].temperature must be a number, got True",
+        ),
+        ("run", {"backends": {"replay_bundle": 5}}, "backends.replay_bundle must be a string or null, got 5"),
+        ("run", {"max_round": 5}, ": unknown key max_round"),
+        ("calibrate", {"max_round": 5}, ": unknown key max_round"),
+        ("calibrate", {"backends": {"chat": {"endpont": "x"}}}, ": unknown key backends.chat.endpont"),
+        ("run", {"adacp": {"beta": True}}, "adacp.beta must be a number, got True"),
+        ("calibrate", {"adacp": {"beta": True}}, "adacp.beta must be a number, got True"),
+        ("run", {"drag": {"radius_decay": True}}, "drag.radius_decay must be a number, got True"),
+        ("calibrate", {"drag": {"radius_decay": True}}, "drag.radius_decay must be a number, got True"),
+        ("run", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
+        ("calibrate", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
     ],
 )
 def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command, edit, message):
@@ -96,19 +129,16 @@ def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command,
     assert not out_dir.exists()
 
 
-def test_config_with_removed_keys_loads_and_saves_without_them(tmp_path):
+@pytest.mark.parametrize(
+    "data, key",
+    [({"seed": 7, "max_rounds": 2}, "seed"), ({"drag": {"freeze_topk": True, "top_k": 64}}, "drag.freeze_topk")],
+)
+def test_config_with_removed_keys_is_rejected(tmp_path, data, key):
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps({"seed": 7, "max_rounds": 2, "drag": {"freeze_topk": True, "top_k": 64}}),
-        encoding="utf-8",
-    )
-    config = RunConfig.load(path)
-    assert config.max_rounds == 2
-    assert config.drag.top_k == 64
-    assert config.drag.max_examples == 10
-    for data in (config.to_dict(), RunConfig().to_dict()):
-        assert "seed" not in data
-        assert "freeze_topk" not in data["drag"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InvalidConfig) as raised:
+        RunConfig.load(path)
+    assert str(raised.value) == f"{path}: {key} was removed; delete it from the config"
 
 
 def test_readme_configuration_table_matches_defaults():
@@ -975,6 +1005,49 @@ def test_run_writes_rows_in_input_order_when_later_sentences_finish_first(tmp_pa
     assert finished.index("gen-000") > finished.index("gen-002")
     for name in ("predictions.jsonl", "transcripts.jsonl", "risk_histogram.json"):
         assert (out_dirs[1] / name).read_bytes() == (out_dirs[0] / name).read_bytes()
+
+
+class _PausedChat(_HeldChat):
+    """A chat backend whose first call waits until `release` is set or half
+    a second has passed."""
+
+    def complete(self, messages, temperature=0.0):
+        self.release.wait(timeout=0.5)
+        self.release.set()
+        return self.inner.complete(messages, temperature)
+
+
+def test_run_starts_at_most_two_sessions_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):
+    paths = helpers.build_replay_run(tmp_path, 8, FIXTURES, workers=2)
+    # The first sentence's first debater call pauses until every sentence
+    # has started, which only an unbounded read-ahead lets happen.
+    all_started, started, started_before_first = threading.Event(), [], []
+    team_for, run_session = ReplayBundle.team_for, dao.cli.run_session
+
+    def paused_team_for(self, sentence_id):
+        team = team_for(self, sentence_id)
+        if sentence_id != "gen-000":
+            return team
+        first, *rest = team.debaters
+        paused = dataclasses.replace(first, backend=_PausedChat(first.backend, all_started))
+        return dataclasses.replace(team, debaters=(paused, *rest))
+
+    def recorded_session(sentence, *args):
+        started.append(sentence.id)
+        if len(started) == 8:
+            all_started.set()
+        result = run_session(sentence, *args)
+        if sentence.id == "gen-000":
+            started_before_first.append(len(started))
+        return result
+
+    monkeypatch.setattr(ReplayBundle, "team_for", paused_team_for)
+    monkeypatch.setattr(dao.cli, "run_session", recorded_session)
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    assert started_before_first[0] <= 2 * 2
+    ids = [p["id"] for p in _read_jsonl(out_dir / "predictions.jsonl")]
+    assert ids == [f"gen-{i:03d}" for i in range(8)]
 
 
 def test_run_writes_each_sentence_before_the_next_one_starts(tmp_path, monkeypatch):

@@ -113,15 +113,18 @@ def _post_json(
 
 
 def _json_body(resp: requests.Response, attempts: int) -> dict:
-    """The decoded body of a final response."""
+    """The decoded body of a final response, which must be a JSON object."""
     if resp.status_code == 429:
         raise RateLimited(f"still throttled after {attempts} attempts")
     if not 200 <= resp.status_code < 300:
         raise HttpStatusError(resp.status_code, resp.text)
     try:
-        return resp.json()
+        data = resp.json()
     except ValueError as exc:
         raise MalformedResponse(f"response is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedResponse(f"response is not a JSON object: {data!r:.80}")
+    return data
 
 
 def _retry_after_s(value: str | None) -> float:
@@ -214,7 +217,7 @@ class HttpScoringBackend(HttpTransport):
     def negative_log_likelihood(self, prompt: str, completion: str) -> float:
         data = self._post({"prompt": prompt, "completion": completion})
         nll = data.get("nll")
-        if not isinstance(nll, (int, float)) or not 0 <= nll < math.inf:
+        if type(nll) not in (int, float) or not 0 <= nll < math.inf:
             raise MalformedResponse(f"bad nll field: {nll!r}")
         return float(nll)
 

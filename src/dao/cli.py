@@ -63,7 +63,9 @@ _DEFAULT_BACKENDS = {
 }
 
 # Keys older versions wrote; a config that still holds one is rejected.
-_RETIRED = {"seed", "drag.freeze_topk", "drag.positive_quota", "drag.negative_quota"}
+_RETIRED = {
+    "seed", "use_llm_summarizer", "drag.freeze_topk", "drag.positive_quota", "drag.negative_quota"
+}
 
 # The JSON values a setting takes, by the type of its default, and their
 # name; a `null` default is an unset path.
@@ -112,7 +114,6 @@ class RunConfig:
 
     max_rounds: int = DEFAULT_MAX_ROUNDS
     workers: int = 1
-    use_llm_summarizer: bool = False
     ontology: str = "ontology.jsonl"
     reference_corpus: str = "reference.jsonl"
     reference_split: str = "train"
@@ -167,18 +168,12 @@ def _backends(
     A replay bundle (`--replay`, else `backends.replay_bundle`) gives the
     offline twins and fresh scripted agents per sentence; otherwise one
     team of the HTTP clients in `config.backends` serves every sentence.
-    Teams carry a summarizer only when `use_llm_summarizer` is set.
     """
     backends = config.backends
     bundle_path = replay or backends["replay_bundle"]
     if bundle_path:
         bundle = ReplayBundle.load(bundle_path)
-
-        def team_for(sentence_id: str) -> AgentTeam:
-            team = bundle.team_for(sentence_id)
-            return team if config.use_llm_summarizer else dataclasses.replace(team, summarizer=None)
-
-        return bundle.embedder(), bundle.scorer(), team_for, bundle.most_debaters()
+        return bundle.embedder(), bundle.scorer(), bundle.team_for, bundle.most_debaters()
     chat, emb = backends["chat"], backends["embedding"]
     retry = {name: chat[name] for name in _RETRY_DEFAULTS}
 
@@ -197,7 +192,6 @@ def _backends(
         ),
         critic=shared,
         judge=shared,
-        summarizer=shared if config.use_llm_summarizer else None,
     )
     embedder = HttpEmbeddingBackend(
         emb["endpoint"], model=emb["model"], dim=emb["dimension"], api_key_env=emb["api_key_env"]

@@ -27,7 +27,7 @@ import hashlib
 import logging
 import re
 from concurrent.futures import Executor, wait
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
@@ -399,15 +399,18 @@ def debater_name(index: int) -> str:
 
 @dataclass
 class AgentTeam:
-    """A session's chat agents. With a `summarizer`, each event's agreed
-    rows are condensed by it; without one they are merged deterministically."""
+    """A session's chat agents. `summarizer` takes only None, stores nothing
+    and reads None: the frozen benchmark harness (`bench/twin.py`) still
+    passes it, and the benchmark change that drops that binding deletes it."""
 
     debaters: tuple[DebaterBinding, ...]
     critic: ChatBackend
     judge: ChatBackend
-    summarizer: ChatBackend | None = None
+    summarizer: InitVar[None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, summarizer: None):
+        if summarizer is not None:
+            raise InvalidTeam("the LLM summarizer was removed")
         if len(self.debaters) < 2:
             raise InvalidTeam("a debate needs at least two debaters")
         names: set[str] = set()
@@ -536,11 +539,6 @@ class _Session:
             wait(pending)
         return results + [future.result() for future in pending]
 
-    def _chat(self, backend: ChatBackend, round_index: int, stage: str, role: str, prompt: str) -> str:
-        reply = backend.complete([ChatMessage("user", prompt)])
-        self._note(round_index, stage, role, reply, prompt=prompt)
-        return reply
-
     # -- prompt assembly
 
     def _ce_prompt(self, state: DebateState, index: int, gated: bool) -> str:
@@ -648,7 +646,8 @@ class _Session:
         # (5) Judgement on this round's admissible statements only.
         if statements:
             judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
-            reply = self._chat(team.judge, rnd, stage("judgement"), "judge", judge_prompt)
+            reply = team.judge.complete([ChatMessage("user", judge_prompt)])
+            self._note(rnd, stage("judgement"), "judge", reply, judge_prompt)
             verdict = parse_judge(reply, ctx)
         else:
             self._note(
@@ -818,8 +817,6 @@ class _Session:
                 (role, content) for role, content in argument_rows if content is not None
             ),
         )
-        if self.config.team.summarizer is not None:
-            record = self._llm_summarize(ed_answer, argument_rows, record)
         self._note(
             0,
             "session.summary",
@@ -828,38 +825,6 @@ class _Session:
             + f"\ntrigger: {record.trigger}",
         )
         return record
-
-    def _llm_summarize(
-        self,
-        ed_answer: TriggerAnswer,
-        argument_rows: tuple[tuple[str, str | None], ...],
-        fallback: EventMention,
-    ) -> EventMention:
-        agreed = (
-            f"Detection answer: {serialize_trigger_answer(ed_answer)}\n"
-            + serialize_argument_table(ed_answer.event_type or "", argument_rows)
-        )
-        reply = self._chat(
-            self.config.team.summarizer,  # type: ignore[arg-type]
-            0,
-            "session.summary",
-            "summarizer",
-            render_prompt("summarizer", {"agreed": agreed}),
-        )
-        try:
-            rows = parse_table(reply, EAE_HEADER)
-        except ParseFailure:
-            logger.warning("summarizer reply unparseable; using deterministic merge")
-            return fallback
-        return EventMention(
-            event_type=fallback.event_type,
-            trigger=fallback.trigger,
-            arguments=tuple(
-                (role, content)
-                for _, role, content in rows
-                if role is not None and content is not None
-            ),
-        )
 
 
 def run_session(

@@ -80,12 +80,6 @@ JUDGE_EAE = (
     "Make sure reply only a table or **Disagreement observed, debate continues**"
 )
 
-SUMMARIZER = (
-    "Below are the agreed extraction results of a finished discussion. Consolidate them "
-    "into one final answer table with header | event type | argument role | argument "
-    "content |, keeping exactly the agreed rows.\n\n{agreed}"
-)
-
 TEMPLATES: dict[str, str] = {
     "debater_ed": DEBATER_ED,
     "debater_eae": DEBATER_EAE,
@@ -95,7 +89,6 @@ TEMPLATES: dict[str, str] = {
     "critic_eae": CRITIC_EAE,
     "judge_ed": JUDGE_ED,
     "judge_eae": JUDGE_EAE,
-    "summarizer": SUMMARIZER,
 }
 
 # [SENT]-style placeholders are upper-case; {role list}-style are

@@ -9,7 +9,7 @@ embeddings come from the trigram hash embedder. Bundle JSON shape:
       "scorer": {"keys": [["<matcher>", "<key phrase>"], ...],
                  "match_cost": ..., "miss_cost": ..., "scale": ...},
       "default": {"debaters": [[["*", "reply"], ...], ...],
-                  "critic": [...], "judge": [...], "summarizer": [...]},
+                  "critic": [...], "judge": [...]},
       "sessions": {"<sentence id>": {...same shape as default...}}
     }
 
@@ -22,12 +22,13 @@ a session uses its own entry under `sessions`, falling back to
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import HashEmbedder, KeyedScorer, scripted_chat
 from .debate import AgentTeam, DebaterBinding, debater_name
-from .errors import FormatError, InvalidTeam, ScriptNoMatch
+from .errors import FormatError, InvalidConfig, InvalidTeam, ScriptNoMatch
 
 # The embedding dimension when a bundle, or a live config, leaves it out.
 DEFAULT_DIMENSION = 64
@@ -51,20 +52,37 @@ class ReplayBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayBundle":
+        """The bundle in the JSON file at `path`. An embedding dimension
+        that is not an integer of at least 8, a scorer key that is not a
+        pair of strings or a scorer cost that is not a finite number of at
+        least 0 raises `InvalidConfig` naming the bundle and the field."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(exc.lineno, f"replay bundle is not valid JSON: {exc}") from None
+
+        def check(ok: bool, name: str, value: object, what: str) -> None:
+            if not ok:
+                raise InvalidConfig(f"{path}: {name} must be {what}, got {value!r}")
+
+        # JSON booleans load as bool, which `type(...) is int` turns away.
+        dimension = data.get("embedder", {}).get("dimension", DEFAULT_DIMENSION)
+        at_least_8 = type(dimension) is int and dimension >= 8
+        check(at_least_8, "embedder.dimension", dimension, "an integer of at least 8")
         scorer = data.get("scorer", {})
+        keys = scorer.get("keys", [])
+        for i, key in enumerate(keys):
+            pair = isinstance(key, list) and len(key) == 2 and all(isinstance(s, str) for s in key)
+            check(pair, f"scorer.keys[{i}]", key, "a pair of strings")
+        costs = {name: scorer[name] for name in ("match_cost", "miss_cost", "scale") if name in scorer}
+        for name, cost in costs.items():
+            finite = type(cost) in (int, float) and 0 <= cost < math.inf
+            check(finite, f"scorer.{name}", cost, "a finite number of at least 0")
         return cls(
-            dimension=int(data.get("embedder", {}).get("dimension", DEFAULT_DIMENSION)),
-            scorer_keys=[(str(m), str(k)) for m, k in scorer.get("keys", [])],
-            scorer_costs={
-                name: float(scorer[name])
-                for name in ("match_cost", "miss_cost", "scale")
-                if name in scorer
-            },
+            dimension=dimension,
+            scorer_keys=[tuple(key) for key in keys],
+            scorer_costs={name: float(cost) for name, cost in costs.items()},
             default_agents=data.get("default"),
             sessions=dict(data.get("sessions", {})),
         )
@@ -93,12 +111,8 @@ class ReplayBundle:
             DebaterBinding(name=debater_name(i), backend=scripted_chat(script))
             for i, script in enumerate(debater_scripts)
         )
-        summarizer_script = agents.get("summarizer")
         return AgentTeam(
             debaters=debaters,
             critic=scripted_chat(_as_script(agents.get("critic", []))),
             judge=scripted_chat(_as_script(agents.get("judge", []))),
-            summarizer=scripted_chat(_as_script(summarizer_script))
-            if summarizer_script is not None
-            else None,
         )

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from dao.debate import (
 )
 
 
-def make_team(debater_scripts, critic_script, judge_script, summarizer_script=None) -> AgentTeam:
+def make_team(debater_scripts, critic_script, judge_script) -> AgentTeam:
     debaters = tuple(
         DebaterBinding(name="ABCDEFGH"[i], backend=scripted_chat(script))
         for i, script in enumerate(debater_scripts)
@@ -30,8 +32,15 @@ def make_team(debater_scripts, critic_script, judge_script, summarizer_script=No
         debaters=debaters,
         critic=scripted_chat(critic_script),
         judge=scripted_chat(judge_script),
-        summarizer=scripted_chat(summarizer_script) if summarizer_script is not None else None,
     )
+
+
+def oracle_quantile(risks, delta):
+    """The conformal quantile by its definition: the ceil((n + 1)(1 - delta))-th
+    smallest risk, in exact arithmetic, or infinity past the last."""
+    ordered = sorted(risks)
+    index = math.ceil((len(ordered) + 1) * (1 - Fraction(delta)))
+    return math.inf if index > len(ordered) else ordered[index - 1]
 
 
 def passthrough_scorer() -> KeyedScorer:

@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +37,6 @@ def _report(criterion: str) -> None:
     print(f"[ACCEPTANCE] {criterion}: PASS")
 
 
-def _oracle_quantile(risks, delta):
-    ordered = sorted(risks)
-    index = math.ceil((len(ordered) + 1) * (1 - Fraction(delta)))
-    return math.inf if index > len(ordered) else ordered[index - 1]
-
-
 def test_criterion_1_quantile_oracle_equivalence():
     started = time.monotonic()
     rng = np.random.default_rng(202)
@@ -56,7 +49,7 @@ def test_criterion_1_quantile_oracle_equivalence():
         else:
             risks = list(rng.lognormal(0.0, 1.0, n))
         delta = deltas[i % len(deltas)]
-        assert calibrate(risks, delta) == _oracle_quantile(risks, delta)
+        assert calibrate(risks, delta) == helpers.oracle_quantile(risks, delta)
         instances += 1
     elapsed = time.monotonic() - started
     assert instances == 1000

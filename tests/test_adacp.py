@@ -1,11 +1,11 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from dao.adacp import (
     AdaCPConfig,
     accept,
@@ -15,14 +15,6 @@ from dao.adacp import (
 )
 from dao.backends import KeyedScorer
 from dao.errors import EmptyCalibrationSet
-
-
-def oracle_quantile(risks, delta):
-    """Brute-force sort-and-index: ceil((n+1)(1-delta))-th smallest, 1-based."""
-    ordered = sorted(risks)
-    n = len(ordered)
-    index = math.ceil((n + 1) * (1 - Fraction(delta)))
-    return math.inf if index > n else ordered[index - 1]
 
 
 # -- calibrate
@@ -51,7 +43,7 @@ def test_calibrate_oracle_on_all_subsets_of_pool():
     for size in range(1, len(pool) + 1):
         for subset in itertools.combinations(pool, size):
             for delta in (0.05, 0.1, 0.2):
-                assert calibrate(list(subset), delta) == oracle_quantile(subset, delta)
+                assert calibrate(list(subset), delta) == helpers.oracle_quantile(subset, delta)
 
 
 @given(
@@ -59,7 +51,7 @@ def test_calibrate_oracle_on_all_subsets_of_pool():
     st.sampled_from([0.05, 0.1, 0.2, 0.5]),
 )
 def test_calibrate_matches_oracle(risks, delta):
-    assert calibrate(risks, delta) == oracle_quantile(risks, delta)
+    assert calibrate(risks, delta) == helpers.oracle_quantile(risks, delta)
 
 
 def test_coverage_on_lognormal_draws():

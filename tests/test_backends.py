@@ -220,6 +220,23 @@ def test_post_does_not_retry_other_failures(monkeypatch):
     assert len(posts) == 1 and sleeps == []
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "response is not a JSON object: []"),
+        ("ok", "response is not a JSON object: 'ok'"),
+        (None, "response is not a JSON object: None"),
+        ({"nll": True}, "bad nll field: True"),
+    ],
+)
+def test_http_scoring_body_without_a_numeric_nll_is_malformed(monkeypatch, payload, message):
+    _scripted_post(monkeypatch, [_Reply(200, payload)])
+    scorer = HttpScoringBackend(endpoint="http://scorer.invalid/score")
+    with pytest.raises(MalformedResponse) as raised:
+        scorer.negative_log_likelihood("p", "c")
+    assert str(raised.value) == message
+
+
 def test_http_chat_missing_choices_is_malformed(stub_server):
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat-missing-choices", model="m")
     with pytest.raises(MalformedResponse):

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from dao.cli import RunConfig, _backends, main
 from dao.corpus import INDEX_SLICES
 from dao.debate import debater_name
 from dao.errors import InvalidConfig
+from dao.prompts import TEMPLATES, render_prompt
 from dao.replay import ReplayBundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +111,8 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("calibrate", {"drag": {"radius_decay": True}}, "drag.radius_decay must be a number, got True"),
         ("run", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
         ("calibrate", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
+        ("run", {"use_llm_summarizer": True}, ": use_llm_summarizer was removed; delete it from the config"),
+        ("calibrate", {"use_llm_summarizer": False}, ": use_llm_summarizer was removed; delete it from the config"),
     ],
 )
 def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command, edit, message):
@@ -131,7 +133,12 @@ def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command,
 
 @pytest.mark.parametrize(
     "data, key",
-    [({"seed": 7, "max_rounds": 2}, "seed"), ({"drag": {"freeze_topk": True, "top_k": 64}}, "drag.freeze_topk")],
+    [
+        ({"seed": 7, "max_rounds": 2}, "seed"),
+        ({"drag": {"freeze_topk": True, "top_k": 64}}, "drag.freeze_topk"),
+        ({"use_llm_summarizer": True}, "use_llm_summarizer"),
+        ({"use_llm_summarizer": False, "workers": 2}, "use_llm_summarizer"),
+    ],
 )
 def test_config_with_removed_keys_is_rejected(tmp_path, data, key):
     path = tmp_path / "config.json"
@@ -194,23 +201,15 @@ def test_default_debater_names_are_distinct_for_any_team_size():
     assert names[:3] == ["A", "B", "C"] and len(set(names)) == len(names)
 
 
-def test_team_for_shares_one_client_for_critic_judge_summarizer(tmp_path):
-    _, _, team_for, _ = _backends(RunConfig(use_llm_summarizer=True), None)
+def test_team_for_shares_one_client_for_critic_and_judge():
+    _, _, team_for, _ = _backends(RunConfig(), None)
     team = team_for("s1")
-    assert team.critic is team.judge is team.summarizer
+    assert team.critic is team.judge
     assert team.critic.model == ""
     assert team.critic.api_key_env == "DAO_API_KEY"
     assert all(d.backend is not team.critic for d in team.debaters)
-    # One live team serves every sentence; teams summarize only when configured.
+    # One live team serves every sentence.
     assert team_for("s2") is team
-    assert _live_team().summarizer is None
-    bundle = tmp_path / "bundle.json"
-    script = [["*", "reply"]]
-    agents = {"debaters": [script, script], "critic": script, "judge": script, "summarizer": script}
-    bundle.write_text(json.dumps({"default": agents}), encoding="utf-8")
-    for flag in (False, True):
-        _, _, team_for, _ = _backends(RunConfig(use_llm_summarizer=flag), str(bundle))
-        assert (team_for("s1").summarizer is not None) is flag
 
 
 # -- calibrate
@@ -257,18 +256,12 @@ def _calibration_setup(tmp_path, keyed_rows=5, total_rows=9):
     return config_path, corpus_path
 
 
-def _oracle_quantile(risks, delta):
-    ordered = sorted(risks)
-    index = math.ceil((len(ordered) + 1) * (1 - Fraction(delta)))
-    return math.inf if index > len(ordered) else ordered[index - 1]
-
-
 def test_calibrate_writes_oracle_quantile(tmp_path, capsys):
     config_path, _ = _calibration_setup(tmp_path)
     assert main(["calibrate", "-c", str(config_path)]) == 0
     written = json.loads(config_path.read_text())
     # Five keyed rows score 0.1, four unkeyed rows score 2.0.
-    expected = _oracle_quantile([0.1] * 5 + [2.0] * 4, 0.1)
+    expected = helpers.oracle_quantile([0.1] * 5 + [2.0] * 4, 0.1)
     assert written["adacp"]["initial_threshold"]["ed"] == pytest.approx(expected)
     assert written["adacp"]["initial_threshold"]["eae"] is not None
     out = capsys.readouterr().out
@@ -458,8 +451,9 @@ REPLAY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))
-def test_run_replay_artifacts_byte_identical_to_recorded_digests(tmp_path, bundle):
+def _run_bundled_replay(tmp_path, bundle):
+    """`dao run` of a bundled replay over the corpus rows it scripts; the
+    output directory."""
     bundle_path = FIXTURES / f"{bundle}.json"
     sessions = json.loads(bundle_path.read_text())["sessions"]
     rows = [row for row in _read_jsonl(FIXTURES / "corpus_small.jsonl") if row["id"] in sessions]
@@ -478,11 +472,31 @@ def test_run_replay_artifacts_byte_identical_to_recorded_digests(tmp_path, bundl
     )
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(config_path), "--input", str(input_path), "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))
+def test_run_replay_artifacts_byte_identical_to_recorded_digests(tmp_path, bundle):
+    out_dir = _run_bundled_replay(tmp_path, bundle)
     digests = tuple(
         hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
         for name in ("predictions.jsonl", "transcripts.jsonl", "risk_histogram.json")
     )
     assert digests == REPLAY_DIGESTS[bundle]
+
+
+def test_bundled_replays_render_every_prompt_template(tmp_path, monkeypatch):
+    rendered = []
+
+    def recording(template_id, bindings):
+        rendered.append(template_id)
+        return render_prompt(template_id, bindings)
+
+    monkeypatch.setattr("dao.debate.render_prompt", recording)
+    for bundle in sorted(REPLAY_DIGESTS):
+        (tmp_path / bundle).mkdir()
+        _run_bundled_replay(tmp_path / bundle, bundle)
+    assert sorted(set(rendered)) == sorted(TEMPLATES)
 
 
 def test_run_outputs_byte_identical_across_runs(tmp_path):
@@ -844,6 +858,31 @@ def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"dao: InvalidTeam: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"embedder": {"dimension": "abc"}}, "embedder.dimension must be an integer of at least 8, got 'abc'"),
+        ({"embedder": {"dimension": 4}}, "embedder.dimension must be an integer of at least 8, got 4"),
+        ({"embedder": {"dimension": True}}, "embedder.dimension must be an integer of at least 8, got True"),
+        ({"scorer": {"keys": [["only"]]}}, "scorer.keys[0] must be a pair of strings, got ['only']"),
+        ({"scorer": {"keys": [["*", 5]]}}, "scorer.keys[0] must be a pair of strings, got ['*', 5]"),
+        ({"scorer": {"match_cost": "x"}}, "scorer.match_cost must be a finite number of at least 0, got 'x'"),
+        ({"scorer": {"miss_cost": -1.0}}, "scorer.miss_cost must be a finite number of at least 0, got -1.0"),
+        ({"scorer": {"match_cost": math.nan}}, "scorer.match_cost must be a finite number of at least 0, got nan"),
+        ({"scorer": {"scale": math.inf}}, "scorer.scale must be a finite number of at least 0, got inf"),
+    ],
+)
+def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit, message):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    bundle = json.loads(paths["bundle"].read_text())
+    paths["bundle"].write_text(json.dumps({**bundle, **edit}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"dao: InvalidConfig: {paths['bundle']}: {message}"
+    assert not out_dir.exists()
 
 
 def test_run_with_nine_default_debaters_exits_zero(tmp_path):

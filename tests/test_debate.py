@@ -6,6 +6,7 @@ import pytest
 import helpers
 from dao.corpus import EventMention, build_index
 from dao.debate import (
+    AgentTeam,
     SessionConfig,
     TriggerAnswer,
     calibration_pairs,
@@ -13,6 +14,7 @@ from dao.debate import (
     run_session,
     serialize_trigger_answer,
 )
+from dao.errors import InvalidTeam
 from dao.replay import ReplayBundle
 
 
@@ -376,49 +378,13 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
                 assert prompt[len(calib_prompt) + 2 :].startswith("Reference information:")
 
 
-def test_llm_summarizer_flag(ontology, train_index, embedder, pool):
-    from dao.corpus import Sentence
-
-    sentence = Sentence.from_text("sum-1", "Witnesses said the blast killed the mayor instantly .")
-    answer = '["Life:Die", "killed"]'
-    eae_rows = (("Agent", None), ("Victim", "the mayor"), ("Instrument", None), ("Place", None))
-    table = helpers.eae_table("Life:Die", eae_rows)
-    condensed = helpers.eae_table("Life:Die", (("Victim", "the mayor"),))
-    team = helpers.make_team(
-        [
-            [("*", f"A: {answer}"), ("*", f"A: defend {answer} ."), ("*", f"A: {table}"), ("*", f"A: keep\n{table}")],
-            [("*", f"B: {answer}"), ("*", f"B: agree {answer} ."), ("*", f"B: {table}"), ("*", f"B: keep\n{table}")],
-        ],
-        [("*", "Assessment .")] * 4,
-        [("*", helpers.ed_table("Life:Die", "killed")), ("*", table)],
-        summarizer_script=[("*", condensed)],
-    )
-    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config, pool)
-    assert result.records[0].arguments == (("Victim", "the mayor"),)
-    assert len(team.summarizer.calls) == 1
-
-
-def test_llm_summarizer_falls_back_on_garbage(ontology, train_index, embedder, pool):
-    from dao.corpus import Sentence
-
-    sentence = Sentence.from_text("sum-2", "Witnesses said the blast killed the mayor instantly .")
-    answer = '["Life:Die", "killed"]'
-    eae_rows = (("Agent", None), ("Victim", "the mayor"), ("Instrument", None), ("Place", None))
-    table = helpers.eae_table("Life:Die", eae_rows)
-    team = helpers.make_team(
-        [
-            [("*", f"A: {answer}"), ("*", f"A: defend {answer} ."), ("*", f"A: {table}"), ("*", f"A: keep\n{table}")],
-            [("*", f"B: {answer}"), ("*", f"B: agree {answer} ."), ("*", f"B: {table}"), ("*", f"B: keep\n{table}")],
-        ],
-        [("*", "Assessment .")] * 4,
-        [("*", helpers.ed_table("Life:Die", "killed")), ("*", table)],
-        summarizer_script=[("*", "I cannot produce a table, sorry.")],
-    )
-    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
-    result = run_session(sentence, ontology, train_index, config, pool)
-    # Deterministic merge of the agreed rows is kept when the reply is unusable.
-    assert result.records[0].arguments == (("Victim", "the mayor"),)
+def test_team_takes_no_summarizer():
+    team = helpers.make_team([[("*", "reply")]] * 2, [], [])
+    with pytest.raises(InvalidTeam, match="the LLM summarizer was removed"):
+        AgentTeam(team.debaters, team.critic, team.judge, summarizer=team.judge)
+    # The benchmark harness rebuilds each team with `summarizer=team.summarizer`.
+    assert team.summarizer is None
+    assert AgentTeam(team.debaters, team.critic, team.judge, summarizer=None).summarizer is None
 
 
 def test_agreed_unknown_type_emits_record_without_arguments(ontology, train_index, embedder, pool):

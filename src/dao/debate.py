@@ -7,18 +7,21 @@ critic (never the judge), gates answers through the conformal threshold,
 runs cross-examination, and asks the judge for a verdict; the retrieval
 radius and the acceptance threshold tighten from round to round. Both
 debates run the same round code; what differs between them (prompt,
-answer format, gate exemptions, verdicts) belongs to their task object,
-`Detection` or `ArgumentExtraction`, which also builds calibration's
-(prompt, gold answer) pairs.
+answer format, gate exemptions, agreed answers) belongs to their task
+object, `Detection` or `ArgumentExtraction`, which also builds
+calibration's (prompt, gold answer) pairs. A debate's outcome is its
+agreed answers: `()` when the judge finds no event or, at the round cap,
+no answer passes the gate.
 
 Within a stage the debaters' calls, and the scoring of distinct answers,
 run at once: the session's own thread makes the first call and the run's
 call pool the others. The critic's call runs with the debaters'
 cross-examination calls and sees the same answers, and the judge waits
-for both. The sentence's one top-K scan runs with the first debate's
-round-0 opinions. Transcript entries are written in debater order, the
-critic's last, once a stage's calls are back, so a transcript does not
-depend on which call finished first.
+for both. The sentence's one top-K scan is submitted to the call pool
+once the query is embedded, so it runs while the first opinions are out,
+and the first retrieval awaits it. Transcript entries are written in
+debater order, the critic's last, once a stage's calls are back, so a
+transcript does not depend on which call finished first.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor, Future, wait
 from dataclasses import InitVar, dataclass, field
-from enum import Enum
 from functools import partial
 from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
 
@@ -39,7 +41,7 @@ from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
 from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, l2_normalize
 from .drag import Candidate, DragConfig, RetrievalResult, decay_radius, gather_event_info
-from .errors import BackendError, InvalidTeam, ParseFailure
+from .errors import BackendError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
 from .ontology import EventOntology
 from .prompts import render_prompt
 
@@ -167,8 +169,6 @@ def parse_table(text: str, expected_header: Sequence[str]) -> list[tuple[str | N
     rows are skipped, rows of the wrong width are dropped with a warning,
     and a cell spelled "None" becomes None.
     """
-    from .errors import HeaderMismatch, NoTableFound
-
     tables = _find_pipe_tables(text)
     if not tables:
         raise NoTableFound(f"no pipe-delimited table in reply sha256:{_digest(text)}")
@@ -191,35 +191,23 @@ def parse_table(text: str, expected_header: Sequence[str]) -> list[tuple[str | N
     raise HeaderMismatch(f"no table with header {list(expected_header)!r}")
 
 
-class VerdictKind(Enum):
-    AGREEMENT = "agreement"
-    CONTINUE = "continue"
-    NO_EVENT = "no_event"
+def parse_judge(text: str, task: Task) -> tuple[Answer, ...] | None:
+    """The answers the judge's reply agrees on, `()` for no event, or None
+    for another round; sentinels take precedence over tables.
 
-
-@dataclass(frozen=True)
-class JudgeVerdict:
-    kind: VerdictKind
-    trigger_answers: tuple[TriggerAnswer, ...] = ()
-    argument_rows: tuple[tuple[str, str | None], ...] = ()
-
-
-def parse_judge(text: str, task: Task) -> JudgeVerdict:
-    """Interpret the judge's reply; sentinels take precedence over tables.
-
-    Unparseable replies degrade to a "continue" verdict with a warning
-    rather than aborting the session.
+    Unparseable replies degrade to another round with a warning rather
+    than aborting the session.
     """
     lowered = text.lower()
     if "no agreement" in lowered or "disagreement observed" in lowered:
-        return JudgeVerdict(VerdictKind.CONTINUE)
+        return None
     if "no event" in lowered:
-        return JudgeVerdict(VerdictKind.NO_EVENT)
+        return ()
     try:
         return task.agreement(parse_table(text, task.judge_header))
     except ParseFailure as exc:
         logger.warning("judge reply unparseable (%s); debate continues", exc)
-        return JudgeVerdict(VerdictKind.CONTINUE)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +247,7 @@ class Detection:
         """Abstentions and no-event answers bypass the gate."""
         return answer is None or answer.is_no_event
 
-    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> JudgeVerdict:
+    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> tuple[TriggerAnswer, ...]:
         """The distinct agreed (type, trigger) rows; rows with an empty
         cell are skipped, and a table with none left is a ParseFailure."""
         answers: list[TriggerAnswer] = []
@@ -270,10 +258,7 @@ class Detection:
             answers.append(TriggerAnswer(event_type, trigger))
         if not answers:
             raise ParseFailure("judge agreement table had no usable rows")
-        return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=tuple(answers))
-
-    def adopt(self, answer: TriggerAnswer) -> JudgeVerdict:
-        return JudgeVerdict(VerdictKind.AGREEMENT, trigger_answers=(answer,))
+        return tuple(answers)
 
     def example(self, entry: ReferenceEntry) -> str:
         answers = (
@@ -323,11 +308,8 @@ class ArgumentExtraction:
         """Abstentions and empty tables bypass the gate."""
         return answer is None or answer.is_empty
 
-    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> JudgeVerdict:
-        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=self._clean([row[1:] for row in rows]))
-
-    def adopt(self, answer: ArgumentAnswer) -> JudgeVerdict:
-        return JudgeVerdict(VerdictKind.AGREEMENT, argument_rows=answer.rows)
+    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> tuple[ArgumentAnswer]:
+        return (ArgumentAnswer(self.event_type, self._clean([row[1:] for row in rows])),)
 
     def example(self, entry: ReferenceEntry) -> str:
         for event in entry.events:
@@ -498,8 +480,8 @@ def render_packet(result: RetrievalResult, ctx: Task) -> str:
 
 class _Session:
     """Holds the immutable context of one sentence's debates, the pool
-    their concurrent calls run on, the sentence's top-K neighbours and the
-    risks scored so far."""
+    their concurrent calls run on, the sentence's top-K scan and the risks
+    scored so far."""
 
     def __init__(
         self,
@@ -512,11 +494,9 @@ class _Session:
         self.ontology = ontology
         self.config = config
         self.pool = pool
-        # The top-K scan, set once the query is embedded, and its result,
-        # shared by all of the sentence's debates once the first has run
-        # it beside its round-0 opinions.
-        self.topk: Callable[[], list[Candidate]] | None = None
-        self.candidates: list[Candidate] | None = None
+        # The top-K scan, submitted once the query is embedded; all of the
+        # sentence's debates retrieve from its result.
+        self.candidates: Future[list[Candidate]] | None = None
         self.transcript: list[TranscriptEntry] = []
         self.risk_log: list[RiskRecord] = []
         # (scoring prompt, packet, serialized answer) -> risk
@@ -575,9 +555,10 @@ class _Session:
 
     # -- the round state machine
 
-    def run_round(self, state: DebateState) -> JudgeVerdict:
-        """One debate round; decays radius and threshold before every round
-        after the first, and advances the round counter at its end."""
+    def run_round(self, state: DebateState) -> tuple[Answer, ...] | None:
+        """One debate round: the judge's agreed answers, `()` for no event,
+        or None for another round. Decays radius and threshold before every
+        round after the first, and advances the round counter at its end."""
         team = self.config.team
         ctx = state.ctx
         rnd = state.round_index
@@ -587,26 +568,22 @@ class _Session:
             state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
 
         # (1) Opinions: rendered fresh in the first round, carried from the
-        # previous cross-examination afterwards. The sentence's top-K scan
-        # runs beside its first debate's opinions.
+        # previous cross-examination afterwards. The sentence's top-K scan,
+        # already submitted, runs while the first debate's are out.
         if rnd == 0:
-            scan = [self.topk] if self.candidates is None else []
-            replies = self._ask_debaters(
+            self._ask_debaters(
                 state,
                 "opinion",
                 [ctx.prompt(self.sentence, self.ontology, binding.name) for binding in team.debaters],
                 "reply unparseable; treated as abstention",
-                also=scan,
             )
-            if scan:
-                self.candidates = replies[-1]
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
         opinions = [a for a in state.live_opinions.values() if a is not None]
         packet = gather_event_info(
             opinions,
             self.ontology,
-            self.candidates,
+            self.candidates.result(),
             state.radius,
             self.config.drag,
             event_type_filter=ctx.event_type,
@@ -648,15 +625,15 @@ class _Session:
             judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
             reply = team.judge.complete([ChatMessage("user", judge_prompt)])
             self._note(rnd, stage("judgement"), "judge", reply, judge_prompt)
-            verdict = parse_judge(reply, ctx)
+            agreed = parse_judge(reply, ctx)
         else:
             self._note(
                 rnd, stage("judgement"), "engine", "no admissible statements; debate continues"
             )
-            verdict = JudgeVerdict(VerdictKind.CONTINUE)
+            agreed = None
 
         state.round_index += 1
-        return verdict
+        return agreed
 
     def _ask_debaters(
         self,
@@ -757,27 +734,22 @@ class _Session:
         )
         return record.accepted
 
-    def run_debate(self, ctx: Task) -> JudgeVerdict:
-        """Run one task's debate to an agreement or no-event verdict, by the
-        judge or, at the round cap, by adjudication."""
-        threshold0 = self.config.adacp.initial_threshold.get(ctx.task)
-        if threshold0 is None:
-            raise ValueError(
-                f"no initial acceptance threshold for task {ctx.task!r}; calibrate first"
-            )
+    def run_debate(self, ctx: Task) -> tuple[Answer, ...]:
+        """Run one task's debate to its agreed answers, `()` for no event,
+        by the judge or, at the round cap, by adjudication."""
         state = DebateState(
             ctx=ctx,
             risk_base=ctx.prompt(self.sentence, self.ontology),
             radius=self.config.drag.initial_radius,
-            threshold=float(threshold0),
+            threshold=float(self.config.adacp.initial_threshold[ctx.task]),
         )
         while state.round_index < self.config.max_rounds:
-            verdict = self.run_round(state)
-            if verdict.kind is not VerdictKind.CONTINUE:
-                return verdict
+            agreed = self.run_round(state)
+            if agreed is not None:
+                return agreed
         return self._adjudicate(state)
 
-    def _adjudicate(self, state: DebateState) -> JudgeVerdict:
+    def _adjudicate(self, state: DebateState) -> tuple[Answer, ...]:
         """Round cap reached without agreement: adopt the lowest-risk answer
         that passes the final round's gate, otherwise fail closed."""
         ctx, rnd = state.ctx, state.round_index
@@ -793,7 +765,7 @@ class _Session:
                 "engine",
                 "round cap reached with no acceptable answer; emitting empty result",
             )
-            return JudgeVerdict(VerdictKind.NO_EVENT)
+            return ()
         answer = state.live_opinions[best[1]]
         self._note(
             rnd,
@@ -801,7 +773,7 @@ class _Session:
             "engine",
             f"round cap reached; adopting lowest-risk answer {ctx.serialize(answer)!r}",
         )
-        return ctx.adopt(answer)
+        return (answer,)
 
     # -- summarization
 
@@ -811,8 +783,8 @@ class _Session:
         argument_rows: tuple[tuple[str, str | None], ...],
     ) -> EventMention:
         record = EventMention(
-            event_type=ed_answer.event_type or "",
-            trigger=ed_answer.trigger or "",
+            event_type=ed_answer.event_type,
+            trigger=ed_answer.trigger,
             arguments=tuple(
                 (role, content) for role, content in argument_rows if content is not None
             ),
@@ -855,11 +827,9 @@ def run_session(
         )
         # One top-K scan per sentence: every debate queries with the
         # sentence embedding; only radius and type filter vary.
-        session.topk = partial(drag.retrieve_topk, index, query_vector, config.drag.top_k)
-        ed_verdict = session.run_debate(Detection())
+        session.candidates = pool.submit(drag.retrieve_topk, index, query_vector, config.drag.top_k)
         records: list[EventMention] = []
-        # A no-event verdict carries no answers or rows.
-        for answer in ed_verdict.trigger_answers:
+        for answer in session.run_debate(Detection()):
             rows: tuple[tuple[str, str | None], ...] = ()
             if answer.event_type not in ontology:
                 session._note(
@@ -871,10 +841,14 @@ def run_session(
                 )
             elif roles := ontology.lookup(answer.event_type).roles:
                 extraction = ArgumentExtraction(answer.event_type, answer.trigger, roles)
-                rows = session.run_debate(extraction).argument_rows
+                if extracted := session.run_debate(extraction):
+                    rows = extracted[0].rows
             records.append(session._summarize(answer, rows))
     except BackendError as exc:
-        # Abort the session but keep everything recorded so far inspectable.
+        # Abort the session but keep everything recorded so far inspectable,
+        # once the scan, if it was submitted, has finished.
+        if session.candidates is not None:
+            wait([session.candidates])
         exc.transcript = session.transcript  # type: ignore[attr-defined]
         exc.sentence_id = sentence.id  # type: ignore[attr-defined]
         raise

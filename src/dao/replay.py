@@ -52,7 +52,9 @@ class ReplayBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayBundle":
-        """The bundle in the JSON file at `path`. An embedding dimension
+        """The bundle in the JSON file at `path`. A bundle, `embedder`,
+        `scorer`, `default`, `sessions` or session entry that is not a JSON
+        object, `scorer.keys` that is not an array, an embedding dimension
         that is not an integer of at least 8, a scorer key that is not a
         pair of strings or a scorer cost that is not a finite number of at
         least 0 raises `InvalidConfig` naming the bundle and the field."""
@@ -66,12 +68,19 @@ class ReplayBundle:
             if not ok:
                 raise InvalidConfig(f"{path}: {name} must be {what}, got {value!r}")
 
+        def section(name: str, value: object) -> dict:
+            check(isinstance(value, dict), name, value, "a JSON object")
+            return value
+
+        data = section("top level", data)
+        embedder = section("embedder", data.get("embedder", {}))
+        dimension = embedder.get("dimension", DEFAULT_DIMENSION)
         # JSON booleans load as bool, which `type(...) is int` turns away.
-        dimension = data.get("embedder", {}).get("dimension", DEFAULT_DIMENSION)
         at_least_8 = type(dimension) is int and dimension >= 8
         check(at_least_8, "embedder.dimension", dimension, "an integer of at least 8")
-        scorer = data.get("scorer", {})
+        scorer = section("scorer", data.get("scorer", {}))
         keys = scorer.get("keys", [])
+        check(isinstance(keys, list), "scorer.keys", keys, "a JSON array")
         for i, key in enumerate(keys):
             pair = isinstance(key, list) and len(key) == 2 and all(isinstance(s, str) for s in key)
             check(pair, f"scorer.keys[{i}]", key, "a pair of strings")
@@ -79,12 +88,18 @@ class ReplayBundle:
         for name, cost in costs.items():
             finite = type(cost) in (int, float) and 0 <= cost < math.inf
             check(finite, f"scorer.{name}", cost, "a finite number of at least 0")
+        default = data.get("default")
+        if default is not None:
+            section("default", default)
+        sessions = section("sessions", data.get("sessions", {}))
+        for sentence_id, agents in sessions.items():
+            section(f"sessions[{sentence_id!r}]", agents)
         return cls(
             dimension=dimension,
             scorer_keys=[tuple(key) for key in keys],
             scorer_costs={name: float(cost) for name, cost in costs.items()},
-            default_agents=data.get("default"),
-            sessions=dict(data.get("sessions", {})),
+            default_agents=default,
+            sessions=sessions,
         )
 
     def embedder(self) -> HashEmbedder:

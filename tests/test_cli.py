@@ -872,12 +872,21 @@ def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
         ({"scorer": {"miss_cost": -1.0}}, "scorer.miss_cost must be a finite number of at least 0, got -1.0"),
         ({"scorer": {"match_cost": math.nan}}, "scorer.match_cost must be a finite number of at least 0, got nan"),
         ({"scorer": {"scale": math.inf}}, "scorer.scale must be a finite number of at least 0, got inf"),
+        # A list replaces the whole bundle.
+        ([], "top level must be a JSON object, got []"),
+        ({"scorer": []}, "scorer must be a JSON object, got []"),
+        ({"scorer": {"keys": 5}}, "scorer.keys must be a JSON array, got 5"),
+        ({"embedder": 64}, "embedder must be a JSON object, got 64"),
+        ({"default": []}, "default must be a JSON object, got []"),
+        ({"sessions": []}, "sessions must be a JSON object, got []"),
+        ({"sessions": {"gen-000": []}}, "sessions['gen-000'] must be a JSON object, got []"),
     ],
 )
 def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit, message):
     paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
     bundle = json.loads(paths["bundle"].read_text())
-    paths["bundle"].write_text(json.dumps({**bundle, **edit}), encoding="utf-8")
+    edited = {**bundle, **edit} if isinstance(edit, dict) else edit
+    paths["bundle"].write_text(json.dumps(edited), encoding="utf-8")
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()

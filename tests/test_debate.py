@@ -408,6 +408,26 @@ def test_agreed_unknown_type_emits_record_without_arguments(ontology, train_inde
     assert not any(e.stage.startswith("eae.") for e in result.transcript)
 
 
+def test_argument_no_event_emits_record_without_arguments(ontology, train_index, embedder, pool):
+    from dao.corpus import Sentence
+
+    sentence = Sentence.from_text("eae-none-1", "Witnesses said the blast killed the mayor instantly .")
+    answer = '["Life:Die", "killed"]'
+    table = helpers.eae_table("Life:Die", (("Victim", "the mayor"),))
+    team = helpers.make_team(
+        [
+            [("*", f"A: {answer}"), ("*", f"A: defending {answer} ."), ("*", f"A: {table}"), ("*", f"A: keeping\n{table}")],
+            [("*", f"B: {answer}"), ("*", f"B: agreeing {answer} ."), ("*", f"B: {table}"), ("*", f"B: keeping\n{table}")],
+        ],
+        [("*", "Assessment .")] * 2,
+        [("*", helpers.ed_table("Life:Die", "killed")), ("*", "No event")],
+    )
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    result = run_session(sentence, ontology, train_index, config, pool)
+    assert result.records == [EventMention(event_type="Life:Die", trigger="killed", arguments=())]
+    assert [e.text for e in result.transcript if e.stage == "eae.judgement"] == ["No event"]
+
+
 def test_session_runs_on_empty_reference_index(ontology, embedder, pool):
     from dao.corpus import Sentence, build_index
 
@@ -594,6 +614,33 @@ def test_topk_runs_while_the_first_opinions_are_out(ontology, train_index, embed
     assert result.records == []
     assert len(scans) == 1
     assert result.transcript[0].stage == "session.embed"
+
+
+def test_aborted_session_leaves_no_scan_running(ontology, train_index, embedder, pool, monkeypatch):
+    import time
+
+    import dao.drag
+    from dao.corpus import Sentence
+    from dao.errors import ScriptExhausted
+
+    # Debater A's script is empty, so its first opinion fails at once,
+    # long before the slowed scan is done.
+    real = dao.drag.retrieve_topk
+    finished = []
+
+    def slow(*args):
+        time.sleep(0.2)
+        result = real(*args)
+        finished.append(len(result))
+        return result
+
+    monkeypatch.setattr(dao.drag, "retrieve_topk", slow)
+    team = helpers.make_team([[], [("*", "B: []")]], [], [])
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    sentence = Sentence.from_text("abort-scan", "The committee read the report on Monday .")
+    with pytest.raises(ScriptExhausted):
+        run_session(sentence, ontology, train_index, config, pool)
+    assert len(finished) == 1
 
 
 def _ce_prompts(result):

@@ -74,44 +74,6 @@ def _bearer(api_key_env: str | None) -> dict[str, str] | None:
     return {"Authorization": f"Bearer {key}"} if key else None
 
 
-def _post_json(
-    url: str,
-    body: dict,
-    *,
-    timeout: float,
-    max_attempts: int,
-    backoff: float,
-    headers: dict[str, str] | None = None,
-) -> dict:
-    """POST a JSON body and return the decoded JSON response.
-
-    Retries on HTTP 429, on 5xx and on timeouts, up to `max_attempts`
-    total attempts; other failures raise at once. Before retry n (from 0)
-    it waits the server's `Retry-After` seconds, if given, plus a random
-    share of `backoff * 2**n`, so callers throttled together spread out.
-    """
-    # Imported here, not at module top: only the HTTP clients need it, and
-    # a replay run would otherwise pay its import time and memory.
-    import requests
-
-    for attempt in range(max_attempts):
-        last = attempt + 1 == max_attempts
-        try:
-            resp = requests.post(url, json=body, timeout=timeout, headers=headers)
-        except requests.Timeout as exc:
-            if last:
-                raise TransportError(f"timed out {max_attempts} times: {exc}") from exc
-            retry_after = 0.0
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        else:
-            if last or not (resp.status_code == 429 or resp.status_code >= 500):
-                return _json_body(resp, max_attempts)
-            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-        time.sleep(retry_after + random.uniform(0.0, backoff * 2**attempt))
-    raise RateLimited(f"still throttled after {max_attempts} attempts")
-
-
 def _json_body(resp: requests.Response, attempts: int) -> dict:
     """The decoded body of a final response, which must be a JSON object."""
     if resp.status_code == 429:
@@ -137,7 +99,7 @@ def _retry_after_s(value: str | None) -> float:
 @dataclass
 class HttpTransport:
     """What the HTTP clients share: the endpoint they POST JSON to and the
-    retry policy of `_post_json`."""
+    retry policy of `_post`."""
 
     endpoint: str
     _: KW_ONLY
@@ -146,14 +108,34 @@ class HttpTransport:
     backoff: float = 0.5
 
     def _post(self, body: dict, api_key_env: str | None = None) -> dict:
-        return _post_json(
-            self.endpoint,
-            body,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            backoff=self.backoff,
-            headers=_bearer(api_key_env),
-        )
+        """POST a JSON body and return the decoded JSON response.
+
+        Retries on HTTP 429, on 5xx and on timeouts, up to `max_attempts`
+        total attempts; other failures raise at once. Before retry n (from 0)
+        it waits the server's `Retry-After` seconds, if given, plus a random
+        share of `backoff * 2**n`, so callers throttled together spread out.
+        """
+        # Imported here, not at module top: only the HTTP clients need it, and
+        # a replay run would otherwise pay its import time and memory.
+        import requests
+
+        headers = _bearer(api_key_env)
+        for attempt in range(self.max_attempts):
+            last = attempt + 1 == self.max_attempts
+            try:
+                resp = requests.post(self.endpoint, json=body, timeout=self.timeout, headers=headers)
+            except requests.Timeout as exc:
+                if last:
+                    raise TransportError(f"timed out {self.max_attempts} times: {exc}") from exc
+                retry_after = 0.0
+            except requests.RequestException as exc:
+                raise TransportError(str(exc)) from exc
+            else:
+                if last or not (resp.status_code == 429 or resp.status_code >= 500):
+                    return _json_body(resp, self.max_attempts)
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+            time.sleep(retry_after + random.uniform(0.0, self.backoff * 2**attempt))
+        raise RateLimited(f"still throttled after {self.max_attempts} attempts")
 
 
 @dataclass

@@ -70,7 +70,7 @@ class ScriptNoMatch(BackendError):
 
 
 class InvalidTeam(DaoError):
-    """An agent team, or the replay scripts it is built from, is malformed."""
+    """An agent team is malformed."""
 
 
 class EmptyCalibrationSet(DaoError):
@@ -94,4 +94,4 @@ class HeaderMismatch(ParseFailure):
 
 
 class InvalidConfig(DaoError, ValueError):
-    """A run config file is not JSON, or holds a key or value it may not."""
+    """A run config or replay bundle is not JSON, or holds a key or value it may not."""

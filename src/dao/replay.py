@@ -13,10 +13,12 @@ embeddings come from the trigram hash embedder. Bundle JSON shape:
       "sessions": {"<sentence id>": {...same shape as default...}}
     }
 
-Scorer costs left out keep the `KeyedScorer` defaults. Scripts are
-ordered (matcher, reply) pairs as consumed by the scripted chat backend;
-a session uses its own entry under `sessions`, falling back to
-`default`.
+Scorer costs left out keep the `KeyedScorer` defaults. A script is an
+array of (matcher, reply) string pairs as consumed by the scripted chat
+backend; a missing critic or judge script is empty. A session uses its
+own entry under `sessions`, falling back to `default`. `load` checks the
+whole bundle before any work, so a run never meets a malformed script
+midway; other keys of an agents entry are not read.
 """
 
 from __future__ import annotations
@@ -28,41 +30,40 @@ from pathlib import Path
 
 from .backends import HashEmbedder, KeyedScorer, scripted_chat
 from .debate import AgentTeam, DebaterBinding, debater_name
-from .errors import FormatError, InvalidConfig, InvalidTeam, ScriptNoMatch
+from .errors import InvalidConfig, ScriptNoMatch
 
 # The embedding dimension when a bundle, or a live config, leaves it out.
 DEFAULT_DIMENSION = 64
 
 
-def _as_script(raw: object) -> list[tuple[str, str]]:
-    if not isinstance(raw, list) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw
-    ):
-        raise InvalidTeam("a script must be a list of [matcher, reply] pairs")
-    return [(str(matcher), str(reply)) for matcher, reply in raw]
+# Ordered (matcher, reply) pairs: a chat script, or the scorer's keys.
+Script = tuple[tuple[str, str], ...]
+# A session's scripts: (debater scripts, critic script, judge script).
+Agents = tuple[tuple[Script, ...], Script, Script]
 
 
 @dataclass
 class ReplayBundle:
     dimension: int
-    scorer_keys: list[tuple[str, str]]
+    scorer_keys: Script
     scorer_costs: dict[str, float]
-    default_agents: dict | None
-    sessions: dict[str, dict]
+    default_agents: Agents | None
+    sessions: dict[str, Agents]
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayBundle":
-        """The bundle in the JSON file at `path`. A bundle, `embedder`,
-        `scorer`, `default`, `sessions` or session entry that is not a JSON
-        object, `scorer.keys` that is not an array, an embedding dimension
-        that is not an integer of at least 8, a scorer key that is not a
-        pair of strings or a scorer cost that is not a finite number of at
-        least 0 raises `InvalidConfig` naming the bundle and the field."""
+        """The bundle in the JSON file at `path`. A file that is not JSON,
+        a bundle, `embedder`, `scorer`, `default`, `sessions` or session
+        entry that is not a JSON object, an embedding dimension that is not
+        an integer of at least 8, `scorer.keys` or a script that is not an
+        array of pairs of strings, a `debaters` that is not an array of at
+        least two scripts, or a scorer cost that is not a finite number of
+        at least 0 raises `InvalidConfig` naming the bundle and the field."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise FormatError(exc.lineno, f"replay bundle is not valid JSON: {exc}") from None
+                raise InvalidConfig(f"{path}: not valid JSON: {exc}") from None
 
         def check(ok: bool, name: str, value: object, what: str) -> None:
             if not ok:
@@ -72,6 +73,24 @@ class ReplayBundle:
             check(isinstance(value, dict), name, value, "a JSON object")
             return value
 
+        def pairs(name: str, value: object) -> Script:
+            check(isinstance(value, list), name, value, "a JSON array")
+            for i, pair in enumerate(value):
+                ok = isinstance(pair, list) and len(pair) == 2 and all(isinstance(s, str) for s in pair)
+                check(ok, f"{name}[{i}]", pair, "a pair of strings")
+            return tuple(tuple(pair) for pair in value)
+
+        def agents(name: str, value: object) -> Agents:
+            entry = section(name, value)
+            debaters = entry.get("debaters", [])
+            check(isinstance(debaters, list), f"{name}.debaters", debaters, "a JSON array")
+            check(len(debaters) >= 2, f"{name}.debaters", len(debaters), "an array of at least two scripts")
+            return (
+                tuple(pairs(f"{name}.debaters[{i}]", script) for i, script in enumerate(debaters)),
+                pairs(f"{name}.critic", entry.get("critic", [])),
+                pairs(f"{name}.judge", entry.get("judge", [])),
+            )
+
         data = section("top level", data)
         embedder = section("embedder", data.get("embedder", {}))
         dimension = embedder.get("dimension", DEFAULT_DIMENSION)
@@ -79,27 +98,20 @@ class ReplayBundle:
         at_least_8 = type(dimension) is int and dimension >= 8
         check(at_least_8, "embedder.dimension", dimension, "an integer of at least 8")
         scorer = section("scorer", data.get("scorer", {}))
-        keys = scorer.get("keys", [])
-        check(isinstance(keys, list), "scorer.keys", keys, "a JSON array")
-        for i, key in enumerate(keys):
-            pair = isinstance(key, list) and len(key) == 2 and all(isinstance(s, str) for s in key)
-            check(pair, f"scorer.keys[{i}]", key, "a pair of strings")
+        keys = pairs("scorer.keys", scorer.get("keys", []))
         costs = {name: scorer[name] for name in ("match_cost", "miss_cost", "scale") if name in scorer}
         for name, cost in costs.items():
             finite = type(cost) in (int, float) and 0 <= cost < math.inf
             check(finite, f"scorer.{name}", cost, "a finite number of at least 0")
         default = data.get("default")
-        if default is not None:
-            section("default", default)
+        default_agents = None if default is None else agents("default", default)
         sessions = section("sessions", data.get("sessions", {}))
-        for sentence_id, agents in sessions.items():
-            section(f"sessions[{sentence_id!r}]", agents)
         return cls(
             dimension=dimension,
-            scorer_keys=[tuple(key) for key in keys],
+            scorer_keys=keys,
             scorer_costs={name: float(cost) for name, cost in costs.items()},
-            default_agents=default,
-            sessions=sessions,
+            default_agents=default_agents,
+            sessions={sid: agents(f"sessions[{sid!r}]", entry) for sid, entry in sessions.items()},
         )
 
     def embedder(self) -> HashEmbedder:
@@ -112,22 +124,19 @@ class ReplayBundle:
         """The longest debater list among the bundle's scripts, and at
         least one."""
         scripts = [self.default_agents, *self.sessions.values()]
-        return max([1] + [len(agents.get("debaters", ())) for agents in scripts if agents])
+        return max((len(agents[0]) for agents in scripts if agents), default=1)
 
     def team_for(self, sentence_id: str) -> AgentTeam:
         """Fresh scripted backends for one session."""
         agents = self.sessions.get(sentence_id, self.default_agents)
         if agents is None:
             raise ScriptNoMatch(f"replay bundle has no scripts for sentence {sentence_id!r}")
-        debater_scripts = [_as_script(script) for script in agents.get("debaters", [])]
-        if len(debater_scripts) < 2:
-            raise InvalidTeam(f"replay scripts for {sentence_id!r} need at least two debaters")
-        debaters = tuple(
-            DebaterBinding(name=debater_name(i), backend=scripted_chat(script))
-            for i, script in enumerate(debater_scripts)
-        )
+        debaters, critic, judge = agents
         return AgentTeam(
-            debaters=debaters,
-            critic=scripted_chat(_as_script(agents.get("critic", []))),
-            judge=scripted_chat(_as_script(agents.get("judge", []))),
+            debaters=tuple(
+                DebaterBinding(name=debater_name(i), backend=scripted_chat(script))
+                for i, script in enumerate(debaters)
+            ),
+            critic=scripted_chat(critic),
+            judge=scripted_chat(judge),
         )

@@ -837,32 +837,6 @@ def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (
-            lambda agents: {"debaters": agents["debaters"][:1]},
-            "replay scripts for 'gen-000' need at least two debaters",
-        ),
-        (lambda agents: {"critic": "reply"}, "a script must be a list of [matcher, reply] pairs"),
-        (
-            lambda agents: {"judge": [["*", "reply", "extra"]]},
-            "a script must be a list of [matcher, reply] pairs",
-        ),
-    ],
-)
-def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
-    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
-    bundle = json.loads(paths["bundle"].read_text())
-    agents = bundle.pop("sessions")["gen-000"]
-    bundle["default"] = {**agents, **edit(agents)}
-    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
-    out_dir = tmp_path / "out"
-    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == f"dao: InvalidTeam: {message}"
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
         ({"embedder": {"dimension": "abc"}}, "embedder.dimension must be an integer of at least 8, got 'abc'"),
         ({"embedder": {"dimension": 4}}, "embedder.dimension must be an integer of at least 8, got 4"),
         ({"embedder": {"dimension": True}}, "embedder.dimension must be an integer of at least 8, got True"),
@@ -880,13 +854,39 @@ def test_run_malformed_default_team_exits_two(tmp_path, capsys, edit, message):
         ({"default": []}, "default must be a JSON object, got []"),
         ({"sessions": []}, "sessions must be a JSON object, got []"),
         ({"sessions": {"gen-000": []}}, "sessions['gen-000'] must be a JSON object, got []"),
+        ({"sessions": {"gen-000": {"debaters": 5}}}, "sessions['gen-000'].debaters must be a JSON array, got 5"),
+        (
+            {"sessions": {"gen-000": {"debaters": [[["*", "x"]]]}}},
+            "sessions['gen-000'].debaters must be an array of at least two scripts, got 1",
+        ),
+        (
+            {"sessions": {"gen-000": {"debaters": [[], []], "critic": "reply"}}},
+            "sessions['gen-000'].critic must be a JSON array, got 'reply'",
+        ),
+        (
+            {"sessions": {"gen-000": {"debaters": [[], [["*", "x"], ["*", "y", "z"]]]}}},
+            "sessions['gen-000'].debaters[1][1] must be a pair of strings, got ['*', 'y', 'z']",
+        ),
+        (
+            {"sessions": {"gen-000": {"debaters": [[], []], "judge": [["*", 5]]}}},
+            "sessions['gen-000'].judge[0] must be a pair of strings, got ['*', 5]",
+        ),
+        ({"default": {"debaters": [[["*", "x"]]]}}, "default.debaters must be an array of at least two scripts, got 1"),
+        ({"default": {"debaters": [[], []], "critic": "reply"}}, "default.critic must be a JSON array, got 'reply'"),
+        (
+            {"default": {"debaters": [[], []], "judge": [["*", "reply", "extra"]]}},
+            "default.judge[0] must be a pair of strings, got ['*', 'reply', 'extra']",
+        ),
+        # A string is written as the whole file.
+        ("{not json", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ],
 )
 def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit, message):
     paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
     bundle = json.loads(paths["bundle"].read_text())
-    edited = {**bundle, **edit} if isinstance(edit, dict) else edit
-    paths["bundle"].write_text(json.dumps(edited), encoding="utf-8")
+    if isinstance(edit, dict):
+        edit = {**bundle, **edit}
+    paths["bundle"].write_text(edit if isinstance(edit, str) else json.dumps(edit), encoding="utf-8")
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -1160,6 +1160,21 @@ def test_run_malformed_input_fails_before_index_build(tmp_path, monkeypatch, cap
     assert main(argv) == 2
     assert counting.calls == 0
     assert capsys.readouterr().err.startswith("dao: FormatError: line 1:")
+
+
+def test_run_malformed_last_script_fails_before_index_build(tmp_path, monkeypatch, capsys):
+    paths = helpers.build_replay_run(tmp_path, 3, FIXTURES)
+    bundle = json.loads(paths["bundle"].read_text())
+    bundle["sessions"]["gen-002"]["debaters"][0][0][1] = 5
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    counting = _CountingEmbedder()
+    monkeypatch.setattr(ReplayBundle, "embedder", lambda self: counting)
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    assert counting.calls == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"dao: InvalidConfig: {paths['bundle']}: sessions['gen-002'].debaters[0][0] must be")
+    assert not out_dir.exists()
 
 
 TRANSCRIPT_KEYS = {"id", "round", "stage", "role", "prompt_digest", "text"}

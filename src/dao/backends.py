@@ -114,6 +114,7 @@ class HttpTransport:
         total attempts; other failures raise at once. Before retry n (from 0)
         it waits the server's `Retry-After` seconds, if given, plus a random
         share of `backoff * 2**n`, so callers throttled together spread out.
+        A `Retry-After` longer than `timeout` raises `RateLimited` at once.
         """
         # Imported here, not at module top: only the HTTP clients need it, and
         # a replay run would otherwise pay its import time and memory.
@@ -134,6 +135,8 @@ class HttpTransport:
                 if last or not (resp.status_code == 429 or resp.status_code >= 500):
                     return _json_body(resp, self.max_attempts)
                 retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+                if retry_after > self.timeout:
+                    raise RateLimited(f"Retry-After {retry_after:g} s exceeds timeout {self.timeout:g} s")
             time.sleep(retry_after + random.uniform(0.0, self.backoff * 2**attempt))
         raise RateLimited(f"still throttled after {self.max_attempts} attempts")
 

@@ -317,7 +317,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.dumps(), encoding="utf-8")
     risks: dict[tuple[str, int], list[float]] = {}
-    extracted: list[int] = []  # events per written sentence
+    written = extracted = 0  # sentences and events written
     # One call pool serves the whole run. A session makes one call of each
     # stage on its own thread and sends the others (the rest of its
     # debaters' and the critic's, or the top-K scan) here, so a thread per
@@ -341,6 +341,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return run_session(entry.sentence, ontology, index, session_config, calls)
 
         def write(result: SessionResult) -> None:
+            nonlocal written, extracted
             _write_prediction(predictions, result)
             _write_transcript(transcripts, result.sentence.id, result.transcript)
             # A killed run keeps every row written so far.
@@ -348,7 +349,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             transcripts.flush()
             for record in result.risk_log:
                 risks.setdefault((record.task, record.round_index), []).append(record.risk)
-            extracted.append(len(result.records))
+            written += 1
+            extracted += len(result.records)
 
         try:
             if config.workers > 1:
@@ -378,7 +380,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out_dir / "risk_histogram.json").write_text(
         json.dumps(_histograms(risks), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"processed {len(extracted)} sentence(s), extracted {sum(extracted)} event(s)")
+    print(f"processed {written} sentence(s), extracted {extracted} event(s)")
     print(f"outputs written to {out_dir}")
     return 0
 

@@ -40,7 +40,7 @@ from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
 from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, l2_normalize
-from .drag import Candidate, DragConfig, RetrievalResult, decay_radius, gather_event_info
+from .drag import DragConfig, RetrievalResult, TopK, decay_radius, gather_event_info
 from .errors import BackendError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
 from .ontology import EventOntology
 from .prompts import render_prompt
@@ -496,7 +496,7 @@ class _Session:
         self.pool = pool
         # The top-K scan, submitted once the query is embedded; all of the
         # sentence's debates retrieve from its result.
-        self.candidates: Future[list[Candidate]] | None = None
+        self.candidates: Future[TopK] | None = None
         self.transcript: list[TranscriptEntry] = []
         self.risk_log: list[RiskRecord] = []
         # (scoring prompt, packet, serialized answer) -> risk

@@ -1,10 +1,10 @@
 """Diversity-constrained retrieval over the embedded reference index.
 
-Candidates nearest to the query are grouped by greedy leader clustering
-under a radius that shrinks every round; a cluster is a list of
-candidates whose first member is its leader. At most one entry per
-cluster is selected, ceil(m/2) positive and m//2 negative examples
-when the clusters have them.
+The entries nearest to the query form one `TopK` set per sentence. Its
+rows are grouped by greedy leader clustering under a radius that shrinks
+every round; a cluster is an array of row positions whose first is its
+leader. At most one entry per cluster is selected, ceil(m/2) positive
+and m//2 negative examples when the clusters have them.
 """
 
 from __future__ import annotations
@@ -38,10 +38,14 @@ class DragConfig:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    entry: ReferenceEntry
-    distance: float
-    vector: np.ndarray
+class TopK:
+    """Entries nearest a query in (distance, entry id) order; their unit vectors row for row."""
+
+    entries: tuple[ReferenceEntry, ...]
+    vectors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,6 @@ class Opinion(Protocol):
     event_type: str | None
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - u.v for unit vectors; ranges over [0, 2]."""
-    return 1.0 - float(np.dot(u, v))
-
-
 def check_query(index: EmbeddedIndex, query: np.ndarray) -> np.ndarray:
     """`query` as a float64 vector; DimensionMismatch unless it has the
     index's dimension."""
@@ -73,48 +72,47 @@ def check_query(index: EmbeddedIndex, query: np.ndarray) -> np.ndarray:
     return query
 
 
-def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> list[Candidate]:
+def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> TopK:
     """The min(k, |index|) entries nearest to the unit query vector.
 
-    Sorted by cosine distance ascending, ties broken by entry id.
+    Sorted by cosine distance (1 - u.v) ascending, ties broken by entry id.
     """
     query = check_query(index, query)
-    if not index.entries:
-        return []
     distances = 1.0 - index.vectors @ query
     k = min(k, len(distances))
+    if k == 0:
+        return TopK((), index.vectors[:0])
     # Every entry tied with the k-th distance stays in the slice, so the
     # exact sort below can break those ties by entry id.
     kth = distances[np.argpartition(distances, k - 1)[k - 1]]
     nearest = np.flatnonzero(distances <= kth)
-    order = sorted(nearest, key=lambda i: (distances[i], index.entries[i].sentence.id))
-    return [
-        Candidate(entry=index.entries[i], distance=float(distances[i]), vector=index.vectors[i])
-        for i in order[:k]
-    ]
+    ids = [index.entries[i].sentence.id for i in nearest.tolist()]
+    order = nearest[np.lexsort((ids, distances[nearest]))[:k]]
+    return TopK(tuple(index.entries[i] for i in order.tolist()), index.vectors[order])
 
 
-def cluster_candidates(candidates: Sequence[Candidate], radius: float) -> list[list[Candidate]]:
-    """Greedy leader clustering over candidates sorted by query distance.
+def cluster_candidates(candidates: TopK, radius: float) -> list[np.ndarray]:
+    """Greedy leader clustering over a top-K set, as row positions.
 
-    Scanning in order, a candidate joins the first cluster whose leader
-    (its first member) lies within `radius` (cosine distance <= radius)
-    and otherwise founds a new cluster. Leaders are therefore pairwise
-    more than `radius` apart, and each leader is its cluster's closest
-    member to the query.
+    Scanning in order, a row joins the first cluster whose leader (its
+    first member) lies within `radius` (cosine distance <= radius) and
+    otherwise founds a new cluster. Leaders are therefore pairwise more
+    than `radius` apart, and each leader is its cluster's closest member
+    to the query. One matrix-vector product per leader finds its members;
+    it spans all rows, which is cheaper than copying the unassigned ones.
     """
-    clusters: list[list[Candidate]] = []
-    for candidate in candidates:
-        for cluster in clusters:
-            if cosine_distance(candidate.vector, cluster[0].vector) <= radius:
-                cluster.append(candidate)
-                break
-        else:
-            clusters.append([candidate])
+    clusters: list[np.ndarray] = []
+    unassigned = np.arange(len(candidates))
+    while unassigned.size:
+        products = candidates.vectors @ candidates.vectors[unassigned[0]]
+        member = 1.0 - products[unassigned] <= radius
+        member[0] = True
+        clusters.append(unassigned[member])
+        unassigned = unassigned[~member]
     return clusters
 
 
-def select_diverse(clusters: Sequence[Sequence[Candidate]], m: int) -> list[ReferenceEntry]:
+def select_diverse(candidates: TopK, clusters: Sequence[np.ndarray], m: int) -> list[ReferenceEntry]:
     """Pick at most `m` entries, one per cluster, balancing polarity.
 
     The quota is ceil(m/2) positive and m//2 negative entries. Walks
@@ -124,32 +122,27 @@ def select_diverse(clusters: Sequence[Sequence[Candidate]], m: int) -> list[Refe
     other from clusters not yet used. The result is sorted by distance to
     the query.
 
-    Each cluster must already be ordered by (distance, entry id), so its
-    first open member is its closest; `cluster_candidates` builds them
-    that way from `retrieve_topk`'s order.
+    `clusters` hold positions in `candidates`, each ascending, as
+    `cluster_candidates` builds them; position order is (distance, entry
+    id) order, so a cluster's first open member is its closest.
     """
     remaining = {Polarity.POSITIVE: m - m // 2, Polarity.NEGATIVE: m // 2}
-    picked: list[Candidate] = []
+    picked: list[int] = []
     used: set[int] = set()
     for i, cluster in enumerate(clusters):
         if len(picked) == m:
             break
-        for member in cluster:
-            if remaining[member.entry.polarity] > 0:
-                remaining[member.entry.polarity] -= 1
-                picked.append(member)
+        for position in cluster.tolist():
+            polarity = candidates.entries[position].polarity
+            if remaining[polarity] > 0:
+                remaining[polarity] -= 1
+                picked.append(position)
                 used.add(i)
                 break
-    if len(picked) < m:
-        for i, cluster in enumerate(clusters):
-            if len(picked) == m:
-                break
-            if i in used:
-                continue
-            picked.append(cluster[0])
-            used.add(i)
-    picked.sort(key=lambda c: (c.distance, c.entry.sentence.id))
-    return [candidate.entry for candidate in picked]
+    for i, cluster in enumerate(clusters):
+        if len(picked) < m and i not in used:
+            picked.append(int(cluster[0]))
+    return [candidates.entries[position] for position in sorted(picked)]
 
 
 def decay_radius(radius: float, decay: float) -> float:
@@ -157,14 +150,14 @@ def decay_radius(radius: float, decay: float) -> float:
     return decay * radius
 
 
-def _entry_mentions_type(entry: ReferenceEntry, event_type: EventTypeId) -> bool:
+def _mentions(entry: ReferenceEntry, event_type: EventTypeId) -> bool:
     return any(event.event_type == event_type for event in entry.events)
 
 
 def gather_event_info(
     opinions: Sequence[Opinion],
     ontology: EventOntology,
-    candidates: Sequence[Candidate],
+    candidates: TopK,
     radius: float,
     config: DragConfig,
     event_type_filter: EventTypeId | None = None,
@@ -176,7 +169,7 @@ def gather_event_info(
     the sentence's top-K `candidates`, leader clustering at `radius`, and
     diversity selection. During argument extraction, `event_type_filter`
     narrows candidates to entries mentioning the identified type before
-    clustering; if that leaves nothing, the unfiltered list is used.
+    clustering; if that leaves nothing, the unfiltered set is used.
     """
     definitions: list[EventDefinition] = []
     unknown: list[str] = []
@@ -192,11 +185,11 @@ def gather_event_info(
             unknown.append(type_id)
 
     if event_type_filter is not None:
-        filtered = [c for c in candidates if _entry_mentions_type(c.entry, event_type_filter)]
-        if filtered:
-            candidates = filtered
+        keep = [i for i, e in enumerate(candidates.entries) if _mentions(e, event_type_filter)]
+        if keep:
+            candidates = TopK(tuple(candidates.entries[i] for i in keep), candidates.vectors[keep])
     clusters = cluster_candidates(candidates, radius)
-    examples = select_diverse(clusters, config.max_examples)
+    examples = select_diverse(candidates, clusters, config.max_examples)
     return RetrievalResult(
         examples=tuple(examples),
         definitions=tuple(definitions),

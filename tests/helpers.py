@@ -43,6 +43,22 @@ def oracle_quantile(risks, delta):
     return math.inf if index > len(ordered) else ordered[index - 1]
 
 
+def leader_clusters(vectors, radius):
+    """The sequential leader scan, by its definition: each row in turn
+    joins the first cluster whose leader (first member) lies within
+    `radius` of it (1 - u.v <= radius), or else leads a new cluster.
+    Clusters as lists of row positions."""
+    clusters = []
+    for i, vector in enumerate(vectors):
+        for cluster in clusters:
+            if 1.0 - float(np.dot(vector, vectors[cluster[0]])) <= radius:
+                cluster.append(i)
+                break
+        else:
+            clusters.append([i])
+    return clusters
+
+
 def passthrough_scorer() -> KeyedScorer:
     """Scorer under which every desk-scale answer passes the default gates."""
     return KeyedScorer(keys=[], match_cost=0.005, miss_cost=0.005)

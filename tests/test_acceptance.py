@@ -21,9 +21,8 @@ from dao.cli import main
 from dao.corpus import build_index, l2_normalize
 from dao.debate import SessionConfig, run_session
 from dao.drag import (
-    Candidate,
+    TopK,
     cluster_candidates,
-    cosine_distance,
     decay_radius,
     select_diverse,
 )
@@ -101,11 +100,11 @@ def _random_candidates(rng, n, dim=32):
     candidates = []
     for i in range(n):
         vector = l2_normalize(emb.embed(f"candidate {rng.integers(0, 1 << 30)} token {i}"))
-        candidates.append((cosine_distance(query, vector), i, vector))
+        candidates.append((1.0 - query @ vector, i, vector))
     candidates.sort()
     from dao.corpus import ReferenceEntry, Sentence
 
-    result = []
+    entries = []
     for distance, i, vector in candidates:
         positive = bool(rng.integers(0, 2))
         from dao.corpus import EventMention
@@ -115,8 +114,8 @@ def _random_candidates(rng, n, dim=32):
             sentence=Sentence.from_text(f"r{i:03d}", f"candidate sentence {i} ."),
             events=events,
         )
-        result.append(Candidate(entry=entry, distance=distance, vector=vector))
-    return result
+        entries.append(entry)
+    return TopK(tuple(entries), np.vstack([vector for _, _, vector in candidates]))
 
 
 def test_criterion_4_cluster_separation():
@@ -127,14 +126,15 @@ def test_criterion_4_cluster_separation():
         candidates = _random_candidates(rng, int(rng.integers(5, 30)))
         radius = radii[trial % len(radii)]
         clusters = cluster_candidates(candidates, radius)
+        vectors = candidates.vectors
         leaders = [c[0] for c in clusters]
         for a, b in itertools.combinations(leaders, 2):
-            assert cosine_distance(a.vector, b.vector) > radius
+            assert 1.0 - vectors[a] @ vectors[b] > radius
         covered = 0
         for cluster in clusters:
             for member in cluster:
                 covered += 1
-                assert cosine_distance(member.vector, cluster[0].vector) <= radius
+                assert 1.0 - vectors[member] @ vectors[cluster[0]] <= radius
         assert covered == len(candidates)
     # Planted-partition recovery.
     for seed in range(10):
@@ -144,23 +144,19 @@ def test_criterion_4_cluster_separation():
         points, labels = gen_clustered_points(spec)
         from dao.corpus import ReferenceEntry, Sentence
 
-        candidates = [
-            Candidate(
-                entry=ReferenceEntry(
-                    sentence=Sentence.from_text(f"p{i}", f"point {i} ."),
-                    events=(),
-                ),
-                distance=float(i),
-                vector=point,
-            )
-            for i, point in enumerate(points)
-        ]
+        candidates = TopK(
+            tuple(
+                ReferenceEntry(sentence=Sentence.from_text(f"p{i}", f"point {i} ."), events=())
+                for i in range(len(points))
+            ),
+            np.vstack(points),
+        )
         clusters = cluster_candidates(candidates, 0.4)
         assert len(clusters) == 3
         mapping = {}
         for cluster_label, cluster in enumerate(clusters):
             for member in cluster:
-                planted = labels[int(member.entry.sentence.id[1:])]
+                planted = labels[int(candidates.entries[member].sentence.id[1:])]
                 assert mapping.setdefault(cluster_label, planted) == planted
     elapsed = time.monotonic() - started
     assert elapsed < 20.0
@@ -172,7 +168,7 @@ def test_criterion_5_diversity_selection():
     for trial in range(100):
         candidates = _random_candidates(rng, int(rng.integers(8, 40)))
         clusters = cluster_candidates(candidates, float(rng.uniform(0.5, 1.3)))
-        selected = select_diverse(clusters, 10)
+        selected = select_diverse(candidates, clusters, 10)
         assert len(selected) <= 10
         assert len(selected) == min(10, len(clusters))
         owners = []
@@ -180,17 +176,17 @@ def test_criterion_5_diversity_selection():
             owner = [
                 i
                 for i, cluster in enumerate(clusters)
-                if any(m.entry.sentence.id == entry.sentence.id for m in cluster)
+                if any(candidates.entries[m].sentence.id == entry.sentence.id for m in cluster)
             ]
             owners.extend(owner)
         assert len(owners) == len(set(owners))
         positives = sum(1 for e in selected if e.polarity.value == "positive")
         negatives = len(selected) - positives
         cluster_pos = sum(
-            1 for c in clusters if any(m.entry.polarity.value == "positive" for m in c)
+            1 for c in clusters if any(candidates.entries[m].polarity.value == "positive" for m in c)
         )
         cluster_neg = sum(
-            1 for c in clusters if any(m.entry.polarity.value == "negative" for m in c)
+            1 for c in clusters if any(candidates.entries[m].polarity.value == "negative" for m in c)
         )
         # Quota exceeded only by backfill, i.e. when the other polarity has
         # run out of distinct clusters to draw from.

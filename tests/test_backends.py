@@ -20,7 +20,6 @@ from dao.backends import (
     _bearer,
     scripted_chat,
 )
-from dao.drag import cosine_distance
 from dao.errors import (
     EmptyText,
     HttpStatusError,
@@ -196,6 +195,16 @@ def test_post_waits_at_least_retry_after(monkeypatch):
     assert 0.0 <= sleeps[1] <= 0.5  # an HTTP-date Retry-After falls back to backoff
 
 
+def test_retry_after_longer_than_timeout_fails_at_once(monkeypatch):
+    posts, sleeps = _scripted_post(
+        monkeypatch, [_Reply(429, retry_after="86400"), _Reply(200, _OK), _Reply(200, _OK)]
+    )
+    scorer = HttpScoringBackend(endpoint="http://scorer.invalid/score", timeout=30.0)
+    with pytest.raises(RateLimited, match="86400"):
+        scorer.negative_log_likelihood("p", "c")
+    assert len(posts) == 1 and sleeps == []
+
+
 @pytest.mark.parametrize(
     "failure, error",
     [(503, HttpStatusError), (429, RateLimited), ("timeout", TransportError)],
@@ -355,7 +364,7 @@ def test_hash_embedder_deterministic():
 
 def test_hash_embedder_distinct_inputs_differ():
     emb = HashEmbedder(64)
-    distance = cosine_distance(emb.embed("abc"), emb.embed("abd"))
+    distance = 1.0 - emb.embed("abc") @ emb.embed("abd")
     assert 0.0 < distance <= 2.0
 
 

@@ -7,14 +7,14 @@ import pytest
 
 import dao.drag
 import helpers
+from hypothesis import assume, given, settings, strategies as st
 from dao.backends import HashEmbedder
 from dao.corpus import EmbeddedIndex, build_index, l2_normalize
 from dao.debate import run_session
 from dao.drag import (
-    Candidate,
     DragConfig,
+    TopK,
     cluster_candidates,
-    cosine_distance,
     decay_radius,
     gather_event_info,
     retrieve_topk,
@@ -40,12 +40,13 @@ def _entry(entry_id, text="placeholder text .", polarity_positive=True):
     )
 
 
-def _candidate(entry_id, vector, query, positive=True):
-    vector = l2_normalize(np.asarray(vector, dtype=float))
-    return Candidate(
-        entry=_entry(entry_id, polarity_positive=positive),
-        distance=cosine_distance(query, vector),
-        vector=vector,
+def _topk(vectors, positives=None):
+    """A top-K set over `vectors` in the given row order; row i is entry
+    `s{i:03d}`, positive unless `positives` says otherwise."""
+    positives = [True] * len(vectors) if positives is None else positives
+    return TopK(
+        entries=tuple(_entry(f"s{i:03d}", polarity_positive=p) for i, p in enumerate(positives)),
+        vectors=np.vstack([l2_normalize(np.asarray(v, dtype=float)) for v in vectors]),
     )
 
 
@@ -55,8 +56,8 @@ def _candidate(entry_id, vector, query, positive=True):
 def test_self_retrieval_is_first_with_zero_distance(train_index):
     query = train_index.vectors[5]
     candidates = retrieve_topk(train_index, query, 10)
-    assert candidates[0].entry is train_index.entries[5]
-    assert abs(candidates[0].distance) <= 1e-9
+    assert candidates.entries[0] is train_index.entries[5]
+    assert abs(1.0 - query @ candidates.vectors[0]) <= 1e-9
 
 
 def test_k_exceeding_corpus_returns_all_sorted(corpus_entries, embedder):
@@ -65,7 +66,7 @@ def test_k_exceeding_corpus_returns_all_sorted(corpus_entries, embedder):
     query = l2_normalize(embedder.embed("Soldiers on patrol ."))
     candidates = retrieve_topk(index, query, 128)
     assert len(candidates) == 40
-    distances = [c.distance for c in candidates]
+    distances = [1.0 - vector @ query for vector in candidates.vectors]
     assert distances == sorted(distances)
 
 
@@ -79,10 +80,10 @@ def test_order_matches_brute_force_oracle():
     oracle = sorted(
         range(3), key=lambda i: (1.0 - float(np.dot(query, vectors[i])), entries[i].sentence.id)
     )
-    assert [c.entry.sentence.id for c in candidates] == [f"s{i}" for i in oracle]
-    for candidate in candidates:
-        expected = 1.0 - float(np.dot(query, candidate.vector))
-        assert abs(candidate.distance - expected) <= 1e-9
+    assert [e.sentence.id for e in candidates.entries] == [f"s{i}" for i in oracle]
+    for entry, vector in zip(candidates.entries, candidates.vectors):
+        expected = 1.0 - float(np.dot(query, vectors[entries.index(entry)]))
+        assert abs(1.0 - query @ vector - expected) <= 1e-9
 
 
 def test_topk_equals_full_sort_when_ties_straddle_the_cut():
@@ -99,7 +100,7 @@ def test_topk_equals_full_sort_when_ties_straddle_the_cut():
     distances = 1.0 - vectors @ query
     oracle = sorted(range(40), key=lambda i: (distances[i], names[i]))
     for k in range(1, 42):
-        got = [c.entry.sentence.id for c in retrieve_topk(index, query, k)]
+        got = [e.sentence.id for e in retrieve_topk(index, query, k).entries]
         assert got == [names[i] for i in oracle[:k]]
 
 
@@ -113,70 +114,65 @@ def test_tie_broken_by_entry_id():
     entries = tuple(_entry(name) for name in ("sB", "sA"))
     index = EmbeddedIndex(entries=entries, vectors=np.vstack([vector, vector]), dimension=4)
     candidates = retrieve_topk(index, vector, 2)
-    assert [c.entry.sentence.id for c in candidates] == ["sA", "sB"]
+    assert [e.sentence.id for e in candidates.entries] == ["sA", "sB"]
 
 
 # -- cluster_candidates
 
 
 def test_identical_vectors_form_one_cluster():
-    query = l2_normalize(np.ones(8))
-    candidates = [_candidate(f"s{i}", np.ones(8), query) for i in range(5)]
+    candidates = _topk([np.ones(8)] * 5)
     clusters = cluster_candidates(candidates, 0.5)
     assert len(clusters) == 1
     assert len(clusters[0]) == 5
 
 
 def test_far_apart_vectors_stay_singletons():
-    query = l2_normalize(np.array([1.0, 1.0, 1.0, 1.0]))
-    basis = np.eye(4)
-    candidates = [_candidate(f"s{i}", basis[i], query) for i in range(4)]
+    candidates = _topk(np.eye(4))
     clusters = cluster_candidates(candidates, 0.5)  # orthogonal: distance 1.0 > 0.5
     assert len(clusters) == 4
 
 
 def test_empty_input_empty_output():
-    assert cluster_candidates([], 0.7) == []
+    assert cluster_candidates(TopK((), np.zeros((0, 4))), 0.7) == []
 
 
 def _hash_candidates(texts, query_text, dim=32):
+    """The texts as a top-K set in (distance, id) order, and its rows'
+    distances to the query text."""
     emb = HashEmbedder(dim)
     query = l2_normalize(emb.embed(query_text))
-    candidates = [
-        Candidate(entry=_entry(f"s{i:03d}"), distance=0.0, vector=l2_normalize(emb.embed(text)))
-        for i, text in enumerate(texts)
-    ]
-    for i, candidate in enumerate(candidates):
-        candidates[i] = Candidate(
-            entry=candidate.entry,
-            distance=cosine_distance(query, candidate.vector),
-            vector=candidate.vector,
-        )
-    candidates.sort(key=lambda c: (c.distance, c.entry.sentence.id))
-    return candidates
+    vectors = [l2_normalize(emb.embed(text)) for text in texts]
+    rows = sorted(range(len(texts)), key=lambda i: (1.0 - vectors[i] @ query, f"s{i:03d}"))
+    candidates = TopK(
+        entries=tuple(_entry(f"s{i:03d}") for i in rows),
+        vectors=np.vstack([vectors[i] for i in rows]),
+    )
+    return candidates, 1.0 - candidates.vectors @ query
 
 
 def test_leader_separation_against_pairwise_oracle():
     texts = [f"sample sentence number {i} about topic {i % 4}" for i in range(10)]
-    candidates = _hash_candidates(texts, "sample sentence about a topic")
+    candidates, _ = _hash_candidates(texts, "sample sentence about a topic")
+    vectors = candidates.vectors
     radius = 0.8
     clusters = cluster_candidates(candidates, radius)
     for a, b in itertools.combinations([c[0] for c in clusters], 2):
-        assert cosine_distance(a.vector, b.vector) > radius
+        assert 1.0 - vectors[a] @ vectors[b] > radius
     # Coverage: every candidate in exactly one cluster, within radius of its leader.
     seen = []
     for cluster in clusters:
         for member in cluster:
-            seen.append(member.entry.sentence.id)
-            assert cosine_distance(member.vector, cluster[0].vector) <= radius
-    assert sorted(seen) == sorted(c.entry.sentence.id for c in candidates)
+            seen.append(candidates.entries[member].sentence.id)
+            assert 1.0 - vectors[member] @ vectors[cluster[0]] <= radius
+    assert sorted(seen) == sorted(e.sentence.id for e in candidates.entries)
 
 
 def test_leader_is_closest_to_query_in_cluster():
     texts = [f"short text {i}" for i in range(12)]
-    candidates = _hash_candidates(texts, "short text")
+    candidates, distances = _hash_candidates(texts, "short text")
     for cluster in cluster_candidates(candidates, 0.9):
-        assert cluster[0].distance == min(m.distance for m in cluster)
+        assert distances[cluster[0]] == min(distances[m] for m in cluster)
 
 
 def test_monotone_refinement_on_seeded_sets():
@@ -186,7 +182,7 @@ def test_monotone_refinement_on_seeded_sets():
     for trial in range(100):
         n = int(rng.integers(5, 25))
         texts = [f"trial {trial} sentence {i} token {rng.integers(0, 9)}" for i in range(n)]
-        candidates = _hash_candidates(texts, f"trial {trial} sentence")
+        candidates, _ = _hash_candidates(texts, f"trial {trial} sentence")
         radius = 1.35
         previous = len(cluster_candidates(candidates, radius))
         for _ in range(3):
@@ -196,19 +192,64 @@ def test_monotone_refinement_on_seeded_sets():
             previous = current
 
 
+# -- array clustering and top-K against their oracles
+
+_NAMES = [f"s{i:03d}" for i in range(64)]
+_ENTRIES = tuple(_entry(name) for name in _NAMES)
+
+
+@st.composite
+def _unit_rows(draw, max_rows=24):
+    """Unit rows drawn from a few base directions, so exact duplicates occur."""
+    dim = draw(st.sampled_from([2, 3, 8]))
+    component = st.floats(-1.0, 1.0, allow_subnormal=False)
+    bases = draw(st.lists(st.lists(component, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    bases = [np.asarray(b) for b in bases]
+    assume(all(np.linalg.norm(b) > 1e-3 for b in bases))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=max_rows))
+    return np.vstack([l2_normalize(bases[i]) for i in picks])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_unit_rows(), st.floats(0.01, 2.0))
+def test_array_clustering_equals_the_sequential_scan(vectors, radius):
+    # Where a distance is within rounding of the radius, the matrix-vector
+    # product and a per-pair dot product may round to opposite sides.
+    distances = 1.0 - vectors @ vectors.T
+    assume(np.all(np.abs(distances - radius) > 1e-9))
+    candidates = TopK(_ENTRIES[: len(vectors)], vectors)
+    clusters = cluster_candidates(candidates, radius)
+    assert [cluster.tolist() for cluster in clusters] == helpers.leader_clusters(vectors, radius)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_unit_rows(max_rows=40), st.data())
+def test_topk_equals_the_full_sort(vectors, data):
+    n, dim = vectors.shape
+    names = data.draw(st.permutations(_NAMES[:n]))
+    query = vectors[data.draw(st.integers(0, n - 1))]
+    index = EmbeddedIndex(entries=tuple(_entry(name) for name in names), vectors=vectors, dimension=dim)
+    k = data.draw(st.integers(1, n + 2))
+    distances = 1.0 - vectors @ query
+    oracle = sorted(range(n), key=lambda i: (distances[i], names[i]))[:k]
+    candidates = retrieve_topk(index, query, k)
+    assert [e.sentence.id for e in candidates.entries] == [names[i] for i in oracle]
+    assert np.array_equal(candidates.vectors, vectors[oracle])
+
+
 # -- select_diverse
 
 
-def _quota_walk_oracle(clusters, m, quota):
+def _quota_walk_oracle(candidates, clusters, m, quota):
     """Independent re-derivation of the documented greedy walk."""
     remaining = {True: quota[0], False: quota[1]}
     picked, used = [], set()
     for i, cluster in enumerate(clusters):
         if len(picked) == m:
             break
-        members = sorted(cluster, key=lambda c: (c.distance, c.entry.sentence.id))
+        members = sorted(cluster)  # position order is (distance, id) order
         for member in members:
-            positive = member.entry.polarity.value == "positive"
+            positive = candidates.entries[member].polarity.value == "positive"
             if remaining[positive] > 0:
                 remaining[positive] -= 1
                 picked.append(member)
@@ -219,53 +260,50 @@ def _quota_walk_oracle(clusters, m, quota):
             break
         if i in used:
             continue
-        members = sorted(cluster, key=lambda c: (c.distance, c.entry.sentence.id))
+        members = sorted(cluster)
         picked.append(members[0])
     return sorted(
-        (c.entry.sentence.id for c in picked),
+        (candidates.entries[p].sentence.id for p in picked),
         key=lambda entry_id: entry_id,
     )
 
 
 def _singleton_clusters(n_positive, n_negative):
-    query = l2_normalize(np.ones(40))
-    basis = np.eye(40)
-    clusters = []
-    for i in range(n_positive + n_negative):
-        candidate = _candidate(f"s{i:03d}", basis[i], query, positive=i < n_positive)
-        candidate = Candidate(entry=candidate.entry, distance=i * 0.01, vector=candidate.vector)
-        clusters.extend(cluster_candidates([candidate], 0.001))
-    return clusters
+    n = n_positive + n_negative
+    candidates = _topk(np.eye(40)[:n], [i < n_positive for i in range(n)])
+    return candidates, cluster_candidates(candidates, 0.001)
 
 
 def test_balanced_selection_from_abundant_clusters():
-    clusters = _singleton_clusters(6, 6)  # 12 singleton clusters, alternating handled by quota
-    selected = select_diverse(clusters, 10)
+    candidates, clusters = _singleton_clusters(6, 6)  # 12 singleton clusters, alternating handled by quota
+    selected = select_diverse(candidates, clusters, 10)
     assert len(selected) == 10
     positives = sum(1 for e in selected if e.polarity.value == "positive")
     assert positives == 5
     assert len({e.sentence.id for e in selected}) == 10
-    oracle = _quota_walk_oracle(clusters, 10, (5, 5))
+    oracle = _quota_walk_oracle(candidates, clusters, 10, (5, 5))
     assert sorted(e.sentence.id for e in selected) == oracle
 
 
 def test_backfill_when_one_polarity_missing():
-    clusters = _singleton_clusters(12, 0)
-    selected = select_diverse(clusters, 10)
+    candidates, clusters = _singleton_clusters(12, 0)
+    selected = select_diverse(candidates, clusters, 10)
     assert len(selected) == 10
     assert all(e.polarity.value == "positive" for e in selected)
 
 
 def test_odd_m_gives_the_extra_slot_to_positives():
-    clusters = _singleton_clusters(4, 4)
-    selected = select_diverse(clusters, 3)
+    candidates, clusters = _singleton_clusters(4, 4)
+    selected = select_diverse(candidates, clusters, 3)
     assert [e.polarity.value for e in selected] == ["positive", "positive", "negative"]
-    assert sorted(e.sentence.id for e in selected) == _quota_walk_oracle(clusters, 3, (2, 1))
+    assert sorted(e.sentence.id for e in selected) == _quota_walk_oracle(
+        candidates, clusters, 3, (2, 1)
+    )
 
 
 def test_fewer_clusters_than_m():
-    clusters = _singleton_clusters(2, 1)
-    selected = select_diverse(clusters, 10)
+    candidates, clusters = _singleton_clusters(2, 1)
+    selected = select_diverse(candidates, clusters, 10)
     assert len(selected) == 3
 
 
@@ -273,9 +311,11 @@ def test_selected_examples_sorted_by_distance(train_index):
     query = train_index.vectors[0]
     candidates = retrieve_topk(train_index, query, 128)
     clusters = cluster_candidates(candidates, 0.8)
-    selected = select_diverse(clusters, 10)
+    selected = select_diverse(candidates, clusters, 10)
     ids = [e.sentence.id for e in selected]
-    by_distance = {c.entry.sentence.id: c.distance for c in candidates}
+    by_distance = {
+        e.sentence.id: 1.0 - query @ v for e, v in zip(candidates.entries, candidates.vectors)
+    }
     distances = [by_distance[i] for i in ids]
     assert distances == sorted(distances)
 
@@ -336,7 +376,7 @@ def test_decayed_radius_tightens_leaders(ontology, train_index, embedder):
     for radius in (1.35, decay_radius(1.35, 0.9)):
         clusters = cluster_candidates(candidates, radius)
         for a, b in itertools.combinations([c[0] for c in clusters], 2):
-            assert cosine_distance(a.vector, b.vector) > radius
+            assert 1.0 - candidates.vectors[a] @ candidates.vectors[b] > radius
 
 
 def test_event_type_filter_narrows_examples(ontology, train_index):

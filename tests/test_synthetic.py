@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dao.drag import Candidate, cluster_candidates, cosine_distance
+from dao.drag import TopK, cluster_candidates
 from synthetic import InvalidSpec, SyntheticSpec, gen_clustered_points, gen_risks
 
 
@@ -46,23 +46,24 @@ def test_resplit_exchangeability_preserves_coverage():
 def _points_to_candidates(points):
     from dao.corpus import ReferenceEntry, Sentence
 
-    candidates = []
+    entries = []
     for i, point in enumerate(points):
         entry = ReferenceEntry(
             sentence=Sentence.from_text(f"p{i:03d}", f"point {i:03d} ."),
             events=(),
             split="train",
         )
-        candidates.append(Candidate(entry=entry, distance=float(i), vector=point))
-    return candidates
+        entries.append(entry)
+    return TopK(tuple(entries), np.vstack(points))
 
 
 def _recovered_partition(points, radius):
-    clusters = cluster_candidates(_points_to_candidates(points), radius)
+    candidates = _points_to_candidates(points)
+    clusters = cluster_candidates(candidates, radius)
     assignment = {}
     for label, cluster in enumerate(clusters):
         for member in cluster:
-            assignment[member.entry.sentence.id] = label
+            assignment[candidates.entries[member].sentence.id] = label
     return [assignment[f"p{i:03d}"] for i in range(len(points))], len(clusters)
 
 
@@ -83,7 +84,7 @@ def test_construction_guarantees():
     for vec in points:
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
     for (i, a), (j, b) in itertools.combinations(enumerate(points), 2):
-        distance = cosine_distance(a, b)
+        distance = 1.0 - a @ b
         if labels[i] == labels[j]:
             assert distance <= spec.intra_spread + 1e-9
         else:
@@ -101,7 +102,7 @@ def test_radius_below_min_pairwise_gives_singletons():
     spec = SyntheticSpec(seed=5, n_points=15, n_planted_clusters=3, intra_spread=0.1)
     points, _ = gen_clustered_points(spec)
     min_pairwise = min(
-        cosine_distance(a, b) for a, b in itertools.combinations(points, 2)
+        1.0 - a @ b for a, b in itertools.combinations(points, 2)
     )
     assert min_pairwise > 0.0  # seeded points are generically distinct
     radius = min(min_pairwise, spec.intra_spread) * 0.5

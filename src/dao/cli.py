@@ -30,7 +30,7 @@ from .backends import (
     HttpTransport,
     ScoringBackend,
 )
-from .corpus import ReferenceEntry, build_index, load_corpus, read_jsonl
+from .corpus import INDEX_SLICES, ReferenceEntry, build_index, load_corpus, read_jsonl
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -220,7 +220,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
-        risks = [risk_score(scorer, prompt, "", answer) for prompt, answer in pairs]
+        # The scorer's round trips overlap, as the index build's embeds do;
+        # `map` returns the risks in pair order.
+        with ThreadPoolExecutor(max_workers=min(INDEX_SLICES, len(pairs))) as pool:
+            risks = list(pool.map(lambda pair: risk_score(scorer, pair[0], "", pair[1]), pairs))
         thresholds[task] = calibrate(risks, config.adacp.delta)
         print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={thresholds[task]}")
     config.adacp = dataclasses.replace(config.adacp, initial_threshold=thresholds)

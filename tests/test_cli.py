@@ -268,6 +268,36 @@ def test_calibrate_writes_oracle_quantile(tmp_path, capsys):
     assert "task=ed n=9 delta=0.1" in out
 
 
+class _BarrierScorer:
+    """Every score waits until a second score is in flight."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def negative_log_likelihood(self, prompt, completion):
+        self.barrier.wait()
+        return self.inner.negative_log_likelihood(prompt, completion)
+
+
+def test_calibrate_overlaps_scorer_calls(tmp_path, monkeypatch):
+    # Ten rows of one event each: both tasks score ten pairs, which meet
+    # on the barrier two by two.
+    config_path, _ = _calibration_setup(tmp_path, total_rows=10)
+    backends = dao.cli._backends
+
+    def barrier_backends(config, replay):
+        embedder, scorer, team_for, most = backends(config, replay)
+        return embedder, _BarrierScorer(scorer), team_for, most
+
+    monkeypatch.setattr(dao.cli, "_backends", barrier_backends)
+    threads = threading.active_count()
+    assert main(["calibrate", "-c", str(config_path)]) == 0
+    thresholds = json.loads(config_path.read_text())["adacp"]["initial_threshold"]
+    assert None not in thresholds.values()
+    assert threading.active_count() == threads
+
+
 def test_calibrate_respects_override(tmp_path, capsys):
     config_path, _ = _calibration_setup(tmp_path)
     config = json.loads(config_path.read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -22,6 +23,23 @@ from dao.errors import DimensionMismatch, FormatError, SpanNotInSentence, ZeroVe
 
 def _write_jsonl(path, rows):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _numbered_entries(corpus_entries, n):
+    """`n` distinct entries: the fixture corpus's, cycled, each sentence
+    with its position appended as one more token."""
+    entries = []
+    for i in range(n):
+        entry = corpus_entries[i % len(corpus_entries)]
+        sentence = Sentence.from_text(f"{entry.sentence.id}-{i}", f"{entry.sentence.text} {i}")
+        entries.append(dataclasses.replace(entry, sentence=sentence))
+    return entries
+
+
+def _slice_of(row, n):
+    """The slice `build_index` embeds `row` of `n` entries in."""
+    slices = min(INDEX_SLICES, n)
+    return next(k for k in range(slices) if row < n * (k + 1) // slices)
 
 
 def test_positive_polarity_derived(tmp_path):
@@ -201,11 +219,11 @@ def test_index_build_deterministic(train_entries, embedder):
 
 
 class _BarrierEmbedder:
-    """Every embed call waits until a second call is in flight."""
+    """Every embed call waits until `INDEX_SLICES` calls are in flight."""
 
     def __init__(self):
         self.inner = HashEmbedder(8)
-        self.barrier = threading.Barrier(2, timeout=5)
+        self.barrier = threading.Barrier(INDEX_SLICES, timeout=5)
 
     def dimension(self):
         return 8
@@ -216,8 +234,9 @@ class _BarrierEmbedder:
 
 
 def test_build_index_overlaps_embed_calls(corpus_entries):
-    index = build_index(corpus_entries[:2], _BarrierEmbedder())
-    assert index.vectors.shape == (2, 8)
+    entries = _numbered_entries(corpus_entries, INDEX_SLICES)
+    index = build_index(entries, _BarrierEmbedder())
+    assert index.vectors.shape == (INDEX_SLICES, 8)
 
 
 class _JitterEmbedder:
@@ -235,10 +254,11 @@ class _JitterEmbedder:
         return self.inner.embed(text)
 
 
-@pytest.mark.parametrize("n", [INDEX_SLICES - 3, 5 * INDEX_SLICES])  # fewer and more than slices
+@pytest.mark.parametrize(
+    "n", [INDEX_SLICES - 3, 5 * INDEX_SLICES], ids=["fewer_rows_than_slices", "five_rows_per_slice"]
+)
 def test_build_index_rows_in_entry_order(corpus_entries, embedder, n):
-    entries = corpus_entries[:n]
-    assert len(entries) == n
+    entries = _numbered_entries(corpus_entries, n)
     oracle = np.vstack([l2_normalize(embedder.embed(e.sentence.text)) for e in entries])
     index = build_index(entries, _JitterEmbedder(embedder))
     assert index.entries == tuple(entries)
@@ -247,11 +267,12 @@ def test_build_index_rows_in_entry_order(corpus_entries, embedder, n):
 
 def test_build_index_rows_under_a_short_switch_interval(corpus_entries, embedder):
     # `INDEX_SLICES` threads write disjoint row ranges of one array and switch often.
-    oracle = np.vstack([l2_normalize(embedder.embed(e.sentence.text)) for e in corpus_entries])
+    entries = _numbered_entries(corpus_entries, 5 * INDEX_SLICES)
+    oracle = np.vstack([l2_normalize(embedder.embed(e.sentence.text)) for e in entries])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        vectors = build_index(corpus_entries, HashEmbedder(embedder.dimension())).vectors
+        vectors = build_index(entries, HashEmbedder(embedder.dimension())).vectors
     finally:
         sys.setswitchinterval(interval)
     assert vectors.tobytes() == oracle.tobytes()
@@ -286,7 +307,8 @@ class _FaultyEmbedder:
 )
 def test_build_index_raises_first_failure_in_entry_order(corpus_entries, early, late, expected):
     entries = corpus_entries[:16]
-    first, second = entries[2], entries[13]  # slices 1 and 6 of 8
+    first, second = entries[2], entries[13]
+    assert _slice_of(2, len(entries)) < _slice_of(13, len(entries))
     threads = threading.active_count()
     embedder = _FaultyEmbedder(
         {first.sentence.text: early, second.sentence.text: late}, slow=first.sentence.text
@@ -326,7 +348,7 @@ class _CountingEmbedder:
 
 
 def test_build_index_stops_later_slices_after_a_failure(corpus_entries):
-    entries = corpus_entries[: 5 * INDEX_SLICES]
+    entries = _numbered_entries(corpus_entries, 5 * INDEX_SLICES)
     embedder = _CountingEmbedder(bad=entries[0].sentence.text)
     threads = threading.active_count()
     with pytest.raises(DimensionMismatch) as info:

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import sys
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
@@ -51,14 +52,20 @@ from .replay import DEFAULT_DIMENSION, ReplayBundle
 # timeout, max_attempts and backoff, as the HTTP clients default them.
 _RETRY_DEFAULTS = {f.name: f.default for f in dataclasses.fields(HttpTransport) if f.kw_only}
 
+_KEY_ENV = {"api_key_env": "DAO_API_KEY"}
+
+
+def _debater(index: int, spec: dict) -> dict:
+    """The settings of the debater at `index`: `spec` over the defaults,
+    where an empty `model` means the chat section's."""
+    return {"name": debater_name(index), "model": "", "temperature": DebaterBinding.temperature, **spec}
+
+
 _DEFAULT_BACKENDS = {
     "replay_bundle": None,
-    "chat": {"endpoint": "", "model": "", "api_key_env": "DAO_API_KEY", **_RETRY_DEFAULTS},
-    "debaters": [
-        {"name": "A", "model": "", "temperature": 0.0},
-        {"name": "B", "model": "", "temperature": 0.0},
-    ],
-    "embedding": {"endpoint": "", "model": "", "dimension": DEFAULT_DIMENSION, "api_key_env": "DAO_API_KEY"},
+    "chat": {"endpoint": "", "model": "", **_KEY_ENV, **_RETRY_DEFAULTS},
+    "debaters": [_debater(0, {}), _debater(1, {})],
+    "embedding": {"endpoint": "", "model": "", "dimension": DEFAULT_DIMENSION, **_KEY_ENV},
     "scoring": {"endpoint": ""},
 }
 
@@ -181,14 +188,11 @@ def _backends(
         return HttpChatBackend(chat["endpoint"], model=model, api_key_env=chat["api_key_env"], **retry)
 
     shared = client(chat["model"])
+    debaters = [_debater(i, spec) for i, spec in enumerate(backends["debaters"])]
     team = AgentTeam(
         debaters=tuple(
-            DebaterBinding(
-                name=spec.get("name", debater_name(i)),
-                backend=client(spec.get("model") or chat["model"]),
-                temperature=spec.get("temperature", 0.0),
-            )
-            for i, spec in enumerate(backends["debaters"])
+            DebaterBinding(spec["name"], client(spec["model"] or chat["model"]), spec["temperature"])
+            for spec in debaters
         ),
         critic=shared,
         judge=shared,
@@ -202,6 +206,31 @@ def _backends(
 
 # ---------------------------------------------------------------------------
 # calibrate
+
+
+def _calibration_risks(scorer: ScoringBackend, pairs: list[tuple[str, str]]) -> list[float]:
+    """The risk of each (prompt, answer) pair, in pair order. The scorer's
+    round trips overlap, `INDEX_SLICES` at once, as the index build's
+    embeds do. Once a pair fails, no later pair is sent; the first failure
+    in pair order is raised."""
+    first_failed = len(pairs)  # the lowest pair that has failed so far
+    lock = threading.Lock()
+
+    def score(i: int) -> float | None:
+        nonlocal first_failed
+        if first_failed < i:
+            return None  # an earlier pair's failure is raised instead
+        try:
+            return risk_score(scorer, pairs[i][0], "", pairs[i][1])
+        except Exception:
+            with lock:
+                first_failed = min(first_failed, i)
+            raise
+
+    # `map` yields in pair order and, on the first failure, cancels the
+    # pairs still queued.
+    with ThreadPoolExecutor(max_workers=min(INDEX_SLICES, len(pairs))) as pool:
+        return list(pool.map(score, range(len(pairs))))
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -220,10 +249,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
-        # The scorer's round trips overlap, as the index build's embeds do;
-        # `map` returns the risks in pair order.
-        with ThreadPoolExecutor(max_workers=min(INDEX_SLICES, len(pairs))) as pool:
-            risks = list(pool.map(lambda pair: risk_score(scorer, pair[0], "", pair[1]), pairs))
+        risks = _calibration_risks(scorer, pairs)
         thresholds[task] = calibrate(risks, config.adacp.delta)
         print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={thresholds[task]}")
     config.adacp = dataclasses.replace(config.adacp, initial_threshold=thresholds)

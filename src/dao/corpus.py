@@ -105,13 +105,16 @@ def _check_span(sentence: Sentence, span: str, what: str) -> None:
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """`parse` applied to every record of a JSON Lines file; blank lines
-    are skipped. Invalid JSON, a record that is not an object, and a
-    KeyError, TypeError, AttributeError or ValueError out of `parse` are
-    a FormatError naming the line."""
+    are skipped. A line that is not UTF-8, invalid JSON, a record that is
+    not an object, and a KeyError, TypeError, AttributeError or ValueError
+    out of `parse` are a FormatError naming the line."""
     parsed: list[T] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(line_no, f"not UTF-8: {exc}") from None
             if not line:
                 continue
             try:

@@ -17,9 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .corpus import Sentence
-from .errors import SpanNotInSentence
-
 logger = logging.getLogger(__name__)
 
 _TRAILING_PUNCT = ".,;:!?'\""
@@ -67,13 +64,6 @@ def _head_from_span(span: str) -> str:
     if not tokens:
         return text
     return tokens[-1].strip(_TRAILING_PUNCT)
-
-
-def head_of_span(sentence: Sentence, span: str) -> str:
-    """Head token of an argument span that occurs in the sentence."""
-    if span not in sentence.text:
-        raise SpanNotInSentence(f"{sentence.id}: span {span!r} not in sentence")
-    return _head_from_span(span)
 
 
 def head_f1(preds: Sequence[Item], golds: Sequence[Item], texts: Mapping[str, str]) -> PRF:

@@ -1,28 +1,28 @@
 """Prompt templates and placeholder substitution.
 
-Templates use two placeholder styles, `[NAME]` and `{name}`; rendering
-is pure substitution with no other transformation. Every placeholder
-present in a template must receive a binding.
+Placeholders are `{name}`, filled by one `str.format_map` pass: a bound
+value (a sentence, say) is never scanned again, so a prompt carries it
+verbatim. Templates hold no literal braces, since `format_map` would
+read them as placeholders. Every placeholder in a template must receive
+a binding.
 """
 
 from __future__ import annotations
 
-import re
-
 from .errors import MissingBinding
 
 DEBATER_ED = (
-    'Consider the sentence: "[SENT]". Carefully read the event definition, event type, '
+    'Consider the sentence: "{SENT}". Carefully read the event definition, event type, '
     "and trigger tokens in the given examples. Examine whether it mentions any possible "
     'event from the provided list. If no events are mentioned, respond with "[]". If an '
     "event are mentioned, determine the event type from the list. Then identify the event "
     "trigger, which is **one word** closely associated with the occurrence of a pre-defined "
-    'event type. Respond in the format **[ROLE]: ["event type", "trigger token"]**, or '
-    "**[ROLE]: []** if no event trigger is identified."
+    'event type. Respond in the format **{ROLE}: ["event type", "trigger token"]**, or '
+    "**{ROLE}: []** if no event trigger is identified."
 )
 
 DEBATER_EAE = (
-    "Give a sentence: **[SENT]**, it contains an event mention. The event type is "
+    "Give a sentence: **{SENT}**, it contains an event mention. The event type is "
     "**{event type}**, and the event is triggered by the token **{trigger}**. Now let's "
     "focus on the Argument Extraction task.\n"
     "The list of argument roles corresponding to the event type **{event type}** is "
@@ -46,7 +46,7 @@ DEBATER_REVISE = (
 )
 
 CRITIC_ED = (
-    'Review the given sentence: "[SENT]". Thoroughly evaluate the event definitions, '
+    'Review the given sentence: "{SENT}". Thoroughly evaluate the event definitions, '
     "typical triggers, listed examples, and responses from Debater A and Debater B. For "
     "debaters' answers, rigorously examine: Is there an event mention? Does the identified "
     "event trigger indeed express an occurrence of the identified event type, based on the "
@@ -56,7 +56,7 @@ CRITIC_ED = (
 )
 
 CRITIC_EAE = (
-    "Remember the given sentence: **[SENT]**. Now, please judge critically and identify "
+    "Remember the given sentence: **{SENT}**. Now, please judge critically and identify "
     "possible errors. Do the identified argument roles correctly match the entity mentions? "
     "Are there extra or missing argument roles, or misclassified argument roles? Please "
     "reply concisely."
@@ -91,28 +91,8 @@ TEMPLATES: dict[str, str] = {
     "judge_eae": JUDGE_EAE,
 }
 
-# [SENT]-style placeholders are upper-case; {role list}-style are
-# lower-case words. Literal bracketed text in the templates (quoted
-# answer formats, table headers) matches neither pattern.
-_BRACKET = re.compile(r"\[([A-Z][A-Z_]*)\]")
-_BRACE = re.compile(r"\{([a-z][a-z ]*)\}")
-
-
-def placeholders(template: str) -> list[str]:
-    """Placeholder names in first-occurrence order, without duplicates."""
-    found: list[str] = []
-    for match in sorted(
-        list(_BRACKET.finditer(template)) + list(_BRACE.finditer(template)),
-        key=lambda m: m.start(),
-    ):
-        name = match.group(1)
-        if name not in found:
-            found.append(name)
-    return found
-
-
 def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
-    """Substitute placeholder bindings into a template.
+    """Fill a template's placeholders from `bindings` in one pass.
 
     Raises MissingBinding when a placeholder in the template has no
     binding. Extra bindings are ignored.
@@ -121,10 +101,7 @@ def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
         template = TEMPLATES[template_id]
     except KeyError:
         raise KeyError(f"unknown template id: {template_id!r}") from None
-    text = template
-    for name in placeholders(template):
-        if name not in bindings:
-            raise MissingBinding(f"{template_id}: no binding for {name!r}")
-        value = bindings[name]
-        text = text.replace(f"[{name}]", value).replace(f"{{{name}}}", value)
-    return text
+    try:
+        return template.format_map(bindings)
+    except KeyError as exc:
+        raise MissingBinding(f"{template_id}: no binding for {exc.args[0]!r}") from None

@@ -52,7 +52,7 @@ class ReplayBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayBundle":
-        """The bundle in the JSON file at `path`. A file that is not JSON,
+        """The bundle in the JSON file at `path`. A file that is not UTF-8 JSON,
         a bundle, `embedder`, `scorer`, `default`, `sessions` or session
         entry that is not a JSON object, an embedding dimension that is not
         an integer of at least 8, `scorer.keys` or a script that is not an
@@ -62,7 +62,7 @@ class ReplayBundle:
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise InvalidConfig(f"{path}: not valid JSON: {exc}") from None
 
         def check(ok: bool, name: str, value: object, what: str) -> None:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from dao.backends import HashEmbedder
 from dao.cli import RunConfig, _backends, main
 from dao.corpus import INDEX_SLICES
 from dao.debate import debater_name
-from dao.errors import InvalidConfig
+from dao.errors import InvalidConfig, TransportError
 from dao.prompts import TEMPLATES, render_prompt
 from dao.replay import ReplayBundle
 
@@ -296,6 +297,61 @@ def test_calibrate_overlaps_scorer_calls(tmp_path, monkeypatch):
     thresholds = json.loads(config_path.read_text())["adacp"]["initial_threshold"]
     assert None not in thresholds.values()
     assert threading.active_count() == threads
+
+
+class _FailingScorer:
+    """Fails the pairs whose prompt holds one of `failing`, or every pair;
+    a failure on a pair holding `slow` comes late."""
+
+    def __init__(self, failing=(), slow=None):
+        self.failing, self.slow = failing, slow
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def negative_log_likelihood(self, prompt, completion):
+        with self.lock:
+            self.calls += 1
+        if self.failing and not any(key in prompt for key in self.failing):
+            return 1.0
+        if self.slow and self.slow in prompt:
+            time.sleep(0.05)
+        raise TransportError(f"failed: {prompt[prompt.index('Calib'):][:20]}")
+
+
+def _failing_calibration(tmp_path, monkeypatch, total_rows, scorer):
+    config_path, _ = _calibration_setup(tmp_path, total_rows=total_rows)
+    backends = dao.cli._backends
+
+    def failing_backends(config, replay):
+        embedder, _, team_for, most = backends(config, replay)
+        return embedder, scorer, team_for, most
+
+    monkeypatch.setattr(dao.cli, "_backends", failing_backends)
+    threads = threading.active_count()
+    assert main(["calibrate", "-c", str(config_path)]) == 2
+    assert threading.active_count() == threads
+    assert json.loads(config_path.read_text())["adacp"]["initial_threshold"] == {"ed": None, "eae": None}
+
+
+def test_calibrate_stops_scoring_after_the_first_failure(tmp_path, monkeypatch, capsys):
+    scorer = _FailingScorer()
+    _failing_calibration(tmp_path, monkeypatch, 1200, scorer)
+    # The pairs in flight when the first one fails finish; no queued pair is sent.
+    assert 1 <= scorer.calls <= 2 * INDEX_SLICES
+    assert capsys.readouterr().err.startswith("dao: TransportError: failed: Calib sentence 1 ")
+
+
+def test_calibrate_raises_the_first_failure_in_pair_order(tmp_path, monkeypatch, capsys):
+    # Pair 3 fails after pair 7 has; pair 3's failure is the one raised,
+    # also with threads switching every microsecond.
+    scorer = _FailingScorer(failing=("sentence 3 ", "sentence 7 "), slow="sentence 3 ")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _failing_calibration(tmp_path, monkeypatch, 40, scorer)
+    finally:
+        sys.setswitchinterval(interval)
+    assert capsys.readouterr().err.startswith("dao: TransportError: failed: Calib sentence 3 ")
 
 
 def test_calibrate_respects_override(tmp_path, capsys):
@@ -594,6 +650,9 @@ def _eval_files(tmp_path, preds, golds):
     return pred_path, gold_path
 
 
+NON_UTF8_LINE = b'{"id": "x", "text": "Caf\xe9 ."}'  # a Latin-1 byte
+
+
 def _row(sentence_id, text, events):
     return {"id": sentence_id, "text": text, "events": events}
 
@@ -800,22 +859,46 @@ def test_eval_counts_for_every_task_and_metric(tmp_path, capsys, task, metric, c
 @pytest.mark.parametrize(
     "bad_line, message",
     [
-        ("{not json", "line 2: invalid JSON"),
-        (json.dumps({"text": "Rebels attacked the town .", "events": []}), "line 2: missing key 'id'"),
-        (json.dumps(_row("s2", "A b .", [{"type": "Conflict:Attack"}])), "line 2: missing key 'trigger'"),
+        (b"{not json", "line 2: invalid JSON"),
+        (json.dumps({"text": "Rebels attacked the town .", "events": []}).encode(), "line 2: missing key 'id'"),
+        (json.dumps(_row("s2", "A b .", [{"type": "Conflict:Attack"}])).encode(), "line 2: missing key 'trigger'"),
+        (NON_UTF8_LINE, "line 2: not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
     ],
-    ids=["not-json", "no-id", "no-trigger"],
+    ids=["not-json", "no-id", "no-trigger", "not-utf8"],
 )
 @pytest.mark.parametrize("side", ["pred", "gold"])
 def test_eval_malformed_row_exits_two_naming_the_line(tmp_path, capsys, bad_line, message, side):
     rows = [_row("s1", "Rebels attacked the town .", [])]
     pred_path, gold_path = _eval_files(tmp_path, rows, rows)
     bad_path = pred_path if side == "pred" else gold_path
-    bad_path.write_text(bad_path.read_text() + bad_line + "\n", encoding="utf-8")
+    bad_path.write_bytes(bad_path.read_bytes() + bad_line + b"\n")
     argv = ["eval", "--pred", str(pred_path), "--gold", str(gold_path), "--task", "ed"]
     assert main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"dao: FormatError: {message}")
+
+
+@pytest.mark.parametrize("which", ["input", "reference_corpus", "ontology"])
+def test_run_non_utf8_file_exits_two_before_the_index_build(tmp_path, capsys, monkeypatch, which):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    config = json.loads(paths["config"].read_text())
+    source = paths["input"] if which == "input" else Path(config[which])
+    bad = tmp_path / f"bad-{which}.jsonl"
+    bad.write_bytes(NON_UTF8_LINE + b"\n" + source.read_bytes())
+    if which == "input":
+        paths["input"] = bad
+    else:
+        paths["config"].write_text(json.dumps({**config, which: str(bad)}), encoding="utf-8")
+
+    def no_build(*_):
+        raise AssertionError("the index was built")
+
+    monkeypatch.setattr(dao.cli, "build_index", no_build)
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("dao: FormatError: line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9")
+    assert not out_dir.exists()
 
 
 def test_run_aborted_session_writes_partial_transcript(tmp_path):
@@ -907,8 +990,12 @@ def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
             {"default": {"debaters": [[], []], "judge": [["*", "reply", "extra"]]}},
             "default.judge[0] must be a pair of strings, got ['*', 'reply', 'extra']",
         ),
-        # A string is written as the whole file.
-        ("{not json", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        # Bytes are written as the whole file.
+        (b"{not json", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (
+            NON_UTF8_LINE,
+            "not valid JSON: 'utf-8' codec can't decode byte 0xe9 in position 24: invalid continuation byte",
+        ),
     ],
 )
 def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit, message):
@@ -916,7 +1003,7 @@ def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit,
     bundle = json.loads(paths["bundle"].read_text())
     if isinstance(edit, dict):
         edit = {**bundle, **edit}
-    paths["bundle"].write_text(edit if isinstance(edit, str) else json.dumps(edit), encoding="utf-8")
+    paths["bundle"].write_bytes(edit if isinstance(edit, bytes) else json.dumps(edit).encode())
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()

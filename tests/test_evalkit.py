@@ -3,9 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from dao.corpus import Sentence
-from dao.errors import SpanNotInSentence
-from dao.evalkit import head_f1, head_of_span, trigger_f1, type_overlap_f1
+from dao.evalkit import head_f1, trigger_f1, type_overlap_f1
 
 GOV_TEXT = (
     "Powell said that talks were now underway with the South Korean, Japanese, Russian "
@@ -15,8 +13,11 @@ GOV_SPAN = "the South Korean, Japanese, Russian and Australian as well as other 
 HAWAII_TEXT = "The premier pleaded no contest to driving drunk during a Hawaiian vacation in January ."
 
 
-def _sentence(sentence_id, text):
-    return Sentence.from_text(sentence_id, text)
+def _head_is(text, span, head):
+    """True when head F1 over `text` reduces `span` to `head`: the span,
+    predicted, matches `head`, a single token, as gold."""
+    score = head_f1([("s", "L", span)], [("s", "L", head)], {"s": text})
+    return (score.tp, score.fp, score.fn) == (1, 0, 0)
 
 
 # -- trigger_f1
@@ -91,35 +92,30 @@ def test_spurious_prediction_never_raises_precision():
     assert worse <= base
 
 
-# -- head_of_span
+# -- head rule
 
 
 def test_governments_head():
-    sentence = _sentence("s1", GOV_TEXT)
-    assert head_of_span(sentence, GOV_SPAN) == "governments"
+    assert _head_is(GOV_TEXT, GOV_SPAN, "governments")
 
 
 def test_single_token_head():
-    sentence = _sentence("s2", HAWAII_TEXT)
-    assert head_of_span(sentence, "Hawaiian") == "Hawaiian"
+    assert _head_is(HAWAII_TEXT, "Hawaiian", "Hawaiian")
 
 
 def test_prepositional_phrase_head():
-    sentence = _sentence(
-        "s3", "McCarthy was formerly a top civil servant at the Department of Trade and Industry ."
-    )
-    assert head_of_span(sentence, "the Department of Trade") == "Department"
+    text = "McCarthy was formerly a top civil servant at the Department of Trade and Industry ."
+    assert _head_is(text, "the Department of Trade", "Department")
+    assert not _head_is(text, "the Department of Trade", "Trade")
 
 
 def test_trailing_punctuation_stripped():
-    sentence = _sentence("s4", "They blamed the storm, among other things .")
-    assert head_of_span(sentence, "the storm,") == "storm"
+    assert _head_is("They blamed the storm, among other things .", "the storm,", "storm")
 
 
-def test_span_not_in_sentence_raises():
-    sentence = _sentence("s5", "Nothing here .")
-    with pytest.raises(SpanNotInSentence):
-        head_of_span(sentence, "absent span")
+def test_span_not_in_sentence_is_scored_by_its_own_head(caplog):
+    assert _head_is("Nothing here .", "absent span", "span")
+    assert "span 'absent span' not in sentence" in caplog.text
 
 
 def test_lenient_extractor_tolerates_missing_span(caplog):

@@ -1,7 +1,7 @@
 import pytest
 
 from dao.errors import MissingBinding
-from dao.prompts import TEMPLATES, placeholders, render_prompt
+from dao.prompts import TEMPLATES, render_prompt
 
 
 def test_debater_ed_binds_sentence():
@@ -29,7 +29,7 @@ def test_debater_eae_binds_trigger():
 
 
 def test_missing_binding_raises():
-    with pytest.raises(MissingBinding):
+    with pytest.raises(MissingBinding, match="debater_eae: no binding for 'role list'"):
         render_prompt(
             "debater_eae",
             {"SENT": "x", "event type": "Life:Die", "trigger": "killed"},
@@ -42,8 +42,8 @@ def test_missing_sent_raises():
 
 
 def test_judge_templates_have_no_placeholders():
-    assert placeholders(TEMPLATES["judge_ed"]) == []
-    assert placeholders(TEMPLATES["judge_eae"]) == []
+    assert render_prompt("judge_ed", {}) == TEMPLATES["judge_ed"]
+    assert render_prompt("judge_eae", {}) == TEMPLATES["judge_eae"]
     assert render_prompt("judge_ed", {}).startswith("If all agents state there is no event")
     assert "**No agreement, debate continues**" in TEMPLATES["judge_ed"]
     assert "**Disagreement observed, debate continues**" in TEMPLATES["judge_eae"]
@@ -56,9 +56,9 @@ def test_substitution_only_no_other_transformation():
 
 def test_quoted_format_examples_not_treated_as_placeholders():
     # The literal ["event type", "trigger token"] in the detection template
-    # is prompt text, not a placeholder.
-    assert "event type" not in placeholders(TEMPLATES["debater_ed"])
-    assert placeholders(TEMPLATES["debater_ed"]) == ["SENT", "ROLE"]
+    # is prompt text, not a placeholder: SENT and ROLE are all it needs.
+    rendered = render_prompt("debater_ed", {"SENT": "x", "ROLE": "A"})
+    assert '["event type", "trigger token"]' in rendered
 
 
 def test_unknown_template_id():
@@ -69,3 +69,18 @@ def test_unknown_template_id():
 def test_extra_bindings_ignored():
     rendered = render_prompt("debater_ce", {"unused": "x"})
     assert rendered.startswith("Carefully review the information")
+
+
+@pytest.mark.parametrize("text", ["He wrote {trigger} and {ROLE} here", "He wrote [SENT] and [ROLE] here"])
+def test_sentence_text_is_carried_verbatim(text):
+    # A bound value is never scanned again, so placeholder-like text in the
+    # sentence survives even when a binding of that name exists.
+    bindings = {
+        "SENT": text,
+        "ROLE": "Debater A",
+        "event type": "Life:Die",
+        "trigger": "killed",
+        "role list": "Victim",
+    }
+    for template_id in ("debater_ed", "debater_eae", "critic_ed", "critic_eae"):
+        assert text in render_prompt(template_id, bindings)

@@ -22,7 +22,10 @@ class AdaCPConfig:
 
     `initial_threshold` maps task name ("ed", "eae") to a fixed starting
     threshold; a missing or None entry means the threshold must be
-    calibrated from data instead.
+    calibrated from data instead. `delta` gives the calibrated initial
+    threshold 1 - delta coverage only when calibration and gate scores
+    are exchangeable, and nothing for the thresholds after `beta` decays
+    them.
     """
 
     delta: float = 0.1

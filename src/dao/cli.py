@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import sys
-import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
@@ -31,7 +30,7 @@ from .backends import (
     HttpTransport,
     ScoringBackend,
 )
-from .corpus import INDEX_SLICES, ReferenceEntry, build_index, load_corpus, read_jsonl
+from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, read_jsonl
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -208,31 +207,6 @@ def _backends(
 # calibrate
 
 
-def _calibration_risks(scorer: ScoringBackend, pairs: list[tuple[str, str]]) -> list[float]:
-    """The risk of each (prompt, answer) pair, in pair order. The scorer's
-    round trips overlap, `INDEX_SLICES` at once, as the index build's
-    embeds do. Once a pair fails, no later pair is sent; the first failure
-    in pair order is raised."""
-    first_failed = len(pairs)  # the lowest pair that has failed so far
-    lock = threading.Lock()
-
-    def score(i: int) -> float | None:
-        nonlocal first_failed
-        if first_failed < i:
-            return None  # an earlier pair's failure is raised instead
-        try:
-            return risk_score(scorer, pairs[i][0], "", pairs[i][1])
-        except Exception:
-            with lock:
-                first_failed = min(first_failed, i)
-            raise
-
-    # `map` yields in pair order and, on the first failure, cancels the
-    # pairs still queued.
-    with ThreadPoolExecutor(max_workers=min(INDEX_SLICES, len(pairs))) as pool:
-        return list(pool.map(score, range(len(pairs))))
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config)
     ontology = load_ontology(config.ontology)
@@ -249,7 +223,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
-        risks = _calibration_risks(scorer, pairs)
+        # The scorer's round trips overlap, as the index build's embeds do.
+        risks = in_slices(lambda i: risk_score(scorer, pairs[i][0], "", pairs[i][1]), len(pairs))
         thresholds[task] = calibrate(risks, config.adacp.delta)
         print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={thresholds[task]}")
     config.adacp = dataclasses.replace(config.adacp, initial_threshold=thresholds)

@@ -21,8 +21,9 @@ import numpy as np
 from .backends import EmbeddingBackend
 from .errors import DimensionMismatch, FormatError, SpanNotInSentence, ZeroVector
 
-# Embed calls `build_index` keeps in flight at once: a live embedding
-# endpoint pays one round trip per reference sentence, and these overlap.
+# Calls `in_slices` keeps in flight at once, for `build_index`'s embeds
+# and `dao calibrate`'s scoring requests: a live endpoint pays one round
+# trip per reference sentence or calibration pair, and these overlap.
 # The useful width is about the embed latency over the GIL-held CPU per
 # embed: 0.59 ms / ~35 µs ≈ 17 on a 2-core host. Building a 2,000 x D64
 # index behind a 0.5 ms embed delay took a median 163 ms at 8, 136 ms at
@@ -107,28 +108,28 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """`parse` applied to every record of a JSON Lines file; blank lines
     are skipped. A line that is not UTF-8, invalid JSON, a record that is
     not an object, and a KeyError, TypeError, AttributeError or ValueError
-    out of `parse` are a FormatError naming the line."""
+    out of `parse` are a FormatError naming the file and the line."""
     parsed: list[T] = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise FormatError(line_no, f"not UTF-8: {exc}") from None
+                raise FormatError(path, line_no, f"not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(line_no, f"invalid JSON: {exc}") from None
+                raise FormatError(path, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):
-                raise FormatError(line_no, "record is not a JSON object")
+                raise FormatError(path, line_no, "record is not a JSON object")
             try:
                 parsed.append(parse(record))
             except KeyError as exc:
-                raise FormatError(line_no, f"missing key {exc}") from None
+                raise FormatError(path, line_no, f"missing key {exc}") from None
             except (TypeError, AttributeError, ValueError) as exc:
-                raise FormatError(line_no, str(exc)) from None
+                raise FormatError(path, line_no, str(exc)) from None
     return parsed
 
 
@@ -158,55 +159,68 @@ def _reference_entry(record: dict) -> ReferenceEntry:
     return ReferenceEntry(sentence=sentence, events=events, split=record.get("split", "train"))
 
 
-def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> EmbeddedIndex:
-    """Embed every entry's sentence and L2-normalize the vectors.
+def embed_sentence(embedder: EmbeddingBackend, sentence: Sentence, dim: int) -> np.ndarray:
+    """The unit-norm float64 embedding of `sentence`'s text, as the index
+    rows and the session's query hold it. A vector whose shape is not
+    (`dim`,) is a DimensionMismatch, and a zero vector a ZeroVector,
+    each naming the sentence."""
+    vector = np.asarray(embedder.embed(sentence.text), dtype=np.float64)
+    if vector.ndim != 1 or vector.shape[0] != dim:
+        raise DimensionMismatch(f"{sentence.id}: embedding has shape {vector.shape}, expected ({dim},)")
+    return l2_normalize(vector, sentence.id)
 
-    The index is one (n, dimension) float64 array, allocated once. The
-    entries are cut into at most `INDEX_SLICES` contiguous slices,
-    embedded at once on a thread pool that lives for this call only; each
-    slice embeds its entries in order and writes each normalized row into
-    its own row range, so the vectors are bitwise those of a one-by-one
-    build and deterministic embedders yield bitwise-identical indexes
-    across builds. Normalization happens here regardless of what the
-    backend returns. Once a slice fails, every later slice stops before
-    its next embed, while earlier slices run on; a failing slice is raised
-    only after every earlier slice has finished. The error raised is the
-    first failure in entry order, and no pool thread outlives the call.
+
+def in_slices(call: Callable[[int], T], n: int) -> list[T]:
+    """`[call(0), ..., call(n - 1)]`, with at most `INDEX_SLICES` calls in
+    flight.
+
+    The indexes are cut into at most `INDEX_SLICES` contiguous slices, run
+    at once on a thread pool that lives for this call only; each slice
+    calls its indexes in order, and each result lands at its own index.
+    Once a slice fails, every later slice stops before its next call,
+    while earlier slices run on; a failing slice is raised only after
+    every earlier slice has finished. The error raised is the first
+    failure in index order, and no pool thread outlives the call.
     """
-    dim = embedder.dimension()
-    if not entries:
-        return EmbeddedIndex(entries=(), vectors=np.zeros((0, dim)), dimension=dim)
-
-    vectors = np.empty((len(entries), dim), dtype=np.float64)
-    slices = min(INDEX_SLICES, len(entries))
+    results: list = [None] * n
+    slices = min(INDEX_SLICES, n)
+    if not slices:
+        return results
     first_failed = slices  # the lowest slice that has failed so far
     lock = threading.Lock()
 
-    def embed_slice(k: int, lo: int, hi: int) -> None:
+    def run_slice(k: int, lo: int, hi: int) -> None:
         nonlocal first_failed
         try:
-            for row in range(lo, hi):
+            for i in range(lo, hi):
                 if first_failed < k:
-                    # An earlier slice's error is raised; the array is not returned.
-                    break
-                entry = entries[row]
-                vector = np.asarray(embedder.embed(entry.sentence.text), dtype=np.float64)
-                if vector.ndim != 1 or vector.shape[0] != dim:
-                    raise DimensionMismatch(
-                        f"{entry.sentence.id}: embedding has shape {vector.shape}, expected ({dim},)"
-                    )
-                vectors[row] = l2_normalize(vector, entry.sentence.id)
+                    break  # an earlier slice's error is raised instead
+                results[i] = call(i)
         except Exception:
             with lock:
                 first_failed = min(first_failed, k)
             raise
 
-    bounds = [len(entries) * i // slices for i in range(slices + 1)]
+    bounds = [n * i // slices for i in range(slices + 1)]
     with ThreadPoolExecutor(max_workers=slices) as pool:
-        futures = [
-            pool.submit(embed_slice, k, lo, hi)
-            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
+        futures = [pool.submit(run_slice, k, lo, hi) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
         for future in futures:
             future.result()
+    return results
+
+
+def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> EmbeddedIndex:
+    """The index of `entries`: each sentence's `embed_sentence` vector,
+    embedded `in_slices` and written in place into one (n, dimension)
+    float64 array, allocated once. The vectors are bitwise those of a
+    one-by-one build, whatever the backend returns; the error raised is
+    the first failure in entry order.
+    """
+    dim = embedder.dimension()
+    vectors = np.empty((len(entries), dim), dtype=np.float64)
+
+    def embed_row(row: int) -> None:
+        vectors[row] = embed_sentence(embedder, entries[row].sentence, dim)
+
+    in_slices(embed_row, len(entries))
     return EmbeddedIndex(entries=tuple(entries), vectors=vectors, dimension=dim)

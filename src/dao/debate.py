@@ -34,12 +34,10 @@ from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
 
-import numpy as np
-
 from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
-from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, l2_normalize
+from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, embed_sentence
 from .drag import DragConfig, RetrievalResult, TopK, decay_radius, gather_event_info
 from .errors import BackendError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
 from .ontology import EventOntology
@@ -340,7 +338,9 @@ def calibration_pairs(
     task: str, entries: Sequence[ReferenceEntry], ontology: EventOntology
 ) -> list[tuple[str, str]]:
     """(prompt, gold answer) pairs for one task ("ed" or "eae") over
-    annotated entries, in the text the in-debate gate scores."""
+    annotated entries. Each prompt is the task prompt that the in-debate
+    gate's context starts with; the gate also scores the round's packet
+    after it, which calibration has none of."""
     pairs: list[tuple[str, str]] = []
     detection = Detection()
     for entry in entries:
@@ -816,8 +816,7 @@ def run_session(
     """
     session = _Session(sentence, ontology, config, pool)
     try:
-        query_vector = l2_normalize(np.asarray(config.embedder.embed(sentence.text)), sentence.id)
-        drag.check_query(index, query_vector)
+        query_vector = embed_sentence(config.embedder, sentence, index.dimension)
         session._note(
             0,
             "session.embed",

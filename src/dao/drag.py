@@ -61,23 +61,15 @@ class Opinion(Protocol):
     event_type: str | None
 
 
-def check_query(index: EmbeddedIndex, query: np.ndarray) -> np.ndarray:
-    """`query` as a float64 vector; DimensionMismatch unless it has the
-    index's dimension."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != index.dimension:
-        raise DimensionMismatch(
-            f"query has shape {query.shape}, index dimension is {index.dimension}"
-        )
-    return query
-
-
 def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> TopK:
     """The min(k, |index|) entries nearest to the unit query vector.
 
     Sorted by cosine distance (1 - u.v) ascending, ties broken by entry id.
+    A query without the index's dimension is a DimensionMismatch.
     """
-    query = check_query(index, query)
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1 or query.shape[0] != index.dimension:
+        raise DimensionMismatch(f"query has shape {query.shape}, index dimension is {index.dimension}")
     distances = 1.0 - index.vectors @ query
     k = min(k, len(distances))
     if k == 0:

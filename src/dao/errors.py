@@ -1,5 +1,7 @@
 """Exception types shared across the engine."""
 
+from os import PathLike
+
 
 class DaoError(Exception):
     """Base class for all engine errors."""
@@ -8,8 +10,8 @@ class DaoError(Exception):
 class FormatError(DaoError):
     """A structured input file has a malformed record."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | PathLike, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -84,6 +85,27 @@ class RecordingScorer:
         with self._lock:
             self.calls.append((prompt, completion, nll))
         return nll
+
+
+class InFlight:
+    """Wraps a backend call and keeps the most calls ever in flight at
+    once; each call is held `hold` seconds, so calls that may overlap do."""
+
+    def __init__(self, call, hold: float = 0.002):
+        self.call, self.hold = call, hold
+        self.now = self.peak = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            time.sleep(self.hold)
+            return self.call(*args)
+        finally:
+            with self._lock:
+                self.now -= 1
 
 
 def ed_table(event_type: str, trigger: str) -> str:

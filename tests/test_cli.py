@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -257,9 +258,17 @@ def _calibration_setup(tmp_path, keyed_rows=5, total_rows=9):
     return config_path, corpus_path
 
 
-def test_calibrate_writes_oracle_quantile(tmp_path, capsys):
+@pytest.mark.parametrize("interval", [None, 1e-6], ids=["default_interval", "1us_interval"])
+def test_calibrate_writes_oracle_quantile(tmp_path, capsys, interval):
+    # Each risk lands at its pair's index, also with threads switching
+    # every microsecond.
     config_path, _ = _calibration_setup(tmp_path)
-    assert main(["calibrate", "-c", str(config_path)]) == 0
+    default = sys.getswitchinterval()
+    sys.setswitchinterval(interval or default)
+    try:
+        assert main(["calibrate", "-c", str(config_path)]) == 0
+    finally:
+        sys.setswitchinterval(default)
     written = json.loads(config_path.read_text())
     # Five keyed rows score 0.1, four unkeyed rows score 2.0.
     expected = helpers.oracle_quantile([0.1] * 5 + [2.0] * 4, 0.1)
@@ -297,6 +306,25 @@ def test_calibrate_overlaps_scorer_calls(tmp_path, monkeypatch):
     thresholds = json.loads(config_path.read_text())["adacp"]["initial_threshold"]
     assert None not in thresholds.values()
     assert threading.active_count() == threads
+
+
+def test_calibrate_overlaps_at_most_index_slices_scorer_calls(tmp_path, monkeypatch):
+    # Both tasks score 2 × INDEX_SLICES pairs; the scoring endpoint sees
+    # more than one of them at once, and never more than INDEX_SLICES.
+    config_path, _ = _calibration_setup(tmp_path, total_rows=2 * INDEX_SLICES)
+    backends = dao.cli._backends
+    scores = []
+
+    def peak_backends(config, replay):
+        embedder, scorer, team_for, most = backends(config, replay)
+        scores.append(helpers.InFlight(scorer.negative_log_likelihood))
+        return embedder, SimpleNamespace(negative_log_likelihood=scores[-1]), team_for, most
+
+    monkeypatch.setattr(dao.cli, "_backends", peak_backends)
+    assert main(["calibrate", "-c", str(config_path)]) == 0
+    (score,) = scores
+    assert 2 <= score.peak <= INDEX_SLICES
+    assert None not in json.loads(config_path.read_text())["adacp"]["initial_threshold"].values()
 
 
 class _FailingScorer:
@@ -875,7 +903,7 @@ def test_eval_malformed_row_exits_two_naming_the_line(tmp_path, capsys, bad_line
     argv = ["eval", "--pred", str(pred_path), "--gold", str(gold_path), "--task", "ed"]
     assert main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"dao: FormatError: {message}")
+    assert line.startswith(f"dao: FormatError: {bad_path}: {message}")
 
 
 @pytest.mark.parametrize("which", ["input", "reference_corpus", "ontology"])
@@ -897,7 +925,7 @@ def test_run_non_utf8_file_exits_two_before_the_index_build(tmp_path, capsys, mo
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("dao: FormatError: line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9")
+    assert line.startswith(f"dao: FormatError: {bad}: line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9")
     assert not out_dir.exists()
 
 
@@ -1276,7 +1304,7 @@ def test_run_malformed_input_fails_before_index_build(tmp_path, monkeypatch, cap
     paths["input"].write_text("{not json\n", encoding="utf-8")
     assert main(argv) == 2
     assert counting.calls == 0
-    assert capsys.readouterr().err.startswith("dao: FormatError: line 1:")
+    assert capsys.readouterr().err.startswith(f"dao: FormatError: {paths['input']}: line 1:")
 
 
 def test_run_malformed_last_script_fails_before_index_build(tmp_path, monkeypatch, capsys):

@@ -5,10 +5,12 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import helpers
 from dao.backends import HashEmbedder
 from dao.corpus import (
     INDEX_SLICES,
@@ -237,6 +239,14 @@ def test_build_index_overlaps_embed_calls(corpus_entries):
     entries = _numbered_entries(corpus_entries, INDEX_SLICES)
     index = build_index(entries, _BarrierEmbedder())
     assert index.vectors.shape == (INDEX_SLICES, 8)
+
+
+def test_build_index_keeps_at_most_index_slices_embeds_in_flight(corpus_entries, embedder):
+    entries = _numbered_entries(corpus_entries, 5 * INDEX_SLICES)
+    embed = helpers.InFlight(embedder.embed)
+    index = build_index(entries, SimpleNamespace(dimension=embedder.dimension, embed=embed))
+    assert 2 <= embed.peak <= INDEX_SLICES
+    assert np.array_equal(index.vectors, build_index(entries, embedder).vectors)
 
 
 class _JitterEmbedder:

@@ -221,7 +221,7 @@ def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index
 
     scenario = helpers.build_scenario(0, ontology)
     config = scenario.build_config(HashEmbedder(32))  # the index is D64
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=re.escape(scenario.sentence.id)):
         run_session(scenario.sentence, ontology, train_index, config, pool)
     assert all(binding.backend.calls == [] for binding in config.team.debaters)
 

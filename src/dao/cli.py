@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -90,10 +91,10 @@ def _check(value, default, path: str = "") -> None:
     """Raise `InvalidConfig` unless `value` has the shape of `default`, the
     part of `RunConfig().to_dict()` at the dotted `path`: an object holds
     only its default's keys, an array entries shaped like its default's
-    first, and a scalar its default's type, where a number may be an
-    integer but never a boolean."""
-    if value is None and path.startswith("adacp.initial_threshold."):
-        return  # `dao calibrate` fills it in
+    first, and a scalar its default's type, where a number is finite and
+    may be an integer but never a boolean."""
+    if path.startswith("adacp.initial_threshold.") and (value is None or value == math.inf):
+        return  # `dao calibrate` fills it in, and may write +Infinity
     kind = type(default)
     types, what = _TAKES[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
@@ -101,6 +102,8 @@ def _check(value, default, path: str = "") -> None:
             what = "map task names to thresholds"
         got = f"not {type(value).__name__}" if kind in (dict, list) else f"got {value!r}"
         raise InvalidConfig(f"{path or 'a config'} must {what}, {got}")
+    if isinstance(value, float) and not math.isfinite(value):  # json.load reads NaN and ±Infinity
+        raise InvalidConfig(f"{path} must be a finite number, got {value!r}")
     if kind is list:
         for i, item in enumerate(value):
             _check(item, default[0], f"{path}[{i}]")
@@ -301,7 +304,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     `transcripts.jsonl` rows are written in input order once it and all
     before it have finished, and its result is dropped. A completed run
     then writes `risk_histogram.json`; a `BackendError` leaves the earlier
-    sentences' rows and the failed one's `aborted_transcript.jsonl`.
+    sentences' rows and the failed one's `aborted_transcript.jsonl`. Each
+    of these two that an earlier run into `--out` left is removed first.
     """
     config = RunConfig.load(args.config)
     for task in ("ed", "eae"):
@@ -319,6 +323,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     index = build_index(split_entries, embedder)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in ("risk_histogram.json", "aborted_transcript.jsonl"):
+        (out_dir / stale).unlink(missing_ok=True)
     (out_dir / "config.json").write_text(config.dumps(), encoding="utf-8")
     risks: dict[tuple[str, int], list[float]] = {}
     written = extracted = 0  # sentences and events written

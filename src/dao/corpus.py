@@ -3,7 +3,10 @@
 Corpus rows are JSONL: `{"id", "text", "split", "events": [{"type",
 "trigger", "arguments": [{"role", "content"}]}]}`. Each row becomes a
 `ReferenceEntry` holding its sentence, events and split; the entry's
-polarity is derived from its events, never read from the file.
+polarity is derived from its events, never read from the file. A row
+whose text is not single-spaced, or whose trigger or argument is not in
+its sentence, is rejected by `read_jsonl`, which rejects every bad row
+of every JSON Lines input, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .backends import EmbeddingBackend
-from .errors import DimensionMismatch, FormatError, SpanNotInSentence, ZeroVector
+from .errors import DimensionMismatch, FormatError, ZeroVector
 
 # Calls `in_slices` keeps in flight at once, for `build_index`'s embeds
 # and `dao calibrate`'s scoring requests: a live endpoint pays one round
@@ -101,14 +104,15 @@ def l2_normalize(vector: np.ndarray, name: str = "") -> np.ndarray:
 
 def _check_span(sentence: Sentence, span: str, what: str) -> None:
     if span not in sentence.text:
-        raise SpanNotInSentence(f"{sentence.id}: {what} {span!r} not found in sentence text")
+        raise ValueError(f"{sentence.id}: {what} {span!r} not found in sentence text")
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """`parse` applied to every record of a JSON Lines file; blank lines
     are skipped. A line that is not UTF-8, invalid JSON, a record that is
     not an object, and a KeyError, TypeError, AttributeError or ValueError
-    out of `parse` are a FormatError naming the file and the line."""
+    out of `parse` are a FormatError naming the file and the line: row
+    checks raise ValueError, so that this is the one place a row fails."""
     parsed: list[T] = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -134,11 +138,9 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
 
 
 def load_corpus(path: str | Path) -> list[ReferenceEntry]:
-    """Load reference entries from a JSONL corpus file.
-
-    Every trigger and argument content must occur verbatim in the
-    sentence text. Rows without events are negative examples.
-    """
+    """Load reference entries from a JSONL corpus file. Every trigger and
+    argument content must occur verbatim in the sentence text; rows
+    without events are negative examples."""
     return read_jsonl(path, _reference_entry)
 
 

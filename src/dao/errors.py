@@ -15,16 +15,8 @@ class FormatError(DaoError):
         self.line_no = line_no
 
 
-class DuplicateType(DaoError):
-    """Two ontology records share the same event type id."""
-
-
 class UnknownEventType(DaoError):
     """Lookup of an event type id absent from the ontology."""
-
-
-class SpanNotInSentence(DaoError):
-    """A trigger or argument span is not a substring of its sentence."""
 
 
 class DimensionMismatch(DaoError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import read_jsonl
-from .errors import DuplicateType, UnknownEventType
+from .errors import UnknownEventType
 
 # Event type ids are plain "Parent:Subtype" strings compared by equality.
 EventTypeId = str
@@ -61,21 +61,20 @@ def load_ontology(path: str | Path) -> EventOntology:
     """Load an ontology from a JSONL file, one definition object per line.
 
     Each record needs `type` and `definition`; `typical_triggers` and
-    `roles` default to empty lists. Unknown keys are ignored. Duplicate
-    type ids and malformed records are errors.
-    """
+    `roles` default to empty lists. Unknown keys are ignored. `read_jsonl`
+    rejects a malformed record, or one that repeats an earlier type id."""
     definitions: dict[EventTypeId, EventDefinition] = {}
-    for definition in read_jsonl(path, _definition):
+
+    def add(record: dict) -> None:
+        definition = EventDefinition(
+            type_id=record["type"],
+            definition_text=record["definition"],
+            typical_triggers=tuple(record.get("typical_triggers", ())),
+            roles=tuple(record.get("roles", ())),
+        )
         if definition.type_id in definitions:
-            raise DuplicateType(definition.type_id)
+            raise ValueError(f"duplicate event type {definition.type_id!r}")
         definitions[definition.type_id] = definition
+
+    read_jsonl(path, add)
     return EventOntology(definitions)
-
-
-def _definition(record: dict) -> EventDefinition:
-    return EventDefinition(
-        type_id=record["type"],
-        definition_text=record["definition"],
-        typical_triggers=tuple(record.get("typical_triggers", ())),
-        roles=tuple(record.get("roles", ())),
-    )

@@ -115,6 +115,25 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("calibrate", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
         ("run", {"use_llm_summarizer": True}, ": use_llm_summarizer was removed; delete it from the config"),
         ("calibrate", {"use_llm_summarizer": False}, ": use_llm_summarizer was removed; delete it from the config"),
+        ("run", {"drag": {"initial_radius": math.nan}}, "drag.initial_radius must be a finite number, got nan"),
+        ("calibrate", {"drag": {"initial_radius": math.nan}}, "drag.initial_radius must be a finite number, got nan"),
+        ("run", {"drag": {"initial_radius": math.inf}}, "drag.initial_radius must be a finite number, got inf"),
+        (
+            "run",
+            {"adacp": {"initial_threshold": {"ed": math.nan, "eae": 3.0}}},
+            "adacp.initial_threshold.ed must be a finite number, got nan",
+        ),
+        (
+            "run",
+            {"adacp": {"initial_threshold": {"ed": 1.0, "eae": -math.inf}}},
+            "adacp.initial_threshold.eae must be a finite number, got -inf",
+        ),
+        (
+            "run",
+            {"backends": {"debaters": [{}, {"temperature": math.nan}]}},
+            "backends.debaters[1].temperature must be a finite number, got nan",
+        ),
+        ("run", {"backends": {"chat": {"timeout": math.inf}}}, "backends.chat.timeout must be a finite number, got inf"),
     ],
 )
 def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command, edit, message):
@@ -906,13 +925,38 @@ def test_eval_malformed_row_exits_two_naming_the_line(tmp_path, capsys, bad_line
     assert line.startswith(f"dao: FormatError: {bad_path}: {message}")
 
 
-@pytest.mark.parametrize("which", ["input", "reference_corpus", "ontology"])
-def test_run_non_utf8_file_exits_two_before_the_index_build(tmp_path, capsys, monkeypatch, which):
+NOT_UTF8 = "line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9"
+BAD_TRIGGER_LINE = json.dumps(_row("s1", "The town was shelled .", [{"type": "Conflict:Attack", "trigger": "bombed"}]))
+BAD_TRIGGER = "line 1: s1: trigger 'bombed' not found in sentence text"
+# The fixture ontology's first row, whose type a second copy repeats.
+FIRST_TYPE_LINE = (FIXTURES / "ontology_ace.jsonl").read_bytes().splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "which, bad_line, message",
+    [
+        ("input", NON_UTF8_LINE, NOT_UTF8),
+        ("reference_corpus", NON_UTF8_LINE, NOT_UTF8),
+        ("ontology", NON_UTF8_LINE, NOT_UTF8),
+        ("input", BAD_TRIGGER_LINE.encode(), BAD_TRIGGER),
+        ("reference_corpus", BAD_TRIGGER_LINE.encode(), BAD_TRIGGER),
+        ("ontology", FIRST_TYPE_LINE, "line 2: duplicate event type 'Life:Be-Born'"),
+    ],
+    ids=[
+        "not-utf8-input",
+        "not-utf8-reference_corpus",
+        "not-utf8-ontology",
+        "span-input",
+        "span-reference_corpus",
+        "duplicate-ontology",
+    ],
+)
+def test_run_bad_row_exits_two_before_the_index_build(tmp_path, capsys, monkeypatch, which, bad_line, message):
     paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
     config = json.loads(paths["config"].read_text())
     source = paths["input"] if which == "input" else Path(config[which])
     bad = tmp_path / f"bad-{which}.jsonl"
-    bad.write_bytes(NON_UTF8_LINE + b"\n" + source.read_bytes())
+    bad.write_bytes(bad_line + b"\n" + source.read_bytes())
     if which == "input":
         paths["input"] = bad
     else:
@@ -925,7 +969,7 @@ def test_run_non_utf8_file_exits_two_before_the_index_build(tmp_path, capsys, mo
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"dao: FormatError: {bad}: line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9")
+    assert line.startswith(f"dao: FormatError: {bad}: {message}")
     assert not out_dir.exists()
 
 
@@ -962,6 +1006,27 @@ def test_aborted_run_keeps_the_completed_sentences_rows(tmp_path, workers):
         assert (aborted_dir / name).read_bytes() == b"".join(first)
     assert {row["id"] for row in _read_jsonl(aborted_dir / "aborted_transcript.jsonl")} == {"gen-001"}
     assert not (aborted_dir / "risk_histogram.json").exists()
+
+
+def test_rerun_into_the_same_out_leaves_no_earlier_artifact(tmp_path):
+    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
+    out_dir = tmp_path / "out"
+    argv = ["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]
+    good = paths["bundle"].read_text()
+    bundle = json.loads(good)
+    # Starve one debater's script so the session dies mid-round.
+    bundle["sessions"]["gen-000"]["debaters"][1] = [["*", 'B: ["Contact:Meet", "met"]']]
+    starved = json.dumps(bundle)
+    # A complete run, an aborted one, then a complete one, all into one `--out`.
+    for text, code, left, gone in [
+        (good, 0, "risk_histogram.json", "aborted_transcript.jsonl"),
+        (starved, 2, "aborted_transcript.jsonl", "risk_histogram.json"),
+        (good, 0, "risk_histogram.json", "aborted_transcript.jsonl"),
+    ]:
+        paths["bundle"].write_text(text, encoding="utf-8")
+        assert main(argv) == code
+        assert (out_dir / left).exists()
+        assert not (out_dir / gone).exists()
 
 
 def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):

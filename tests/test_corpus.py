@@ -20,7 +20,7 @@ from dao.corpus import (
     l2_normalize,
     load_corpus,
 )
-from dao.errors import DimensionMismatch, FormatError, SpanNotInSentence, ZeroVector
+from dao.errors import DimensionMismatch, FormatError, ZeroVector
 
 
 def _write_jsonl(path, rows):
@@ -85,8 +85,9 @@ def test_trigger_not_in_text_rejected(tmp_path):
             }
         ],
     )
-    with pytest.raises(SpanNotInSentence):
+    with pytest.raises(FormatError) as raised:
         load_corpus(tmp_path / "c.jsonl")
+    assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 1: s1: trigger 'died' not found in sentence text"
 
 
 def test_argument_span_not_in_text_rejected(tmp_path):
@@ -106,8 +107,10 @@ def test_argument_span_not_in_text_rejected(tmp_path):
             }
         ],
     )
-    with pytest.raises(SpanNotInSentence):
+    with pytest.raises(FormatError) as raised:
         load_corpus(tmp_path / "c.jsonl")
+    message = f"{tmp_path / 'c.jsonl'}: line 1: s1: argument content 'the colonel' not found in sentence text"
+    assert str(raised.value) == message
 
 
 def test_double_spaced_text_rejected(tmp_path):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dao.errors import DuplicateType, FormatError, UnknownEventType
+from dao.errors import FormatError, UnknownEventType
 from dao.ontology import EventDefinition, load_ontology
 
 
@@ -37,8 +37,10 @@ def test_duplicate_type_rejected(tmp_path):
     record = {"type": "Life:Die", "definition": "x", "roles": ["Victim"]}
     path = tmp_path / "dup.jsonl"
     path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(DuplicateType):
+    with pytest.raises(FormatError) as raised:
         load_ontology(path)
+    assert raised.value.line_no == 2
+    assert str(raised.value) == f"{path}: line 2: duplicate event type 'Life:Die'"
 
 
 def test_malformed_line_reports_line_number(tmp_path):

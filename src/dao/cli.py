@@ -31,7 +31,7 @@ from .backends import (
     HttpTransport,
     ScoringBackend,
 )
-from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, read_jsonl
+from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, read_sentences
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -329,8 +329,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     risks: dict[tuple[str, int], list[float]] = {}
     written = extracted = 0  # sentences and events written
     # One call pool serves the whole run. A session makes one call of each
-    # stage on its own thread and sends the others (the rest of its
-    # debaters' and the critic's, or the top-K scan) here, so a thread per
+    # batch on its own thread and sends the others (the rest of its
+    # debaters' and the critic's or the top-K scan) here, so a thread per
     # debater per session means that no call waits for a thread.
     with (
         ThreadPoolExecutor(max_workers=config.workers * most_debaters) as calls,
@@ -436,8 +436,8 @@ def _items(rows: list[_EvalRow], task: str) -> list[Item]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    pred_rows = read_jsonl(args.pred, _eval_row)
-    gold_rows = read_jsonl(args.gold, _eval_row)
+    pred_rows = read_sentences(args.pred, _eval_row)
+    gold_rows = read_sentences(args.gold, _eval_row)
     texts: dict[str, str] = {}
     for sentence_id, text, _ in gold_rows + pred_rows:
         texts.setdefault(sentence_id, text)

@@ -4,9 +4,10 @@ Corpus rows are JSONL: `{"id", "text", "split", "events": [{"type",
 "trigger", "arguments": [{"role", "content"}]}]}`. Each row becomes a
 `ReferenceEntry` holding its sentence, events and split; the entry's
 polarity is derived from its events, never read from the file. A row
-whose text is not single-spaced, or whose trigger or argument is not in
-its sentence, is rejected by `read_jsonl`, which rejects every bad row
-of every JSON Lines input, naming the file and the line.
+whose text is not single-spaced, whose trigger or argument is not in its
+sentence, or whose id an earlier row has, is rejected by `read_jsonl`,
+which rejects every bad row of every JSON Lines input, naming the file
+and the line.
 """
 
 from __future__ import annotations
@@ -137,11 +138,26 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     return parsed
 
 
+def read_sentences(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """`read_jsonl` of rows keyed by sentence id, rejecting a row whose
+    `id` an earlier row of the file has."""
+    seen: set[str] = set()
+
+    def once(record: dict) -> T:
+        row = parse(record)
+        if record["id"] in seen:
+            raise ValueError(f"duplicate sentence id {record['id']!r}")
+        seen.add(record["id"])
+        return row
+
+    return read_jsonl(path, once)
+
+
 def load_corpus(path: str | Path) -> list[ReferenceEntry]:
     """Load reference entries from a JSONL corpus file. Every trigger and
-    argument content must occur verbatim in the sentence text; rows
-    without events are negative examples."""
-    return read_jsonl(path, _reference_entry)
+    argument content must occur verbatim in the sentence text, and no id
+    may repeat; rows without events are negative examples."""
+    return read_sentences(path, _reference_entry)
 
 
 def _reference_entry(record: dict) -> ReferenceEntry:

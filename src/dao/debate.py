@@ -13,15 +13,16 @@ calibration's (prompt, gold answer) pairs. A debate's outcome is its
 agreed answers: `()` when the judge finds no event or, at the round cap,
 no answer passes the gate.
 
-Within a stage the debaters' calls, and the scoring of distinct answers,
-run at once: the session's own thread makes the first call and the run's
-call pool the others. The critic's call runs with the debaters'
-cross-examination calls and sees the same answers, and the judge waits
-for both. The sentence's one top-K scan is submitted to the call pool
-once the query is embedded, so it runs while the first opinions are out,
-and the first retrieval awaits it. Transcript entries are written in
-debater order, the critic's last, once a stage's calls are back, so a
-transcript does not depend on which call finished first.
+Every model call of a session goes through one batch runner, `run(calls)`,
+which returns the calls' results in call order; a stage is one batch. The
+first round's batch holds the debaters' opinions and the sentence's one
+top-K scan; then come the gate scores, the cross-examination replies with
+the critic's (which sees the same answers), the re-gates, the judge's
+call and, at the round cap, the adjudication scores. `run_session` runs
+each batch with `fan_out` on the run's call pool, so a batch's calls run
+at once. Transcript entries are written in debater order, the critic's
+last, once a batch is back, so a transcript depends on the batch order,
+never on which call finished first.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from concurrent.futures import Executor, Future, wait
+from concurrent.futures import Executor, wait
 from dataclasses import InitVar, dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Mapping, Sequence, TypeVar
 
 from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
@@ -51,6 +52,8 @@ EAE_HEADER = ("event type", "argument role", "argument content")
 DEFAULT_MAX_ROUNDS = 3
 
 T = TypeVar("T")
+# Runs a batch of independent calls; their results in call order.
+Runner = Callable[[Sequence[Callable[[], Any]]], list]
 
 
 # ---------------------------------------------------------------------------
@@ -478,25 +481,39 @@ def render_packet(result: RetrievalResult, ctx: Task) -> str:
     return "\n".join(lines)
 
 
-class _Session:
-    """Holds the immutable context of one sentence's debates, the pool
-    their concurrent calls run on, the sentence's top-K scan and the risks
-    scored so far."""
+def fan_out(pool: Executor, calls: Sequence[Callable[[], T]]) -> list[T]:
+    """Run independent calls at once, the first on this thread and the
+    others on `pool`; their results in call order. All calls have returned
+    before the first failure, in call order, is raised, so a failed batch
+    leaves no call running."""
+    pending = [pool.submit(call) for call in calls[1:]]
+    try:
+        results = [call() for call in calls[:1]]
+    finally:
+        wait(pending)
+    return results + [future.result() for future in pending]
 
-    def __init__(
-        self,
-        sentence: Sentence,
-        ontology: EventOntology,
-        config: SessionConfig,
-        pool: Executor,
-    ):
+
+def _chat(backend: ChatBackend, prompt: str, temperature: float = 0.0) -> Callable[[], str]:
+    """A call of `backend` with `prompt` as the one user message."""
+    return partial(backend.complete, [ChatMessage("user", prompt)], temperature=temperature)
+
+
+class _Session:
+    """Holds the immutable context of one sentence's debates, the runner
+    their model calls go through, the sentence's top-K candidates and the
+    risks scored so far."""
+
+    def __init__(self, sentence: Sentence, ontology: EventOntology, config: SessionConfig, run: Runner):
         self.sentence = sentence
         self.ontology = ontology
         self.config = config
-        self.pool = pool
-        # The top-K scan, submitted once the query is embedded; all of the
-        # sentence's debates retrieve from its result.
-        self.candidates: Future[TopK] | None = None
+        self.run = run
+        # The top-K scan, set once the query is embedded. It runs in the
+        # first opinions' batch, and all of the sentence's debates retrieve
+        # from its result.
+        self.scan: Callable[[], TopK] | None = None
+        self.candidates: TopK | None = None
         self.transcript: list[TranscriptEntry] = []
         self.risk_log: list[RiskRecord] = []
         # (scoring prompt, packet, serialized answer) -> risk
@@ -506,18 +523,6 @@ class _Session:
 
     def _note(self, round_index: int, stage: str, role: str, text: str, prompt: str = "") -> None:
         self.transcript.append(TranscriptEntry(round_index, stage, role, prompt, text))
-
-    def _fan_out(self, calls: Sequence[Callable[[], T]]) -> list[T]:
-        """Run independent calls at once, the first on this thread and the
-        others on the run's pool; their results in call order. All calls
-        have returned before the first failure, in call order, is raised,
-        so a failed stage leaves no call running."""
-        pending = [self.pool.submit(call) for call in calls[1:]]
-        try:
-            results = [call() for call in calls[:1]]
-        finally:
-            wait(pending)
-        return results + [future.result() for future in pending]
 
     # -- prompt assembly
 
@@ -537,9 +542,11 @@ class _Session:
         return "\n\n".join(parts)
 
     def _critic_prompt(self, state: DebateState) -> str:
-        ctx, answers = state.ctx, state.live_opinions
-        parts = [render_prompt(f"critic_{ctx.task}", {"SENT": self.sentence.text})]
-        for j, binding in enumerate(self.config.team.debaters):
+        ctx, answers, debaters = state.ctx, state.live_opinions, self.config.team.debaters
+        *others, last = [f"Debater {binding.name}" for binding in debaters]
+        names = f"{', '.join(others)} and {last}"
+        parts = [render_prompt(f"critic_{ctx.task}", {"SENT": self.sentence.text, "debaters": names})]
+        for j, binding in enumerate(debaters):
             parts.append(f"Debater {binding.name}'s current answer: {ctx.serialize(answers.get(j))}")
         parts.append(state.packet_text)
         return "\n\n".join(parts)
@@ -568,22 +575,23 @@ class _Session:
             state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
 
         # (1) Opinions: rendered fresh in the first round, carried from the
-        # previous cross-examination afterwards. The sentence's top-K scan,
-        # already submitted, runs while the first debate's are out.
+        # previous cross-examination afterwards. The sentence's top-K scan
+        # runs in the first debate's batch.
         if rnd == 0:
-            self._ask_debaters(
-                state,
-                "opinion",
-                [ctx.prompt(self.sentence, self.ontology, binding.name) for binding in team.debaters],
-                "reply unparseable; treated as abstention",
-            )
+            prompts = [ctx.prompt(self.sentence, self.ontology, b.name) for b in team.debaters]
+            scan = [self.scan] if self.candidates is None else []
+            replies = self.run(self._debater_calls(prompts) + scan)
+            if scan:
+                self.candidates = replies.pop()
+            unparsed = "reply unparseable; treated as abstention"
+            self._take_replies(state, "opinion", prompts, replies, unparsed)
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
         opinions = [a for a in state.live_opinions.values() if a is not None]
         packet = gather_event_info(
             opinions,
             self.ontology,
-            self.candidates.result(),
+            self.candidates,
             state.radius,
             self.config.drag,
             event_type_filter=ctx.event_type,
@@ -609,21 +617,19 @@ class _Session:
         # defend or update, gated debaters revise, and the critic flags
         # likely mistakes; revised answers are re-gated before they may
         # reach the judge.
+        prompts = [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))]
         critic_prompt = self._critic_prompt(state)
-        *replies, critic_reply = self._ask_debaters(
-            state,
-            "cross_examination",
-            [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))],
-            "statement restates no parseable answer; previous answer kept",
-            also=[partial(team.critic.complete, [ChatMessage("user", critic_prompt)])],
-        )
+        calls = self._debater_calls(prompts) + [_chat(team.critic, critic_prompt)]
+        *replies, critic_reply = self.run(calls)
+        kept = "statement restates no parseable answer; previous answer kept"
+        self._take_replies(state, "cross_examination", prompts, replies, kept)
         self._note(rnd, stage("cross_examination"), "critic", critic_reply, critic_prompt)
         statements = {i: reply for i, reply in enumerate(replies) if i not in state.gated_out}
 
         # (5) Judgement on this round's admissible statements only.
         if statements:
             judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
-            reply = team.judge.complete([ChatMessage("user", judge_prompt)])
+            (reply,) = self.run([_chat(team.judge, judge_prompt)])
             self._note(rnd, stage("judgement"), "judge", reply, judge_prompt)
             agreed = parse_judge(reply, ctx)
         else:
@@ -635,35 +641,25 @@ class _Session:
         state.round_index += 1
         return agreed
 
-    def _ask_debaters(
-        self,
-        state: DebateState,
-        stage: str,
-        prompts: Sequence[str],
-        unparsed: str,
-        also: Sequence[Callable[[], object]] = (),
-    ) -> list:
-        """Send every debater its prompt at once; the replies, in debater
-        order, then the results of the calls in `also`, which run in the
-        same fan-out and are not noted here.
+    def _debater_calls(self, prompts: Sequence[str]) -> list[Callable[[], str]]:
+        """Each debater's call with its prompt, in debater order."""
+        return [_chat(b.backend, p, b.temperature) for b, p in zip(self.config.team.debaters, prompts)]
+
+    def _take_replies(
+        self, state: DebateState, stage: str, prompts: Sequence[str], replies: Sequence[str], unparsed: str
+    ) -> None:
+        """Take the debaters' replies to `prompts`, in debater order.
 
         A parsed reply becomes the debater's live answer; an unparseable one
         keeps it (an abstention before the first answer) and is noted with
         `unparsed`. A gated-out debater's new answer is re-gated, all
-        re-gates scored at once, and leaves `gated_out` when it passes or
-        is exempt. Once every call is back, each debater's exchange, note
-        and gate verdict are written in debater order.
+        re-gates in one batch, and leaves `gated_out` when it passes or is
+        exempt. Each debater's exchange, note and gate verdict are written
+        in debater order.
         """
         ctx, rnd, debaters = state.ctx, state.round_index, self.config.team.debaters
-        replies = self._fan_out(
-            [
-                partial(b.backend.complete, [ChatMessage("user", p)], temperature=b.temperature)
-                for b, p in zip(debaters, prompts)
-            ]
-            + list(also)
-        )
         parsed: list[Answer | None] = []
-        for reply in replies[: len(debaters)]:
+        for reply in replies:
             try:
                 parsed.append(ctx.parse(reply))
             except ParseFailure as exc:
@@ -681,7 +677,6 @@ class _Session:
                 self._note(rnd, f"{ctx.task}.{stage}", "engine", f"debater_{binding.name} {unparsed}")
             if i not in regated or self._log_gate(state, *regated[i]):
                 state.gated_out.discard(i)
-        return replies
 
     def _scorable(self, state: DebateState) -> dict[int, Answer]:
         """The live answers, by debater, that the gate scores: all but
@@ -698,7 +693,7 @@ class _Session:
         """Score answers, by debater, in the round's context against the
         threshold in force; each one's record and note text.
 
-        Requests this session has not sent before go to the scorer at once;
+        Requests this session has not sent before go to the scorer in one batch;
         a repeated request reuses its risk, since the scorer is a frozen
         model. The gate, the re-gate and adjudication all score here, so
         they score in the same context.
@@ -708,7 +703,7 @@ class _Session:
             for i, answer in answers.items()
         }
         new = list(dict.fromkeys(key for key in keys.values() if key not in self.risks))
-        risks = self._fan_out([partial(risk_score, self.config.scorer, *key) for key in new])
+        risks = self.run([partial(risk_score, self.config.scorer, *key) for key in new])
         self.risks.update(zip(new, risks))
         scored = {}
         for i, key in keys.items():
@@ -800,21 +795,24 @@ class _Session:
 
 
 def run_session(
-    sentence: Sentence,
-    ontology: EventOntology,
-    index: EmbeddedIndex,
-    config: SessionConfig,
-    pool: Executor,
+    sentence: Sentence, ontology: EventOntology, index: EmbeddedIndex, config: SessionConfig, pool: Executor
 ) -> SessionResult:
-    """Run detection and, when an event is found, argument extraction.
+    """`debate_sentence` with each batch fanned out on `pool`, the run's
+    call pool; with a free pool thread per debater, no call waits for one."""
+    return debate_sentence(sentence, ontology, index, config, partial(fan_out, pool))
+
+
+def debate_sentence(
+    sentence: Sentence, ontology: EventOntology, index: EmbeddedIndex, config: SessionConfig, run: Runner
+) -> SessionResult:
+    """Run detection and, when an event is found, argument extraction,
+    with every model call sent through `run`, one batch per stage.
 
     Only the sentence text ever enters a prompt; gold annotations are
     never available to this code path. A no-event outcome skips argument
-    extraction entirely. The session makes one call of each stage on its
-    own thread and sends the others to `pool`, the run's call pool; with
-    a free pool thread per debater, no call waits for a thread.
+    extraction entirely.
     """
-    session = _Session(sentence, ontology, config, pool)
+    session = _Session(sentence, ontology, config, run)
     try:
         query_vector = embed_sentence(config.embedder, sentence, index.dimension)
         session._note(
@@ -826,7 +824,7 @@ def run_session(
         )
         # One top-K scan per sentence: every debate queries with the
         # sentence embedding; only radius and type filter vary.
-        session.candidates = pool.submit(drag.retrieve_topk, index, query_vector, config.drag.top_k)
+        session.scan = partial(drag.retrieve_topk, index, query_vector, config.drag.top_k)
         records: list[EventMention] = []
         for answer in session.run_debate(Detection()):
             rows: tuple[tuple[str, str | None], ...] = ()
@@ -844,10 +842,7 @@ def run_session(
                     rows = extracted[0].rows
             records.append(session._summarize(answer, rows))
     except BackendError as exc:
-        # Abort the session but keep everything recorded so far inspectable,
-        # once the scan, if it was submitted, has finished.
-        if session.candidates is not None:
-            wait([session.candidates])
+        # Abort the session but keep everything recorded so far inspectable.
         exc.transcript = session.transcript  # type: ignore[attr-defined]
         exc.sentence_id = sentence.id  # type: ignore[attr-defined]
         raise

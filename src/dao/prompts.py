@@ -47,7 +47,7 @@ DEBATER_REVISE = (
 
 CRITIC_ED = (
     'Review the given sentence: "{SENT}". Thoroughly evaluate the event definitions, '
-    "typical triggers, listed examples, and responses from Debater A and Debater B. For "
+    "typical triggers, listed examples, and responses from {debaters}. For "
     "debaters' answers, rigorously examine: Is there an event mention? Does the identified "
     "event trigger indeed express an occurrence of the identified event type, based on the "
     "event definition? Does the identified trigger align with typical triggers and the "

@@ -925,11 +925,45 @@ def test_eval_malformed_row_exits_two_naming_the_line(tmp_path, capsys, bad_line
     assert line.startswith(f"dao: FormatError: {bad_path}: {message}")
 
 
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_eval_repeated_sentence_id_exits_two_naming_the_line(tmp_path, capsys, side):
+    # One sentence counted twice would score its items twice.
+    row = _row("s1", "Rebels attacked the town .", [{"type": "Conflict:Attack", "trigger": "attacked"}])
+    pred_path, gold_path = _eval_files(tmp_path, [row], [row])
+    bad_path = pred_path if side == "pred" else gold_path
+    bad_path.write_text(bad_path.read_text() * 2, encoding="utf-8")
+    argv = ["eval", "--pred", str(pred_path), "--gold", str(gold_path), "--task", "ed"]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"dao: FormatError: {bad_path}: line 2: duplicate sentence id 's1'"
+
+
+@pytest.mark.parametrize("metric", ["exact", "head", "types"])
+@pytest.mark.parametrize("task, items", [("ed", 1), ("eae", 2)])
+def test_eval_prediction_absent_from_gold_counts_as_false_positives(tmp_path, task, items, metric):
+    text = "Rebels attacked the town at dawn ."
+    event = {
+        "type": "Conflict:Attack",
+        "trigger": "attacked",
+        "arguments": [{"role": "Attacker", "content": "Rebels"}, {"role": "Target", "content": "the town"}],
+    }
+    # Gold has s1 only: s2's items are all false positives, and s1's match.
+    preds = [_row("s1", text, [event]), _row("s2", text, [event])]
+    pred_path, gold_path = _eval_files(tmp_path, preds, [_row("s1", text, [event])])
+    argv = ["eval", "--pred", str(pred_path), "--gold", str(gold_path), "--task", task, "--metric", metric]
+    assert main(argv) == 0
+    report = json.loads(Path(f"{pred_path}.scores.json").read_text())
+    assert (report["tp"], report["fp"], report["fn"]) == (items, items, 0)
+
+
 NOT_UTF8 = "line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9"
 BAD_TRIGGER_LINE = json.dumps(_row("s1", "The town was shelled .", [{"type": "Conflict:Attack", "trigger": "bombed"}]))
 BAD_TRIGGER = "line 1: s1: trigger 'bombed' not found in sentence text"
 # The fixture ontology's first row, whose type a second copy repeats.
 FIRST_TYPE_LINE = (FIXTURES / "ontology_ace.jsonl").read_bytes().splitlines()[0]
+# The fixture corpus's first row, and a row with the generated input's first id.
+FIRST_CORPUS_LINE = (FIXTURES / "corpus_small.jsonl").read_bytes().splitlines()[0]
+FIRST_INPUT_ID_LINE = json.dumps(_row("gen-000", "Delegates met .", [])).encode()
 
 
 @pytest.mark.parametrize(
@@ -941,6 +975,8 @@ FIRST_TYPE_LINE = (FIXTURES / "ontology_ace.jsonl").read_bytes().splitlines()[0]
         ("input", BAD_TRIGGER_LINE.encode(), BAD_TRIGGER),
         ("reference_corpus", BAD_TRIGGER_LINE.encode(), BAD_TRIGGER),
         ("ontology", FIRST_TYPE_LINE, "line 2: duplicate event type 'Life:Be-Born'"),
+        ("input", FIRST_INPUT_ID_LINE, "line 2: duplicate sentence id 'gen-000'"),
+        ("reference_corpus", FIRST_CORPUS_LINE, "line 2: duplicate sentence id 'train-001'"),
     ],
     ids=[
         "not-utf8-input",
@@ -949,6 +985,8 @@ FIRST_TYPE_LINE = (FIXTURES / "ontology_ace.jsonl").read_bytes().splitlines()[0]
         "span-input",
         "span-reference_corpus",
         "duplicate-ontology",
+        "duplicate-input",
+        "duplicate-reference_corpus",
     ],
 )
 def test_run_bad_row_exits_two_before_the_index_build(tmp_path, capsys, monkeypatch, which, bad_line, message):

@@ -11,6 +11,7 @@ from dao.debate import (
     TriggerAnswer,
     calibration_pairs,
     canonical_argument_rows,
+    debate_sentence,
     run_session,
     serialize_trigger_answer,
 )
@@ -853,3 +854,87 @@ def test_failed_critic_call_aborts_before_the_cross_examination_rows(
     assert excinfo.value.transcript == full.transcript[:first_ce_row]
     # The debaters' cross-examination calls were made; none of them was noted.
     assert [len(b.backend.calls) for b in config.team.debaters] == [2, 2]
+
+
+# -- the batch runner
+
+
+def _sequential(calls):
+    return [call() for call in calls]
+
+
+def test_session_does_not_depend_on_its_runner(ontology, train_index, embedder, pool):
+    # Batch order, not thread timing, fixes a session: every scenario gives
+    # the same records and the same transcript bytes on a runner that makes
+    # its calls one by one on this thread as on the call pool.
+    flows = set()
+    for seed in range(50):
+        scenario = helpers.build_scenario(seed, ontology)
+        config = scenario.build_config(embedder)
+        pooled = run_session(scenario.sentence, ontology, train_index, config, pool)
+        config = scenario.build_config(embedder)
+        alone = debate_sentence(scenario.sentence, ontology, train_index, config, _sequential)
+        assert alone.records == pooled.records, scenario.name
+        assert helpers.transcript_jsonl(alone) == helpers.transcript_jsonl(pooled), scenario.name
+        flows.add(scenario.flow)
+    assert len(flows) == 6
+
+
+def test_cap_disagree_on_a_sequential_runner_with_no_pool(ontology, train_index, embedder, pool):
+    scenario = helpers.build_scenario(3, ontology)
+    assert scenario.flow == "cap_disagree"
+    config = scenario.build_config(embedder)
+    pooled = run_session(scenario.sentence, ontology, train_index, config, pool)
+    config = scenario.build_config(embedder)
+    alone = debate_sentence(scenario.sentence, ontology, train_index, config, _sequential)
+    assert any(e.stage == "ed.adjudication" for e in alone.transcript)
+    assert alone.transcript == pooled.transcript
+    assert alone.records == pooled.records
+
+
+def test_every_model_call_goes_through_the_runner(ontology, train_index, embedder, pool):
+    import dao.debate
+    import dao.drag
+    from dao.debate import fan_out
+
+    for seed in range(12):
+        scenario = helpers.build_scenario(seed, ontology)
+        config = scenario.build_config(embedder)
+        seen = []
+
+        def run(calls):
+            seen.extend(calls)
+            return fan_out(pool, calls)
+
+        debate_sentence(scenario.sentence, ontology, train_index, config, run)
+        team = config.team
+        backends = [b.backend for b in team.debaters] + [team.critic, team.judge]
+        # A chat call is its backend's bound `complete`, given the messages.
+        for backend in backends:
+            sent = [c.args[0] for c in seen if getattr(c.func, "__self__", None) is backend]
+            assert sent == [list(messages) for messages, _ in backend.calls], scenario.name
+        # A scoring call is `risk_score` on the scorer, the prompt, the
+        # packet and the answer; the scorer sees prompt and packet joined.
+        scored = [c.args for c in seen if c.func is dao.debate.risk_score]
+        assert all(args[0] is config.scorer for args in scored)
+        requests = [(f"{prompt}\n\n{packet}", answer) for _, prompt, packet, answer in scored]
+        assert requests == [(prompt, answer) for prompt, answer, _ in config.scorer.calls]
+        assert sum(c.func is dao.drag.retrieve_topk for c in seen) == 1
+        assert len(seen) == sum(len(b.calls) for b in backends) + len(scored) + 1
+
+
+def test_critic_prompt_names_the_team(ontology, train_index, embedder, pool):
+    from dataclasses import replace
+
+    from dao.corpus import Sentence
+
+    script = [("*", "[]"), ("*", "No event , [] .")]
+    team = helpers.make_team([script] * 3, [("*", "Assessment .")], [("*", "No event")])
+    names = ("Ann", "Bo", "Cy")
+    team = replace(team, debaters=tuple(replace(b, name=n) for b, n in zip(team.debaters, names)))
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    sentence = Sentence.from_text("critic-names", "The committee read the report on Monday .")
+    result = run_session(sentence, ontology, train_index, config, pool)
+    (prompt,) = [e.prompt for e in result.transcript if e.role == "critic"]
+    assert "responses from Debater Ann, Debater Bo and Debater Cy. For debaters' answers" in prompt
+    assert "Debater A " not in prompt

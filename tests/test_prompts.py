@@ -50,7 +50,7 @@ def test_judge_templates_have_no_placeholders():
 
 
 def test_substitution_only_no_other_transformation():
-    rendered = render_prompt("critic_ed", {"SENT": "a & b < c"})
+    rendered = render_prompt("critic_ed", {"SENT": "a & b < c", "debaters": "Debater A and Debater B"})
     assert 'Review the given sentence: "a & b < c".' in rendered
 
 
@@ -81,6 +81,12 @@ def test_sentence_text_is_carried_verbatim(text):
         "event type": "Life:Die",
         "trigger": "killed",
         "role list": "Victim",
+        "debaters": "Debater A and Debater B",
     }
     for template_id in ("debater_ed", "debater_eae", "critic_ed", "critic_eae"):
         assert text in render_prompt(template_id, bindings)
+
+
+def test_critic_ed_names_the_debaters_it_is_given():
+    rendered = render_prompt("critic_ed", {"SENT": "x", "debaters": "Debater A, Debater B and Debater C"})
+    assert "and responses from Debater A, Debater B and Debater C. For debaters' answers" in rendered

@@ -131,9 +131,16 @@ class RunConfig:
     backends: dict = dataclasses.field(default_factory=lambda: json.loads(json.dumps(_DEFAULT_BACKENDS)))
 
     def __post_init__(self):
-        for name in ("max_rounds", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        chat = self.backends["chat"]
+        for name, bad, rule in (
+            ("max_rounds", self.max_rounds < 1, "be at least 1"),
+            ("workers", self.workers < 1, "be at least 1"),
+            ("backends.chat.max_attempts", chat["max_attempts"] < 1, "be at least 1"),
+            ("backends.chat.timeout", chat["timeout"] <= 0, "be positive"),
+            ("backends.chat.backoff", chat["backoff"] < 0, "not be negative"),
+        ):
+            if bad:
+                raise ValueError(f"{name} must {rule}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -300,12 +307,14 @@ def _histograms(by_round: dict[tuple[str, int], list[float]], bins: int = 20) ->
 def cmd_run(args: argparse.Namespace) -> int:
     """Debate every input sentence and write the run's artifacts.
 
-    After the index build, a sentence's `predictions.jsonl` and
-    `transcripts.jsonl` rows are written in input order once it and all
-    before it have finished, and its result is dropped. A completed run
-    then writes `risk_histogram.json`; a `BackendError` leaves the earlier
-    sentences' rows and the failed one's `aborted_transcript.jsonl`. Each
-    of these two that an earlier run into `--out` left is removed first.
+    After the index build, sessions run on `workers` threads, at most
+    2 × `workers` sentences ahead of the oldest one not yet written. A
+    sentence's `predictions.jsonl` and `transcripts.jsonl` rows are written
+    in input order once it and all before it have finished, and its result
+    is dropped. A completed run then writes `risk_histogram.json`; a
+    `BackendError` leaves the earlier sentences' rows and the failed one's
+    `aborted_transcript.jsonl`. Each of these two that an earlier run into
+    `--out` left is removed first.
     """
     config = RunConfig.load(args.config)
     for task in ("ed", "eae"):
@@ -329,9 +338,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     risks: dict[tuple[str, int], list[float]] = {}
     written = extracted = 0  # sentences and events written
     # One call pool serves the whole run. A session makes one call of each
-    # batch on its own thread and sends the others (the rest of its
-    # debaters' and the critic's or the top-K scan) here, so a thread per
-    # debater per session means that no call waits for a thread.
+    # batch on its own thread (the query embed and scan, or a debater's)
+    # and sends the others (debaters' and the critic's) here, so a thread
+    # per debater per session means that no call waits for a thread.
     with (
         ThreadPoolExecutor(max_workers=config.workers * most_debaters) as calls,
         ThreadPoolExecutor(max_workers=config.workers) as sessions,
@@ -363,19 +372,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             extracted += len(result.records)
 
         try:
-            if config.workers > 1:
-                # Sessions run at most 2 × workers ahead of the writer, so a
-                # slow sentence holds that many results, not all later ones.
-                window: deque[Future[SessionResult]] = deque()
-                for entry in inputs:
-                    window.append(sessions.submit(process, entry))
-                    if len(window) == 2 * config.workers:
-                        write(window.popleft().result())
-                for future in window:
-                    write(future.result())
-            else:
-                for entry in inputs:
-                    write(process(entry))
+            # Sessions run at most 2 × workers ahead of the writer, so a slow
+            # sentence holds that many results, not all later ones.
+            window: deque[Future[SessionResult]] = deque()
+            for entry in inputs:
+                window.append(sessions.submit(process, entry))
+                if len(window) == 2 * config.workers:
+                    write(window.popleft().result())
+            for future in window:
+                write(future.result())
         except BackendError as exc:
             transcript = getattr(exc, "transcript", None)
             if transcript:

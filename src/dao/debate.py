@@ -15,14 +15,14 @@ no answer passes the gate.
 
 Every model call of a session goes through one batch runner, `run(calls)`,
 which returns the calls' results in call order; a stage is one batch. The
-first round's batch holds the debaters' opinions and the sentence's one
-top-K scan; then come the gate scores, the cross-examination replies with
-the critic's (which sees the same answers), the re-gates, the judge's
-call and, at the round cap, the adjudication scores. `run_session` runs
-each batch with `fan_out` on the run's call pool, so a batch's calls run
-at once. Transcript entries are written in debater order, the critic's
-last, once a batch is back, so a transcript depends on the batch order,
-never on which call finished first.
+first round's batch holds the query embed with the one top-K scan, and
+the debaters' opinions; then come the gate scores, the cross-examination
+replies with the critic's (which sees the same answers), the re-gates,
+the judge's call and, at the round cap, the adjudication scores.
+`run_session` runs each batch with `fan_out` on the run's call pool, so a
+batch's calls run at once. Transcript entries are written in debater
+order, the critic's last, once a batch is back, so a transcript depends
+on the batch order, never on which call finished first.
 """
 
 from __future__ import annotations
@@ -499,25 +499,27 @@ def _chat(backend: ChatBackend, prompt: str, temperature: float = 0.0) -> Callab
     return partial(backend.complete, [ChatMessage("user", prompt)], temperature=temperature)
 
 
+@dataclass
 class _Session:
-    """Holds the immutable context of one sentence's debates, the runner
-    their model calls go through, the sentence's top-K candidates and the
-    risks scored so far."""
+    """Holds the immutable context of one sentence's debates, the index
+    they retrieve from, the runner their model calls go through, the
+    sentence's top-K candidates once scanned and the risks scored so far."""
 
-    def __init__(self, sentence: Sentence, ontology: EventOntology, config: SessionConfig, run: Runner):
-        self.sentence = sentence
-        self.ontology = ontology
-        self.config = config
-        self.run = run
-        # The top-K scan, set once the query is embedded. It runs in the
-        # first opinions' batch, and all of the sentence's debates retrieve
-        # from its result.
-        self.scan: Callable[[], TopK] | None = None
-        self.candidates: TopK | None = None
-        self.transcript: list[TranscriptEntry] = []
-        self.risk_log: list[RiskRecord] = []
-        # (scoring prompt, packet, serialized answer) -> risk
-        self.risks: dict[tuple[str, str, str], float] = {}
+    sentence: Sentence
+    ontology: EventOntology
+    index: EmbeddedIndex
+    config: SessionConfig
+    run: Runner
+    candidates: TopK | None = None
+    transcript: list[TranscriptEntry] = field(default_factory=list)
+    risk_log: list[RiskRecord] = field(default_factory=list)
+    # (scoring prompt, packet, serialized answer) -> risk
+    risks: dict[tuple[str, str, str], float] = field(default_factory=dict)
+
+    def _embed_and_scan(self) -> TopK:
+        """The top-K candidates that all of the sentence's debates retrieve from."""
+        query = embed_sentence(self.config.embedder, self.sentence, self.index.dimension)
+        return drag.retrieve_topk(self.index, query, self.config.drag.top_k)
 
     # -- transcript and call helpers
 
@@ -575,14 +577,17 @@ class _Session:
             state.threshold = decay_threshold(state.threshold, self.config.adacp.beta)
 
         # (1) Opinions: rendered fresh in the first round, carried from the
-        # previous cross-examination afterwards. The sentence's top-K scan
-        # runs in the first debate's batch.
+        # previous cross-examination afterwards. The first debate's batch
+        # embeds the sentence and scans the index, first, so that call runs
+        # on the session's own thread.
         if rnd == 0:
             prompts = [ctx.prompt(self.sentence, self.ontology, b.name) for b in team.debaters]
-            scan = [self.scan] if self.candidates is None else []
-            replies = self.run(self._debater_calls(prompts) + scan)
+            scan = [self._embed_and_scan] if self.candidates is None else []
+            replies = self.run(scan + self._debater_calls(prompts))
             if scan:
-                self.candidates = replies.pop()
+                self.candidates = replies.pop(0)
+                note = f"query embedded, dim={self.config.embedder.dimension()}"
+                self._note(0, "session.embed", "embedder", note, self.sentence.text)
             unparsed = "reply unparseable; treated as abstention"
             self._take_replies(state, "opinion", prompts, replies, unparsed)
 
@@ -812,19 +817,8 @@ def debate_sentence(
     never available to this code path. A no-event outcome skips argument
     extraction entirely.
     """
-    session = _Session(sentence, ontology, config, run)
+    session = _Session(sentence, ontology, index, config, run)
     try:
-        query_vector = embed_sentence(config.embedder, sentence, index.dimension)
-        session._note(
-            0,
-            "session.embed",
-            "embedder",
-            f"query embedded, dim={config.embedder.dimension()}",
-            prompt=sentence.text,
-        )
-        # One top-K scan per sentence: every debate queries with the
-        # sentence embedding; only radius and type filter vary.
-        session.scan = partial(drag.retrieve_topk, index, query_vector, config.drag.top_k)
         records: list[EventMention] = []
         for answer in session.run_debate(Detection()):
             rows: tuple[tuple[str, str | None], ...] = ()

@@ -18,7 +18,6 @@ from dao.debate import (
     AgentTeam,
     DebaterBinding,
     SessionConfig,
-    SessionResult,
     canonical_argument_rows,
     serialize_argument_table,
 )
@@ -117,30 +116,6 @@ def ed_table(event_type: str, trigger: str) -> str:
 
 def eae_table(event_type: str, rows) -> str:
     return serialize_argument_table(event_type, rows)
-
-
-def transcript_jsonl(result: SessionResult) -> str:
-    """The CLI's transcript export format, used for byte-equality checks."""
-    import hashlib
-
-    lines = []
-    for entry in result.transcript:
-        digest = (
-            hashlib.sha256(entry.prompt.encode("utf-8")).hexdigest()[:16] if entry.prompt else ""
-        )
-        lines.append(
-            json.dumps(
-                {
-                    "round": entry.round_index,
-                    "stage": entry.stage,
-                    "role": entry.role,
-                    "prompt_digest": digest,
-                    "text": entry.text,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import io
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import helpers
 from synthetic import SyntheticSpec, gen_clustered_points, gen_risks
 from dao.adacp import accept, calibrate, decay_threshold
 from dao.backends import HashEmbedder
-from dao.cli import main
+from dao.cli import _write_transcript, main
 from dao.corpus import build_index, l2_normalize
 from dao.debate import SessionConfig, run_session
 from dao.drag import (
@@ -254,7 +255,12 @@ def test_criterion_8_state_machine_invariants(ontology, train_index, embedder, p
             result = run_session(scenario.sentence, ontology, train_index, config, pool)
             outputs.append((config, result))
         (config, result), (_, second) = outputs
-        assert helpers.transcript_jsonl(result) == helpers.transcript_jsonl(second)
+        rows = []
+        for session in (result, second):
+            out = io.StringIO()
+            _write_transcript(out, session.sentence.id, session.transcript)
+            rows.append(out.getvalue())
+        assert rows[0] == rows[1]
         for task in ("ed", "eae"):
             rounds = {e.round_index for e in result.transcript if e.stage == f"{task}.retrieval"}
             assert len(rounds) <= 3

@@ -134,6 +134,13 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
             "backends.debaters[1].temperature must be a finite number, got nan",
         ),
         ("run", {"backends": {"chat": {"timeout": math.inf}}}, "backends.chat.timeout must be a finite number, got inf"),
+        ("run", {"backends": {"chat": {"max_attempts": 0}}}, "backends.chat.max_attempts must be at least 1"),
+        ("calibrate", {"backends": {"chat": {"max_attempts": 0}}}, "backends.chat.max_attempts must be at least 1"),
+        ("run", {"backends": {"chat": {"timeout": -1}}}, "backends.chat.timeout must be positive"),
+        ("calibrate", {"backends": {"chat": {"timeout": -1}}}, "backends.chat.timeout must be positive"),
+        ("run", {"backends": {"chat": {"timeout": 0}}}, "backends.chat.timeout must be positive"),
+        ("run", {"backends": {"chat": {"backoff": -0.5}}}, "backends.chat.backoff must not be negative"),
+        ("calibrate", {"backends": {"chat": {"backoff": -0.5}}}, "backends.chat.backoff must not be negative"),
     ],
 )
 def test_config_value_error_exits_two_naming_the_file(tmp_path, capsys, command, edit, message):
@@ -1225,9 +1232,11 @@ def test_run_starts_its_call_threads_once(tmp_path, monkeypatch):
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
     assert len(_read_jsonl(out_dir / "predictions.jsonl")) == 12
     assert threading.active_count() == threads
-    # One worker runs every session on this thread; the calls it does not
-    # make itself are served by at most workers × debaters = 2 pool threads.
-    assert set(sessions) == {threading.current_thread()}
+    # One worker runs every session on one sessions-pool thread; the calls
+    # it does not make itself are served by at most workers × debaters = 2
+    # pool threads.
+    assert len(set(sessions)) == 1
+    assert threading.current_thread() not in sessions
     assert len(set(calls) - set(sessions)) <= 1 * 2
     assert len(started) <= INDEX_SLICES + 1 + 1 * 2
 
@@ -1346,18 +1355,26 @@ def test_run_starts_at_most_two_sessions_per_worker_ahead_of_the_writer(tmp_path
     assert ids == [f"gen-{i:03d}" for i in range(8)]
 
 
-def test_run_writes_each_sentence_before_the_next_one_starts(tmp_path, monkeypatch):
-    paths = helpers.build_replay_run(tmp_path, 3, FIXTURES)
+def test_run_with_one_worker_starts_at_most_two_sessions_ahead_of_the_writer(tmp_path, monkeypatch):
+    paths = helpers.build_replay_run(tmp_path, 6, FIXTURES)
     out_dir = tmp_path / "out"
-    written, run_session = [], dao.cli.run_session
+    written, run_session, write_prediction = [], dao.cli.run_session, dao.cli._write_prediction
 
     def recorded_session(sentence, *args):
         written.append(len((out_dir / "predictions.jsonl").read_text().splitlines()))
         return run_session(sentence, *args)
 
+    def slow_write(fh, result):
+        # A slow writer, which an unbounded read-ahead would outrun.
+        time.sleep(0.05)
+        write_prediction(fh, result)
+
     monkeypatch.setattr(dao.cli, "run_session", recorded_session)
+    monkeypatch.setattr(dao.cli, "_write_prediction", slow_write)
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
-    assert written == [0, 1, 2]
+    # Sentence i's rows are on disk before sentence i + 2 starts.
+    assert len(written) == 6
+    assert all(count >= i - 1 for i, count in enumerate(written)), written
 
 
 def test_run_memory_does_not_grow_with_the_finished_sentences(tmp_path):

@@ -1,9 +1,11 @@
+import io
 import re
 
 import numpy as np
 import pytest
 
 import helpers
+from dao.cli import _write_transcript
 from dao.corpus import EventMention, build_index
 from dao.debate import (
     AgentTeam,
@@ -24,6 +26,13 @@ def _run_scenario(seed, ontology, train_index, embedder, pool):
     config = scenario.build_config(embedder)
     result = run_session(scenario.sentence, ontology, train_index, config, pool)
     return scenario, config, result
+
+
+def _transcript_rows(result):
+    """The session's `transcripts.jsonl` rows, as `dao run` writes them."""
+    out = io.StringIO()
+    _write_transcript(out, result.sentence.id, result.transcript)
+    return out.getvalue()
 
 
 def _retrieval_entries(result, task="ed"):
@@ -166,7 +175,7 @@ def test_two_runs_byte_identical(ontology, train_index, embedder, pool):
         scenario = helpers.build_scenario(7, ontology)
         config = scenario.build_config(embedder)
         result = run_session(scenario.sentence, ontology, train_index, config, pool)
-        outputs.append(helpers.transcript_jsonl(result))
+        outputs.append(_transcript_rows(result))
     assert outputs[0] == outputs[1]
 
 
@@ -216,7 +225,13 @@ def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, 
     assert last_gate["ed"] == "0.250000"
 
 
-def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index, pool):
+def _no_stage_after_the_opinions(config):
+    # The query embed shares its batch with the first opinions, so the
+    # debaters were asked; nothing after that batch ran.
+    return config.scorer.calls == [] and config.team.critic.calls == [] and config.team.judge.calls == []
+
+
+def test_bad_query_dimension_fails_before_any_later_stage(ontology, train_index, pool):
     from dao.backends import HashEmbedder
     from dao.errors import DimensionMismatch
 
@@ -224,7 +239,7 @@ def test_bad_query_dimension_fails_before_any_debater_call(ontology, train_index
     config = scenario.build_config(HashEmbedder(32))  # the index is D64
     with pytest.raises(DimensionMismatch, match=re.escape(scenario.sentence.id)):
         run_session(scenario.sentence, ontology, train_index, config, pool)
-    assert all(binding.backend.calls == [] for binding in config.team.debaters)
+    assert _no_stage_after_the_opinions(config)
 
 
 class _ZeroEmbedder:
@@ -242,7 +257,7 @@ def test_zero_query_vector_error_names_the_sentence(ontology, train_index, pool)
     config = scenario.build_config(_ZeroEmbedder())
     with pytest.raises(ZeroVector, match=re.escape(scenario.sentence.id)):
         run_session(scenario.sentence, ontology, train_index, config, pool)
-    assert all(binding.backend.calls == [] for binding in config.team.debaters)
+    assert _no_stage_after_the_opinions(config)
 
 
 # -- replay fixtures
@@ -617,6 +632,45 @@ def test_topk_runs_while_the_first_opinions_are_out(ontology, train_index, embed
     assert result.transcript[0].stage == "session.embed"
 
 
+class _BarrierEmbedder:
+    """Embedder whose calls wait until their peers are called too."""
+
+    def __init__(self, inner, barrier):
+        self.inner, self.barrier = inner, barrier
+
+    def dimension(self):
+        return self.inner.dimension()
+
+    def embed(self, text):
+        self.barrier.wait()
+        return self.inner.embed(text)
+
+
+def test_query_embed_runs_while_the_first_opinions_are_out(ontology, train_index, embedder, pool):
+    import threading
+    from dataclasses import replace
+
+    from dao.corpus import Sentence
+
+    # The query embed and debater A's first opinion wait for each other,
+    # which an embed made before the opinions would time out.
+    barrier = threading.Barrier(2, timeout=5)
+    team = helpers.make_team(
+        [[("*", "A: []"), ("*", "A: no event , [] .")], [("*", "B: []"), ("*", "B: none , [] .")]],
+        [("*", "Assessment .")],
+        [("*", "No event")],
+    )
+    first, second = team.debaters
+    team = replace(team, debaters=(replace(first, backend=_BarrierChat(first.backend, barrier, stop=1)), second))
+    config = SessionConfig(
+        team=team, scorer=helpers.passthrough_scorer(), embedder=_BarrierEmbedder(embedder, barrier)
+    )
+    sentence = Sentence.from_text("barrier-4", "The committee read the report on Monday .")
+    result = run_session(sentence, ontology, train_index, config, pool)
+    assert result.records == []
+    assert [e.stage for e in result.transcript[:2]] == ["session.embed", "ed.opinion"]
+
+
 def test_aborted_session_leaves_no_scan_running(ontology, train_index, embedder, pool, monkeypatch):
     import time
 
@@ -875,7 +929,7 @@ def test_session_does_not_depend_on_its_runner(ontology, train_index, embedder, 
         config = scenario.build_config(embedder)
         alone = debate_sentence(scenario.sentence, ontology, train_index, config, _sequential)
         assert alone.records == pooled.records, scenario.name
-        assert helpers.transcript_jsonl(alone) == helpers.transcript_jsonl(pooled), scenario.name
+        assert _transcript_rows(alone) == _transcript_rows(pooled), scenario.name
         flows.add(scenario.flow)
     assert len(flows) == 6
 
@@ -894,19 +948,24 @@ def test_cap_disagree_on_a_sequential_runner_with_no_pool(ontology, train_index,
 
 def test_every_model_call_goes_through_the_runner(ontology, train_index, embedder, pool):
     import dao.debate
-    import dao.drag
     from dao.debate import fan_out
 
     for seed in range(12):
         scenario = helpers.build_scenario(seed, ontology)
         config = scenario.build_config(embedder)
-        seen = []
+        seen, scans = [], []
 
         def run(calls):
-            seen.extend(calls)
+            # The session's one other call, its bound `_embed_and_scan`,
+            # embeds the sentence and scans the index.
+            for call in calls:
+                is_scan = getattr(call, "__func__", None) is dao.debate._Session._embed_and_scan
+                (scans if is_scan else seen).append(call)
             return fan_out(pool, calls)
 
         debate_sentence(scenario.sentence, ontology, train_index, config, run)
+        (scan,) = scans
+        assert scan.__self__.sentence == scenario.sentence and scan.__self__.index is train_index
         team = config.team
         backends = [b.backend for b in team.debaters] + [team.critic, team.judge]
         # A chat call is its backend's bound `complete`, given the messages.
@@ -919,8 +978,7 @@ def test_every_model_call_goes_through_the_runner(ontology, train_index, embedde
         assert all(args[0] is config.scorer for args in scored)
         requests = [(f"{prompt}\n\n{packet}", answer) for _, prompt, packet, answer in scored]
         assert requests == [(prompt, answer) for prompt, answer, _ in config.scorer.calls]
-        assert sum(c.func is dao.drag.retrieve_topk for c in seen) == 1
-        assert len(seen) == sum(len(b.calls) for b in backends) + len(scored) + 1
+        assert len(seen) == sum(len(b.calls) for b in backends) + len(scored)
 
 
 def test_critic_prompt_names_the_team(ontology, train_index, embedder, pool):

@@ -37,6 +37,12 @@ if TYPE_CHECKING:
 VALID_ROLES = ("system", "user", "assistant")
 
 
+def sha256_prefix(text: str, length: int) -> str:
+    """The first `length` hex digits of the sha256 of `text` in UTF-8,
+    which names a prompt or a reply in a message or a transcript."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:length]
+
+
 @dataclass(frozen=True)
 class ChatMessage:
     role: str
@@ -243,8 +249,7 @@ class ScriptedChatBackend:
                     return reply
             if all(self._consumed):
                 raise ScriptExhausted(f"no replies left after {len(self._script)} calls")
-            digest = hashlib.sha256(latest_user.encode("utf-8")).hexdigest()[:12]
-            raise ScriptNoMatch(f"no scripted reply matches message sha256:{digest}")
+            raise ScriptNoMatch(f"no scripted reply matches message sha256:{sha256_prefix(latest_user, 12)}")
 
 
 def scripted_chat(script: Sequence[tuple[str, str]]) -> ScriptedChatBackend:

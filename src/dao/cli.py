@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import math
@@ -30,6 +29,7 @@ from .backends import (
     HttpScoringBackend,
     HttpTransport,
     ScoringBackend,
+    sha256_prefix,
 )
 from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, read_sentences
 from .debate import (
@@ -207,9 +207,9 @@ def _backends(
         judge=shared,
     )
     embedder = HttpEmbeddingBackend(
-        emb["endpoint"], model=emb["model"], dim=emb["dimension"], api_key_env=emb["api_key_env"]
+        emb["endpoint"], model=emb["model"], dim=emb["dimension"], api_key_env=emb["api_key_env"], **retry
     )
-    scorer = HttpScoringBackend(backends["scoring"]["endpoint"])
+    scorer = HttpScoringBackend(backends["scoring"]["endpoint"], **retry)
     return embedder, scorer, lambda _: team, len(team.debaters)
 
 
@@ -247,10 +247,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # run
 
 
-def _prompt_digest(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16] if prompt else ""
-
-
 def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -> None:
     """One sentence's `transcripts.jsonl` rows; an aborted run writes the
     failed sentence's rows in the same form."""
@@ -260,7 +256,7 @@ def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -
             "round": entry.round_index,
             "stage": entry.stage,
             "role": entry.role,
-            "prompt_digest": _prompt_digest(entry.prompt),
+            "prompt_digest": sha256_prefix(entry.prompt, 16) if entry.prompt else "",
             "text": entry.text,
         }
         fh.write(json.dumps(row, sort_keys=True) + "\n")

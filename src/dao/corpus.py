@@ -2,8 +2,8 @@
 
 Corpus rows are JSONL: `{"id", "text", "split", "events": [{"type",
 "trigger", "arguments": [{"role", "content"}]}]}`. Each row becomes a
-`ReferenceEntry` holding its sentence, events and split; the entry's
-polarity is derived from its events, never read from the file. A row
+`ReferenceEntry` holding its sentence, events and split; an entry with
+events is a positive example, whatever else the row holds. A row
 whose text is not single-spaced, whose trigger or argument is not in its
 sentence, or whose id an earlier row has, is rejected by `read_jsonl`,
 which rejects every bad row of every JSON Lines input, naming the file
@@ -16,7 +16,6 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -35,11 +34,6 @@ from .errors import DimensionMismatch, FormatError, ZeroVector
 INDEX_SLICES = 16
 
 T = TypeVar("T")
-
-
-class Polarity(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,18 +69,18 @@ class ReferenceEntry:
     events: tuple[EventMention, ...] = ()
     split: str = "train"
 
-    @property
-    def polarity(self) -> Polarity:
-        return Polarity.POSITIVE if self.events else Polarity.NEGATIVE
-
 
 @dataclass(frozen=True)
 class EmbeddedIndex:
-    """Reference entries plus one unit-norm vector per entry."""
+    """The reference index, or a sentence's top-K of it: entries plus
+    their unit-norm vectors, row for row."""
 
     entries: tuple[ReferenceEntry, ...]
     vectors: np.ndarray  # shape (n, dimension), rows L2-normalized
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -241,4 +235,4 @@ def build_index(entries: list[ReferenceEntry], embedder: EmbeddingBackend) -> Em
         vectors[row] = embed_sentence(embedder, entries[row].sentence, dim)
 
     in_slices(embed_row, len(entries))
-    return EmbeddedIndex(entries=tuple(entries), vectors=vectors, dimension=dim)
+    return EmbeddedIndex(entries=tuple(entries), vectors=vectors)

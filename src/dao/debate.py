@@ -27,7 +27,6 @@ on the batch order, never on which call finished first.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 from concurrent.futures import Executor, wait
@@ -37,9 +36,9 @@ from typing import Any, Callable, ClassVar, Mapping, Sequence, TypeVar
 
 from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
-from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend
+from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend, sha256_prefix
 from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, embed_sentence
-from .drag import DragConfig, RetrievalResult, TopK, decay_radius, gather_event_info
+from .drag import DragConfig, RetrievalResult, decay_radius, gather_event_info
 from .errors import BackendError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
 from .ontology import EventOntology
 from .prompts import render_prompt
@@ -115,10 +114,6 @@ _ANSWER_PAIR = re.compile(r'\[\s*"([^"\[\]]+)"\s*,\s*"([^"\[\]]+)"\s*\]')
 _ANSWER_EMPTY = re.compile(r"\[\s*\]")
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
-
 def parse_debater_ed(text: str) -> TriggerAnswer:
     """Parse a detection answer out of free-form debater text.
 
@@ -135,7 +130,7 @@ def parse_debater_ed(text: str) -> TriggerAnswer:
         if match.start() > best_pos:
             best_pos, best = match.start(), TriggerAnswer()
     if best is None:
-        raise ParseFailure(f"no answer pattern in reply sha256:{_digest(text)}")
+        raise ParseFailure(f"no answer pattern in reply sha256:{sha256_prefix(text, 12)}")
     return best
 
 
@@ -172,7 +167,7 @@ def parse_table(text: str, expected_header: Sequence[str]) -> list[tuple[str | N
     """
     tables = _find_pipe_tables(text)
     if not tables:
-        raise NoTableFound(f"no pipe-delimited table in reply sha256:{_digest(text)}")
+        raise NoTableFound(f"no pipe-delimited table in reply sha256:{sha256_prefix(text, 12)}")
     wanted = [header.strip().lower() for header in expected_header]
     for table in tables:
         header = [cell.lower() for cell in table[0]]
@@ -510,13 +505,13 @@ class _Session:
     index: EmbeddedIndex
     config: SessionConfig
     run: Runner
-    candidates: TopK | None = None
+    candidates: EmbeddedIndex | None = None
     transcript: list[TranscriptEntry] = field(default_factory=list)
     risk_log: list[RiskRecord] = field(default_factory=list)
     # (scoring prompt, packet, serialized answer) -> risk
     risks: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
-    def _embed_and_scan(self) -> TopK:
+    def _embed_and_scan(self) -> EmbeddedIndex:
         """The top-K candidates that all of the sentence's debates retrieve from."""
         query = embed_sentence(self.config.embedder, self.sentence, self.index.dimension)
         return drag.retrieve_topk(self.index, query, self.config.drag.top_k)
@@ -592,9 +587,8 @@ class _Session:
             self._take_replies(state, "opinion", prompts, replies, unparsed)
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
-        opinions = [a for a in state.live_opinions.values() if a is not None]
         packet = gather_event_info(
-            opinions,
+            [a.event_type for a in state.live_opinions.values() if a is not None],
             self.ontology,
             self.candidates,
             state.radius,

@@ -1,20 +1,21 @@
 """Diversity-constrained retrieval over the embedded reference index.
 
-The entries nearest to the query form one `TopK` set per sentence. Its
-rows are grouped by greedy leader clustering under a radius that shrinks
-every round; a cluster is an array of row positions whose first is its
-leader. At most one entry per cluster is selected, ceil(m/2) positive
-and m//2 negative examples when the clusters have them.
+The entries nearest to the query form one top-K `EmbeddedIndex` per
+sentence. Its rows are grouped by greedy leader clustering under a radius
+that shrinks every round; a cluster is an array of row positions whose
+first is its leader. At most one entry per cluster is selected, ceil(m/2)
+positive examples (entries with events) and m//2 negative ones when the
+clusters have them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import EmbeddedIndex, Polarity, ReferenceEntry
+from .corpus import EmbeddedIndex, ReferenceEntry
 from .errors import DimensionMismatch
 from .ontology import EventDefinition, EventOntology, EventTypeId
 
@@ -38,31 +39,15 @@ class DragConfig:
 
 
 @dataclass(frozen=True)
-class TopK:
-    """Entries nearest a query in (distance, entry id) order; their unit vectors row for row."""
-
-    entries: tuple[ReferenceEntry, ...]
-    vectors: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class RetrievalResult:
     examples: tuple[ReferenceEntry, ...]
     definitions: tuple[EventDefinition, ...]
     unknown_types: tuple[str, ...] = ()
 
 
-class Opinion(Protocol):
-    """Anything carrying an event type mention (possibly None)."""
-
-    event_type: str | None
-
-
-def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> TopK:
-    """The min(k, |index|) entries nearest to the unit query vector.
+def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> EmbeddedIndex:
+    """The min(k, |index|) entries nearest to the unit query vector, as
+    an index of their own rows.
 
     Sorted by cosine distance (1 - u.v) ascending, ties broken by entry id.
     A query without the index's dimension is a DimensionMismatch.
@@ -73,17 +58,17 @@ def retrieve_topk(index: EmbeddedIndex, query: np.ndarray, k: int) -> TopK:
     distances = 1.0 - index.vectors @ query
     k = min(k, len(distances))
     if k == 0:
-        return TopK((), index.vectors[:0])
+        return EmbeddedIndex((), index.vectors[:0])
     # Every entry tied with the k-th distance stays in the slice, so the
     # exact sort below can break those ties by entry id.
     kth = distances[np.argpartition(distances, k - 1)[k - 1]]
     nearest = np.flatnonzero(distances <= kth)
     ids = [index.entries[i].sentence.id for i in nearest.tolist()]
     order = nearest[np.lexsort((ids, distances[nearest]))[:k]]
-    return TopK(tuple(index.entries[i] for i in order.tolist()), index.vectors[order])
+    return EmbeddedIndex(tuple(index.entries[i] for i in order.tolist()), index.vectors[order])
 
 
-def cluster_candidates(candidates: TopK, radius: float) -> list[np.ndarray]:
+def cluster_candidates(candidates: EmbeddedIndex, radius: float) -> list[np.ndarray]:
     """Greedy leader clustering over a top-K set, as row positions.
 
     Scanning in order, a row joins the first cluster whose leader (its
@@ -104,30 +89,30 @@ def cluster_candidates(candidates: TopK, radius: float) -> list[np.ndarray]:
     return clusters
 
 
-def select_diverse(candidates: TopK, clusters: Sequence[np.ndarray], m: int) -> list[ReferenceEntry]:
-    """Pick at most `m` entries, one per cluster, balancing polarity.
+def select_diverse(candidates: EmbeddedIndex, clusters: Sequence[np.ndarray], m: int) -> list[ReferenceEntry]:
+    """Pick at most `m` entries, one per cluster, balancing positive
+    examples (entries with events) against negative ones.
 
     The quota is ceil(m/2) positive and m//2 negative entries. Walks
     clusters by leader distance ascending and takes each cluster's
-    closest member whose polarity quota is still open; if one polarity is
-    exhausted in the corpus, remaining slots are backfilled with the
-    other from clusters not yet used. The result is sorted by distance to
-    the query.
+    closest member whose quota is still open; if one kind is exhausted in
+    the corpus, remaining slots are backfilled with the other from
+    clusters not yet used. The result is sorted by distance to the query.
 
     `clusters` hold positions in `candidates`, each ascending, as
     `cluster_candidates` builds them; position order is (distance, entry
     id) order, so a cluster's first open member is its closest.
     """
-    remaining = {Polarity.POSITIVE: m - m // 2, Polarity.NEGATIVE: m // 2}
+    remaining = {True: m - m // 2, False: m // 2}  # keyed on "has events"
     picked: list[int] = []
     used: set[int] = set()
     for i, cluster in enumerate(clusters):
         if len(picked) == m:
             break
         for position in cluster.tolist():
-            polarity = candidates.entries[position].polarity
-            if remaining[polarity] > 0:
-                remaining[polarity] -= 1
+            positive = bool(candidates.entries[position].events)
+            if remaining[positive] > 0:
+                remaining[positive] -= 1
                 picked.append(position)
                 used.add(i)
                 break
@@ -147,27 +132,27 @@ def _mentions(entry: ReferenceEntry, event_type: EventTypeId) -> bool:
 
 
 def gather_event_info(
-    opinions: Sequence[Opinion],
+    event_types: Sequence[str | None],
     ontology: EventOntology,
-    candidates: TopK,
+    candidates: EmbeddedIndex,
     radius: float,
     config: DragConfig,
     event_type_filter: EventTypeId | None = None,
 ) -> RetrievalResult:
     """Assemble the per-round retrieval packet.
 
-    Definitions cover every distinct event type mentioned in the current
-    opinions (unknown types are recorded, not fatal). Examples come from
-    the sentence's top-K `candidates`, leader clustering at `radius`, and
-    diversity selection. During argument extraction, `event_type_filter`
-    narrows candidates to entries mentioning the identified type before
-    clustering; if that leaves nothing, the unfiltered set is used.
+    Definitions cover every distinct type in `event_types`, the live
+    answers' event types with None for no event (unknown types are
+    recorded, not fatal). Examples come from the sentence's top-K
+    `candidates`, leader clustering at `radius`, and diversity selection.
+    During argument extraction, `event_type_filter` narrows candidates to
+    entries mentioning the identified type before clustering; if that
+    leaves nothing, the unfiltered set is used.
     """
     definitions: list[EventDefinition] = []
     unknown: list[str] = []
     seen: set[str] = set()
-    for opinion in opinions:
-        type_id = opinion.event_type
+    for type_id in event_types:
         if type_id is None or type_id in seen:
             continue
         seen.add(type_id)
@@ -179,7 +164,7 @@ def gather_event_info(
     if event_type_filter is not None:
         keep = [i for i, e in enumerate(candidates.entries) if _mentions(e, event_type_filter)]
         if keep:
-            candidates = TopK(tuple(candidates.entries[i] for i in keep), candidates.vectors[keep])
+            candidates = EmbeddedIndex(tuple(candidates.entries[i] for i in keep), candidates.vectors[keep])
     clusters = cluster_candidates(candidates, radius)
     examples = select_diverse(candidates, clusters, config.max_examples)
     return RetrievalResult(

@@ -19,10 +19,9 @@ from synthetic import SyntheticSpec, gen_clustered_points, gen_risks
 from dao.adacp import accept, calibrate, decay_threshold
 from dao.backends import HashEmbedder
 from dao.cli import _write_transcript, main
-from dao.corpus import build_index, l2_normalize
+from dao.corpus import EmbeddedIndex, build_index, l2_normalize
 from dao.debate import SessionConfig, run_session
 from dao.drag import (
-    TopK,
     cluster_candidates,
     decay_radius,
     select_diverse,
@@ -116,7 +115,7 @@ def _random_candidates(rng, n, dim=32):
             events=events,
         )
         entries.append(entry)
-    return TopK(tuple(entries), np.vstack([vector for _, _, vector in candidates]))
+    return EmbeddedIndex(tuple(entries), np.vstack([vector for _, _, vector in candidates]))
 
 
 def test_criterion_4_cluster_separation():
@@ -145,7 +144,7 @@ def test_criterion_4_cluster_separation():
         points, labels = gen_clustered_points(spec)
         from dao.corpus import ReferenceEntry, Sentence
 
-        candidates = TopK(
+        candidates = EmbeddedIndex(
             tuple(
                 ReferenceEntry(sentence=Sentence.from_text(f"p{i}", f"point {i} ."), events=())
                 for i in range(len(points))
@@ -181,15 +180,15 @@ def test_criterion_5_diversity_selection():
             ]
             owners.extend(owner)
         assert len(owners) == len(set(owners))
-        positives = sum(1 for e in selected if e.polarity.value == "positive")
+        positives = sum(1 for e in selected if e.events)
         negatives = len(selected) - positives
         cluster_pos = sum(
-            1 for c in clusters if any(candidates.entries[m].polarity.value == "positive" for m in c)
+            1 for c in clusters if any(candidates.entries[m].events for m in c)
         )
         cluster_neg = sum(
-            1 for c in clusters if any(candidates.entries[m].polarity.value == "negative" for m in c)
+            1 for c in clusters if any(not candidates.entries[m].events for m in c)
         )
-        # Quota exceeded only by backfill, i.e. when the other polarity has
+        # Quota exceeded only by backfill, i.e. when the other kind has
         # run out of distinct clusters to draw from.
         if positives > 5:
             assert negatives <= cluster_neg

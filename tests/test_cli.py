@@ -198,12 +198,16 @@ def _live_team(**config):
 
 
 def test_team_for_without_bundle_binds_debater_models():
-    team = _live_team(
-        backends={
-            "chat": {"endpoint": "http://localhost:9/chat", "model": "base", "timeout": 7.0},
-            "debaters": [{"name": "A", "model": "model-a", "temperature": 0.3}, {"name": "B"}],
+    config = RunConfig.from_dict(
+        {
+            "backends": {
+                "chat": {"endpoint": "http://localhost:9/chat", "model": "base", "timeout": 7.0},
+                "debaters": [{"name": "A", "model": "model-a", "temperature": 0.3}, {"name": "B"}],
+            }
         }
     )
+    embedder, scorer, team_for, _ = _backends(config, None)
+    team = team_for("s1")
     assert [d.name for d in team.debaters] == ["A", "B"]
     assert [d.backend.model for d in team.debaters] == ["model-a", "base"]
     assert [d.temperature for d in team.debaters] == [0.3, 0.0]
@@ -212,6 +216,9 @@ def test_team_for_without_bundle_binds_debater_models():
         assert backend.endpoint == "http://localhost:9/chat"
         assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
         assert backend.api_key_env == "DAO_API_KEY"
+    # The chat section's retry policy governs every HTTP request.
+    for backend in (embedder, scorer):
+        assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
 
 
 def test_unnamed_live_debaters_are_named_as_replay_names_them(tmp_path):

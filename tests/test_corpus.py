@@ -14,7 +14,6 @@ import helpers
 from dao.backends import HashEmbedder
 from dao.corpus import (
     INDEX_SLICES,
-    Polarity,
     Sentence,
     build_index,
     l2_normalize,
@@ -44,34 +43,13 @@ def _slice_of(row, n):
     return next(k for k in range(slices) if row < n * (k + 1) // slices)
 
 
-def test_positive_polarity_derived(tmp_path):
-    _write_jsonl(
-        tmp_path / "c.jsonl",
-        [
-            {
-                "id": "s1",
-                "text": "The general was killed .",
-                "events": [{"type": "Life:Die", "trigger": "killed", "arguments": []}],
-            }
-        ],
-    )
-    (entry,) = load_corpus(tmp_path / "c.jsonl")
-    assert entry.polarity is Polarity.POSITIVE
-
-
-def test_negative_polarity_for_empty_events(tmp_path):
-    _write_jsonl(tmp_path / "c.jsonl", [{"id": "s1", "text": "Nothing happened .", "events": []}])
-    (entry,) = load_corpus(tmp_path / "c.jsonl")
-    assert entry.polarity is Polarity.NEGATIVE
-
-
 def test_polarity_never_read_from_file(tmp_path):
     _write_jsonl(
         tmp_path / "c.jsonl",
         [{"id": "s1", "text": "Nothing happened .", "events": [], "polarity": "positive"}],
     )
     (entry,) = load_corpus(tmp_path / "c.jsonl")
-    assert entry.polarity is Polarity.NEGATIVE
+    assert entry.events == ()
 
 
 def test_trigger_not_in_text_rejected(tmp_path):

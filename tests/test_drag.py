@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from dao.corpus import EmbeddedIndex, build_index, l2_normalize
 from dao.debate import run_session
 from dao.drag import (
     DragConfig,
-    TopK,
     cluster_candidates,
     decay_radius,
     gather_event_info,
@@ -23,13 +21,13 @@ from dao.drag import (
 from dao.errors import DimensionMismatch
 
 
-def _entry(entry_id, text="placeholder text .", polarity_positive=True):
+def _entry(entry_id, text="placeholder text .", positive=True):
     """Minimal reference entry stand-in for pure clustering tests."""
     from dao.corpus import EventMention, ReferenceEntry, Sentence
 
     events = (
         (EventMention(event_type="Conflict:Attack", trigger="placeholder"),)
-        if polarity_positive
+        if positive
         else ()
     )
     sentence = Sentence.from_text(entry_id, text if "placeholder" in text else text)
@@ -44,8 +42,8 @@ def _topk(vectors, positives=None):
     """A top-K set over `vectors` in the given row order; row i is entry
     `s{i:03d}`, positive unless `positives` says otherwise."""
     positives = [True] * len(vectors) if positives is None else positives
-    return TopK(
-        entries=tuple(_entry(f"s{i:03d}", polarity_positive=p) for i, p in enumerate(positives)),
+    return EmbeddedIndex(
+        entries=tuple(_entry(f"s{i:03d}", positive=p) for i, p in enumerate(positives)),
         vectors=np.vstack([l2_normalize(np.asarray(v, dtype=float)) for v in vectors]),
     )
 
@@ -74,7 +72,7 @@ def test_order_matches_brute_force_oracle():
     angles = [0.3, 1.2, 0.7]
     vectors = [np.array([math.cos(a), math.sin(a), 0.0, 0.0]) for a in angles]
     entries = tuple(_entry(f"s{i}") for i in range(3))
-    index = EmbeddedIndex(entries=entries, vectors=np.vstack(vectors), dimension=4)
+    index = EmbeddedIndex(entries=entries, vectors=np.vstack(vectors))
     query = np.array([1.0, 0.0, 0.0, 0.0])
     candidates = retrieve_topk(index, query, 3)
     oracle = sorted(
@@ -95,7 +93,7 @@ def test_topk_equals_full_sort_when_ties_straddle_the_cut():
     names = [f"s{i:02d}" for i in rng.permutation(40)]
     entries = tuple(_entry(name) for name in names)
     vectors = np.vstack([directions[p] for p in picks])
-    index = EmbeddedIndex(entries=entries, vectors=vectors, dimension=8)
+    index = EmbeddedIndex(entries=entries, vectors=vectors)
     query = l2_normalize(rng.normal(size=8))
     distances = 1.0 - vectors @ query
     oracle = sorted(range(40), key=lambda i: (distances[i], names[i]))
@@ -112,9 +110,25 @@ def test_dimension_mismatch_rejected(train_index):
 def test_tie_broken_by_entry_id():
     vector = l2_normalize(np.ones(4))
     entries = tuple(_entry(name) for name in ("sB", "sA"))
-    index = EmbeddedIndex(entries=entries, vectors=np.vstack([vector, vector]), dimension=4)
+    index = EmbeddedIndex(entries=entries, vectors=np.vstack([vector, vector]))
     candidates = retrieve_topk(index, vector, 2)
     assert [e.sentence.id for e in candidates.entries] == ["sA", "sB"]
+
+
+def test_topk_is_itself_an_index(train_index):
+    # Retrieving from a top-K gives it back row for row, and clustering
+    # and selection take it as they take any index.
+    for row in range(len(train_index)):
+        query = train_index.vectors[row]
+        for k in (5, 16, 30):
+            top = retrieve_topk(train_index, query, k)
+            again = retrieve_topk(top, query, k)
+            assert [e.sentence.id for e in again.entries] == [e.sentence.id for e in top.entries]
+            assert np.array_equal(again.vectors, top.vectors)
+            clusters = cluster_candidates(top, 0.8)
+            assert sorted(np.concatenate(clusters).tolist()) == list(range(len(top)))
+            selected = select_diverse(top, clusters, 5)
+            assert 1 <= len(selected) <= 5 and set(selected) <= set(top.entries)
 
 
 # -- cluster_candidates
@@ -134,7 +148,7 @@ def test_far_apart_vectors_stay_singletons():
 
 
 def test_empty_input_empty_output():
-    assert cluster_candidates(TopK((), np.zeros((0, 4))), 0.7) == []
+    assert cluster_candidates(EmbeddedIndex((), np.zeros((0, 4))), 0.7) == []
 
 
 def _hash_candidates(texts, query_text, dim=32):
@@ -144,7 +158,7 @@ def _hash_candidates(texts, query_text, dim=32):
     query = l2_normalize(emb.embed(query_text))
     vectors = [l2_normalize(emb.embed(text)) for text in texts]
     rows = sorted(range(len(texts)), key=lambda i: (1.0 - vectors[i] @ query, f"s{i:03d}"))
-    candidates = TopK(
+    candidates = EmbeddedIndex(
         entries=tuple(_entry(f"s{i:03d}") for i in rows),
         vectors=np.vstack([vectors[i] for i in rows]),
     )
@@ -217,7 +231,7 @@ def test_array_clustering_equals_the_sequential_scan(vectors, radius):
     # product and a per-pair dot product may round to opposite sides.
     distances = 1.0 - vectors @ vectors.T
     assume(np.all(np.abs(distances - radius) > 1e-9))
-    candidates = TopK(_ENTRIES[: len(vectors)], vectors)
+    candidates = EmbeddedIndex(_ENTRIES[: len(vectors)], vectors)
     clusters = cluster_candidates(candidates, radius)
     assert [cluster.tolist() for cluster in clusters] == helpers.leader_clusters(vectors, radius)
 
@@ -225,10 +239,10 @@ def test_array_clustering_equals_the_sequential_scan(vectors, radius):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_unit_rows(max_rows=40), st.data())
 def test_topk_equals_the_full_sort(vectors, data):
-    n, dim = vectors.shape
+    n = len(vectors)
     names = data.draw(st.permutations(_NAMES[:n]))
     query = vectors[data.draw(st.integers(0, n - 1))]
-    index = EmbeddedIndex(entries=tuple(_entry(name) for name in names), vectors=vectors, dimension=dim)
+    index = EmbeddedIndex(entries=tuple(_entry(name) for name in names), vectors=vectors)
     k = data.draw(st.integers(1, n + 2))
     distances = 1.0 - vectors @ query
     oracle = sorted(range(n), key=lambda i: (distances[i], names[i]))[:k]
@@ -249,7 +263,7 @@ def _quota_walk_oracle(candidates, clusters, m, quota):
             break
         members = sorted(cluster)  # position order is (distance, id) order
         for member in members:
-            positive = candidates.entries[member].polarity.value == "positive"
+            positive = bool(candidates.entries[member].events)
             if remaining[positive] > 0:
                 remaining[positive] -= 1
                 picked.append(member)
@@ -278,7 +292,7 @@ def test_balanced_selection_from_abundant_clusters():
     candidates, clusters = _singleton_clusters(6, 6)  # 12 singleton clusters, alternating handled by quota
     selected = select_diverse(candidates, clusters, 10)
     assert len(selected) == 10
-    positives = sum(1 for e in selected if e.polarity.value == "positive")
+    positives = sum(1 for e in selected if e.events)
     assert positives == 5
     assert len({e.sentence.id for e in selected}) == 10
     oracle = _quota_walk_oracle(candidates, clusters, 10, (5, 5))
@@ -289,13 +303,13 @@ def test_backfill_when_one_polarity_missing():
     candidates, clusters = _singleton_clusters(12, 0)
     selected = select_diverse(candidates, clusters, 10)
     assert len(selected) == 10
-    assert all(e.polarity.value == "positive" for e in selected)
+    assert all(e.events for e in selected)
 
 
 def test_odd_m_gives_the_extra_slot_to_positives():
     candidates, clusters = _singleton_clusters(4, 4)
     selected = select_diverse(candidates, clusters, 3)
-    assert [e.polarity.value for e in selected] == ["positive", "positive", "negative"]
+    assert [bool(e.events) for e in selected] == [True, True, False]
     assert sorted(e.sentence.id for e in selected) == _quota_walk_oracle(
         candidates, clusters, 3, (2, 1)
     )
@@ -341,13 +355,13 @@ def test_decay_radius_two_steps_geometric():
 
 
 def test_definitions_for_mentioned_types(ontology, train_index):
-    opinions = [
-        SimpleNamespace(event_type="Personnel:Start-Position"),
-        SimpleNamespace(event_type="Personnel:End-Position"),
-        SimpleNamespace(event_type="Personnel:Start-Position"),
+    event_types = [
+        "Personnel:Start-Position",
+        "Personnel:End-Position",
+        "Personnel:Start-Position",
     ]
     candidates = retrieve_topk(train_index, train_index.vectors[0], 128)
-    result = gather_event_info(opinions, ontology, candidates, 1.35, DragConfig())
+    result = gather_event_info(event_types, ontology, candidates, 1.35, DragConfig())
     assert [d.type_id for d in result.definitions] == [
         "Personnel:Start-Position",
         "Personnel:End-Position",
@@ -356,17 +370,17 @@ def test_definitions_for_mentioned_types(ontology, train_index):
 
 
 def test_no_event_opinions_still_retrieve(ontology, train_index):
-    opinions = [SimpleNamespace(event_type=None), SimpleNamespace(event_type=None)]
+    event_types = [None, None]
     candidates = retrieve_topk(train_index, train_index.vectors[3], 128)
-    result = gather_event_info(opinions, ontology, candidates, 1.35, DragConfig())
+    result = gather_event_info(event_types, ontology, candidates, 1.35, DragConfig())
     assert result.definitions == ()
     assert len(result.examples) >= 1
 
 
 def test_unknown_types_recorded_not_fatal(ontology, train_index):
-    opinions = [SimpleNamespace(event_type="Made:Up")]
+    event_types = ["Made:Up"]
     candidates = retrieve_topk(train_index, train_index.vectors[0], 128)
-    result = gather_event_info(opinions, ontology, candidates, 1.35, DragConfig())
+    result = gather_event_info(event_types, ontology, candidates, 1.35, DragConfig())
     assert result.unknown_types == ("Made:Up",)
 
 
@@ -380,9 +394,9 @@ def test_decayed_radius_tightens_leaders(ontology, train_index, embedder):
 
 
 def test_event_type_filter_narrows_examples(ontology, train_index):
-    opinions = [SimpleNamespace(event_type="Personnel:End-Position")]
+    event_types = ["Personnel:End-Position"]
     result = gather_event_info(
-        opinions,
+        event_types,
         ontology,
         retrieve_topk(train_index, train_index.vectors[0], 128),
         0.2,
@@ -396,9 +410,9 @@ def test_event_type_filter_narrows_examples(ontology, train_index):
 
 
 def test_filter_falls_back_when_type_absent(ontology, train_index):
-    opinions = [SimpleNamespace(event_type="Justice:Pardon")]
+    event_types = ["Justice:Pardon"]
     result = gather_event_info(
-        opinions,
+        event_types,
         ontology,
         retrieve_topk(train_index, train_index.vectors[0], 128),
         1.35,
@@ -409,11 +423,11 @@ def test_filter_falls_back_when_type_absent(ontology, train_index):
 
 
 def test_retrieval_deterministic(ontology, train_index):
-    opinions = [SimpleNamespace(event_type="Life:Die")]
+    event_types = ["Life:Die"]
     results = []
     for _ in range(2):
         candidates = retrieve_topk(train_index, train_index.vectors[7], 128)
-        results.append(gather_event_info(opinions, ontology, candidates, 1.215, DragConfig()))
+        results.append(gather_event_info(event_types, ontology, candidates, 1.215, DragConfig()))
     first, second = results
     assert [e.sentence.id for e in first.examples] == [e.sentence.id for e in second.examples]
     assert first.definitions == second.definitions

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dao.drag import TopK, cluster_candidates
+from dao.corpus import EmbeddedIndex
+from dao.drag import cluster_candidates
 from synthetic import InvalidSpec, SyntheticSpec, gen_clustered_points, gen_risks
 
 
@@ -54,7 +55,7 @@ def _points_to_candidates(points):
             split="train",
         )
         entries.append(entry)
-    return TopK(tuple(entries), np.vstack(points))
+    return EmbeddedIndex(tuple(entries), np.vstack(points))
 
 
 def _recovered_partition(points, radius):

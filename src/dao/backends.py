@@ -189,8 +189,9 @@ class HttpEmbeddingBackend(HttpTransport):
         data = self._post({"model": self.model, "input": text}, self.api_key_env)
         try:
             vector = np.asarray(data["data"][0]["embedding"], dtype=np.float64)
-        except (KeyError, IndexError, TypeError):
-            raise MalformedResponse("missing data[0].embedding") from None
+        except (KeyError, IndexError, TypeError, ValueError):
+            # ValueError: an element that is not a number, or a ragged array.
+            raise MalformedResponse("missing or non-numeric data[0].embedding") from None
         if vector.ndim != 1 or vector.shape[0] != self.dim:
             raise MalformedResponse(
                 f"embedding has shape {vector.shape}, expected ({self.dim},)"

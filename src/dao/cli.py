@@ -31,7 +31,7 @@ from .backends import (
     ScoringBackend,
     sha256_prefix,
 )
-from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, read_sentences
+from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, load_ontology, read_keyed
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -46,7 +46,6 @@ from .debate import (
 from .drag import DragConfig
 from .errors import BackendError, DaoError, EmptyCalibrationSet, InvalidConfig
 from .evalkit import PRF, Item, head_f1, trigger_f1, type_overlap_f1
-from .ontology import load_ontology
 from .replay import DEFAULT_DIMENSION, ReplayBundle
 
 # timeout, max_attempts and backoff, as the HTTP clients default them.
@@ -437,11 +436,10 @@ def _items(rows: list[_EvalRow], task: str) -> list[Item]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    pred_rows = read_sentences(args.pred, _eval_row)
-    gold_rows = read_sentences(args.gold, _eval_row)
-    texts: dict[str, str] = {}
-    for sentence_id, text, _ in gold_rows + pred_rows:
-        texts.setdefault(sentence_id, text)
+    pred_rows = list(read_keyed(args.pred, "id", "sentence id", _eval_row).values())
+    gold_rows = list(read_keyed(args.gold, "id", "sentence id", _eval_row).values())
+    # A gold text wins over a predicted one for the same id.
+    texts = {sentence_id: text for sentence_id, text, _ in pred_rows + gold_rows}
 
     preds, golds = _items(pred_rows, args.task), _items(gold_rows, args.task)
     note = None

@@ -1,13 +1,16 @@
-"""Annotated reference corpus and the embedded index searched by retrieval.
+"""The JSON Lines inputs: the event ontology, the annotated reference
+corpus, and the embedded index searched by retrieval.
 
-Corpus rows are JSONL: `{"id", "text", "split", "events": [{"type",
+Ontology rows are `{"type", "definition", "typical_triggers", "roles"}`;
+the ontology is a mapping from each type to its `EventDefinition`, in
+file order. Corpus rows are `{"id", "text", "split", "events": [{"type",
 "trigger", "arguments": [{"role", "content"}]}]}`. Each row becomes a
 `ReferenceEntry` holding its sentence, events and split; an entry with
 events is a positive example, whatever else the row holds. A row
-whose text is not single-spaced, whose trigger or argument is not in its
-sentence, or whose id an earlier row has, is rejected by `read_jsonl`,
-which rejects every bad row of every JSON Lines input, naming the file
-and the line.
+whose text is not single-spaced, whose trigger or argument is empty or
+not in its sentence, or whose id an earlier row has, is rejected by
+`read_jsonl`, which rejects every bad row of every JSON Lines input,
+naming the file and the line.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -34,6 +37,28 @@ from .errors import DimensionMismatch, FormatError, ZeroVector
 INDEX_SLICES = 16
 
 T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class EventDefinition:
+    """One event type's guideline entry."""
+
+    type_id: str
+    definition_text: str
+    typical_triggers: tuple[str, ...] = ()
+    roles: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not self.type_id:
+            raise ValueError("event type id must be non-empty")
+        if not self.definition_text:
+            raise ValueError(f"{self.type_id}: definition text must be non-empty")
+        if len(set(self.roles)) != len(self.roles):
+            raise ValueError(f"{self.type_id}: duplicate role names")
+
+
+# An event ontology: each type's definition, keyed by type in file order.
+Ontology = Mapping[str, EventDefinition]
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +123,8 @@ def l2_normalize(vector: np.ndarray, name: str = "") -> np.ndarray:
 
 
 def _check_span(sentence: Sentence, span: str, what: str) -> None:
+    if not span:
+        raise ValueError(f"{sentence.id}: {what} is empty")
     if span not in sentence.text:
         raise ValueError(f"{sentence.id}: {what} {span!r} not found in sentence text")
 
@@ -132,26 +159,55 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     return parsed
 
 
-def read_sentences(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """`read_jsonl` of rows keyed by sentence id, rejecting a row whose
-    `id` an earlier row of the file has."""
-    seen: set[str] = set()
+def read_keyed(path: str | Path, key: str, name: str, parse: Callable[[dict], T]) -> dict[str, T]:
+    """`read_jsonl` of rows keyed by their `key` field, as a dict in file
+    order; a row whose key an earlier row of the file has is rejected as
+    a duplicate `name`."""
+    rows: dict[str, T] = {}
 
-    def once(record: dict) -> T:
+    def once(record: dict) -> None:
         row = parse(record)
-        if record["id"] in seen:
-            raise ValueError(f"duplicate sentence id {record['id']!r}")
-        seen.add(record["id"])
-        return row
+        if record[key] in rows:
+            raise ValueError(f"duplicate {name} {record[key]!r}")
+        rows[record[key]] = row
 
-    return read_jsonl(path, once)
+    read_jsonl(path, once)
+    return rows
+
+
+def load_ontology(path: str | Path) -> Ontology:
+    """The event definitions of a JSONL file, keyed by type in file order.
+
+    Each row needs string `type` and `definition`; `typical_triggers` and
+    `roles` are arrays of strings, empty when left out. Unknown keys are
+    ignored, and no type may repeat."""
+    return read_keyed(path, "type", "event type", _event_definition)
+
+
+def _event_definition(record: dict) -> EventDefinition:
+    for field in ("type", "definition"):
+        if not isinstance(record[field], str):
+            raise ValueError(f"{field} must be a string, got {record[field]!r}")
+    return EventDefinition(
+        type_id=record["type"],
+        definition_text=record["definition"],
+        typical_triggers=_strings(record, "typical_triggers"),
+        roles=_strings(record, "roles"),
+    )
+
+
+def _strings(record: dict, field: str) -> tuple[str, ...]:
+    values = record.get(field, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{field} must be an array of strings, got {values!r}")
+    return tuple(values)
 
 
 def load_corpus(path: str | Path) -> list[ReferenceEntry]:
     """Load reference entries from a JSONL corpus file. Every trigger and
-    argument content must occur verbatim in the sentence text, and no id
-    may repeat; rows without events are negative examples."""
-    return read_sentences(path, _reference_entry)
+    argument content must be non-empty and occur verbatim in the sentence
+    text, and no id may repeat; rows without events are negative examples."""
+    return list(read_keyed(path, "id", "sentence id", _reference_entry).values())
 
 
 def _reference_entry(record: dict) -> ReferenceEntry:

@@ -37,10 +37,9 @@ from typing import Any, Callable, ClassVar, Mapping, Sequence, TypeVar
 from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend, sha256_prefix
-from .corpus import EmbeddedIndex, EventMention, ReferenceEntry, Sentence, embed_sentence
+from .corpus import EmbeddedIndex, EventMention, Ontology, ReferenceEntry, Sentence, embed_sentence
 from .drag import DragConfig, RetrievalResult, decay_radius, gather_event_info
 from .errors import BackendError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
-from .ontology import EventOntology
 from .prompts import render_prompt
 
 logger = logging.getLogger(__name__)
@@ -220,10 +219,11 @@ class Detection:
     event_type: ClassVar[None] = None
     judge_header: ClassVar[tuple[str, ...]] = ED_JUDGE_HEADER
 
-    def prompt(self, sentence: Sentence, ontology: EventOntology, role_label: str = "Debater") -> str:
-        """The task prompt; also the scoring context of its answers, so
-        calibration and in-debate risks share one anchor."""
-        type_list = "Event type list: " + ", ".join(ontology.type_ids()) + "."
+    def prompt(self, sentence: Sentence, ontology: Ontology, role_label: str = "Debater") -> str:
+        """The task prompt, opening with `ontology`'s types in file order;
+        also the scoring context of its answers, so calibration and
+        in-debate risks share one anchor."""
+        type_list = "Event type list: " + ", ".join(ontology) + "."
         rendered = render_prompt("debater_ed", {"SENT": sentence.text, "ROLE": role_label})
         return f"{type_list}\n\n{rendered}"
 
@@ -274,7 +274,7 @@ class ArgumentExtraction:
     trigger: str
     roles: tuple[str, ...]
 
-    def prompt(self, sentence: Sentence, ontology: EventOntology, role_label: str = "Debater") -> str:
+    def prompt(self, sentence: Sentence, ontology: Ontology, role_label: str = "Debater") -> str:
         """The task prompt; also the scoring context of its answers."""
         return render_prompt(
             "debater_eae",
@@ -333,12 +333,13 @@ Task = Detection | ArgumentExtraction
 
 
 def calibration_pairs(
-    task: str, entries: Sequence[ReferenceEntry], ontology: EventOntology
+    task: str, entries: Sequence[ReferenceEntry], ontology: Ontology
 ) -> list[tuple[str, str]]:
     """(prompt, gold answer) pairs for one task ("ed" or "eae") over
-    annotated entries. Each prompt is the task prompt that the in-debate
-    gate's context starts with; the gate also scores the round's packet
-    after it, which calibration has none of."""
+    annotated entries; an "eae" event whose type `ontology` lacks is
+    skipped. Each prompt is the task prompt that the in-debate gate's
+    context starts with; the gate also scores the round's packet after
+    it, which calibration has none of."""
     pairs: list[tuple[str, str]] = []
     detection = Detection()
     for entry in entries:
@@ -353,7 +354,7 @@ def calibration_pairs(
                 skipped = "%s: type %r not in ontology; skipped for calibration"
                 logger.warning(skipped, sentence.id, event.event_type)
                 continue
-            roles = ontology.lookup(event.event_type).roles
+            roles = ontology[event.event_type].roles
             extraction = ArgumentExtraction(event.event_type, event.trigger, roles)
             gold = ArgumentAnswer(event.event_type, event.arguments)
             pairs.append((extraction.prompt(sentence, ontology), extraction.serialize(gold)))
@@ -501,7 +502,7 @@ class _Session:
     sentence's top-K candidates once scanned and the risks scored so far."""
 
     sentence: Sentence
-    ontology: EventOntology
+    ontology: Ontology
     index: EmbeddedIndex
     config: SessionConfig
     run: Runner
@@ -794,7 +795,7 @@ class _Session:
 
 
 def run_session(
-    sentence: Sentence, ontology: EventOntology, index: EmbeddedIndex, config: SessionConfig, pool: Executor
+    sentence: Sentence, ontology: Ontology, index: EmbeddedIndex, config: SessionConfig, pool: Executor
 ) -> SessionResult:
     """`debate_sentence` with each batch fanned out on `pool`, the run's
     call pool; with a free pool thread per debater, no call waits for one."""
@@ -802,14 +803,15 @@ def run_session(
 
 
 def debate_sentence(
-    sentence: Sentence, ontology: EventOntology, index: EmbeddedIndex, config: SessionConfig, run: Runner
+    sentence: Sentence, ontology: Ontology, index: EmbeddedIndex, config: SessionConfig, run: Runner
 ) -> SessionResult:
     """Run detection and, when an event is found, argument extraction,
     with every model call sent through `run`, one batch per stage.
 
     Only the sentence text ever enters a prompt; gold annotations are
     never available to this code path. A no-event outcome skips argument
-    extraction entirely.
+    extraction entirely, as does an agreed type that `ontology` lacks or
+    that has no roles; its record carries no arguments.
     """
     session = _Session(sentence, ontology, index, config, run)
     try:
@@ -824,7 +826,7 @@ def debate_sentence(
                     f"agreed type {answer.event_type!r} unknown to the ontology; "
                     "emitting record without arguments",
                 )
-            elif roles := ontology.lookup(answer.event_type).roles:
+            elif roles := ontology[answer.event_type].roles:
                 extraction = ArgumentExtraction(answer.event_type, answer.trigger, roles)
                 if extracted := session.run_debate(extraction):
                     rows = extracted[0].rows

@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EmbeddedIndex, ReferenceEntry
+from .corpus import EmbeddedIndex, EventDefinition, Ontology, ReferenceEntry
 from .errors import DimensionMismatch
-from .ontology import EventDefinition, EventOntology, EventTypeId
 
 
 @dataclass(frozen=True)
@@ -127,27 +126,28 @@ def decay_radius(radius: float, decay: float) -> float:
     return decay * radius
 
 
-def _mentions(entry: ReferenceEntry, event_type: EventTypeId) -> bool:
+def _mentions(entry: ReferenceEntry, event_type: str) -> bool:
     return any(event.event_type == event_type for event in entry.events)
 
 
 def gather_event_info(
     event_types: Sequence[str | None],
-    ontology: EventOntology,
+    ontology: Ontology,
     candidates: EmbeddedIndex,
     radius: float,
     config: DragConfig,
-    event_type_filter: EventTypeId | None = None,
+    event_type_filter: str | None = None,
 ) -> RetrievalResult:
     """Assemble the per-round retrieval packet.
 
-    Definitions cover every distinct type in `event_types`, the live
-    answers' event types with None for no event (unknown types are
-    recorded, not fatal). Examples come from the sentence's top-K
-    `candidates`, leader clustering at `radius`, and diversity selection.
-    During argument extraction, `event_type_filter` narrows candidates to
-    entries mentioning the identified type before clustering; if that
-    leaves nothing, the unfiltered set is used.
+    Definitions are `ontology`'s entries for every distinct type in
+    `event_types`, the live answers' event types with None for no event;
+    a type the ontology lacks is recorded in `unknown_types`, not fatal.
+    Examples come from the sentence's top-K `candidates`, leader
+    clustering at `radius`, and diversity selection. During argument
+    extraction, `event_type_filter` narrows candidates to entries
+    mentioning the identified type before clustering; if that leaves
+    nothing, the unfiltered set is used.
     """
     definitions: list[EventDefinition] = []
     unknown: list[str] = []
@@ -157,7 +157,7 @@ def gather_event_info(
             continue
         seen.add(type_id)
         if type_id in ontology:
-            definitions.append(ontology.lookup(type_id))
+            definitions.append(ontology[type_id])
         else:
             unknown.append(type_id)
 

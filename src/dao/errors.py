@@ -15,10 +15,6 @@ class FormatError(DaoError):
         self.line_no = line_no
 
 
-class UnknownEventType(DaoError):
-    """Lookup of an event type id absent from the ontology."""
-
-
 class DimensionMismatch(DaoError):
     """Vector dimensions disagree with the index or backend metadata."""
 

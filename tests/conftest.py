@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from dao.backends import HashEmbedder
-from dao.corpus import build_index, load_corpus
-from dao.ontology import load_ontology
+from dao.corpus import build_index, load_corpus, load_ontology
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -270,7 +270,7 @@ def build_scenario(seed: int, ontology) -> Scenario:
     sentence = Sentence.from_text(f"scenario-{seed}", text)
     good = f'["{event_type}", "{trigger}"]'
     other = '["Life:Die", "fell"]'
-    roles = ontology.lookup(event_type).roles
+    roles = ontology[event_type].roles
     filled = {roles[0]: subject}
     agreed_rows = canonical_argument_rows(roles, filled)
     eae_answer_table = serialize_argument_table(event_type, agreed_rows)

@@ -83,6 +83,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._reply(200, {"nll": -1.0})
         elif self.path == "/score-nan":
             self._reply(200, b'{"nll": NaN}')
+        elif self.path == "/embed-strings":
+            self._reply(200, {"data": [{"embedding": ["x"]}]})
+        elif self.path == "/embed-ragged":
+            self._reply(200, {"data": [{"embedding": [[1.0, 2.0], [3.0]]}]})
         elif self.path == "/embed-nan":
             self._reply(200, b'{"data": [{"embedding": [1.0, NaN, 1.0, 1.0, 1.0, 1.0, 1.0, Infinity]}]}')
         else:
@@ -303,6 +307,13 @@ def test_http_scoring_nan_nll_is_malformed(stub_server):
 def test_http_embedding_non_finite_component_is_malformed(stub_server):
     backend = HttpEmbeddingBackend(endpoint=f"{stub_server}/embed-nan", model="m", dim=8)
     with pytest.raises(MalformedResponse, match="non-finite"):
+        backend.embed("hello")
+
+
+@pytest.mark.parametrize("path", ["embed-strings", "embed-ragged"])
+def test_http_embedding_of_non_numbers_is_malformed(stub_server, path):
+    backend = HttpEmbeddingBackend(endpoint=f"{stub_server}/{path}", model="m", dim=8)
+    with pytest.raises(MalformedResponse, match=r"^missing or non-numeric data\[0\]\.embedding$"):
         backend.embed("hello")
 
 

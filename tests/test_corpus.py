@@ -91,6 +91,30 @@ def test_argument_span_not_in_text_rejected(tmp_path):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        ({"type": "Life:Die", "trigger": ""}, "s1: trigger is empty"),
+        (
+            {"type": "Life:Die", "trigger": "killed", "arguments": [{"role": "Victim", "content": ""}]},
+            "s1: argument content is empty",
+        ),
+    ],
+)
+def test_empty_span_rejected(tmp_path, event, message):
+    # An empty string is in every text, so only an explicit check rejects it.
+    _write_jsonl(
+        tmp_path / "c.jsonl",
+        [
+            {"id": "s0", "text": "Nothing happened ."},
+            {"id": "s1", "text": "The general was killed .", "events": [event]},
+        ],
+    )
+    with pytest.raises(FormatError) as raised:
+        load_corpus(tmp_path / "c.jsonl")
+    assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 2: {message}"
+
+
 def test_double_spaced_text_rejected(tmp_path):
     _write_jsonl(tmp_path / "c.jsonl", [{"id": "s1", "text": "Two  spaces .", "events": []}])
     with pytest.raises(FormatError):

@@ -371,7 +371,7 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
     assert calib
     for entry in calib:
         (event,) = entry.events
-        roles = ontology.lookup(event.event_type).roles
+        roles = ontology[event.event_type].roles
         answer = serialize_trigger_answer(TriggerAnswer(event.event_type, event.trigger))
         table = helpers.eae_table(event.event_type, canonical_argument_rows(roles, dict(event.arguments)))
         script = [("*", answer), ("*", f"I keep {answer} ."), ("*", table), ("*", f"Kept .\n{table}")]

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from dao.errors import FormatError, UnknownEventType
-from dao.ontology import EventDefinition, load_ontology
+from dao.corpus import EventDefinition, load_ontology
+from dao.errors import FormatError
 
 
 def test_load_ontology_fixture_record_count(ontology_path, ontology):
@@ -15,12 +15,12 @@ def test_load_ontology_fixture_record_count(ontology_path, ontology):
 
 
 def test_lookup_life_die_roles(ontology):
-    definition = ontology.lookup("Life:Die")
+    definition = ontology["Life:Die"]
     assert definition.roles == ("Agent", "Victim", "Instrument", "Place")
 
 
 def test_lookup_divorce_definition_text(ontology):
-    definition = ontology.lookup("Life:Divorce")
+    definition = ontology["Life:Divorce"]
     assert "officially divorced under the legal definition" in definition.definition_text
 
 
@@ -29,8 +29,7 @@ def test_empty_file_gives_empty_ontology(tmp_path):
     path.write_text("", encoding="utf-8")
     ontology = load_ontology(path)
     assert len(ontology) == 0
-    with pytest.raises(UnknownEventType):
-        ontology.lookup("Life:Die")
+    assert "Life:Die" not in ontology
 
 
 def test_duplicate_type_rejected(tmp_path):
@@ -63,9 +62,31 @@ def test_missing_file_is_io_error(tmp_path):
         load_ontology(tmp_path / "nope.jsonl")
 
 
-def test_unknown_lookup_raises(ontology):
-    with pytest.raises(UnknownEventType):
-        ontology.lookup("Nonsense:Type")
+def test_types_in_file_order(ontology_path, ontology):
+    with open(ontology_path, encoding="utf-8") as fh:
+        types = [json.loads(line)["type"] for line in fh if line.strip()]
+    assert list(ontology) == types
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"type": 5}, "type must be a string, got 5"),
+        ({"definition": ["x"]}, "definition must be a string, got ['x']"),
+        ({"roles": "Place"}, "roles must be an array of strings, got 'Place'"),
+        ({"roles": ["Place", 1]}, "roles must be an array of strings, got ['Place', 1]"),
+        ({"typical_triggers": "die"}, "typical_triggers must be an array of strings, got 'die'"),
+        ({"typical_triggers": [None]}, "typical_triggers must be an array of strings, got [None]"),
+    ],
+)
+def test_row_of_the_wrong_type_is_format_error(tmp_path, change, message):
+    record = {"type": "Life:Die", "definition": "x", "typical_triggers": ["die"], "roles": ["Victim"]}
+    path = tmp_path / "typed.jsonl"
+    rows = [{"type": "A:B", "definition": "y"}, {**record, **change}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(FormatError) as raised:
+        load_ontology(path)
+    assert str(raised.value) == f"{path}: line 2: {message}"
 
 
 def test_round_trip_preserves_every_field(ontology_path, ontology):
@@ -74,7 +95,7 @@ def test_round_trip_preserves_every_field(ontology_path, ontology):
             if not line.strip():
                 continue
             record = json.loads(line)
-            definition = ontology.lookup(record["type"])
+            definition = ontology[record["type"]]
             assert definition == EventDefinition(
                 type_id=record["type"],
                 definition_text=record["definition"],
@@ -84,7 +105,7 @@ def test_round_trip_preserves_every_field(ontology_path, ontology):
 
 
 def test_repeated_lookup_identical(ontology):
-    assert ontology.lookup("Conflict:Attack") == ontology.lookup("Conflict:Attack")
+    assert ontology["Conflict:Attack"] == ontology["Conflict:Attack"]
 
 
 def test_duplicate_roles_rejected():

@@ -81,6 +81,10 @@ class Sentence:
 
 @dataclass(frozen=True, slots=True)
 class EventMention:
+    """One event: a (type, trigger) and its filled argument rows. It is a
+    gold annotation, a debater's answer, an answer the judge agrees on and
+    an output record alike; None stands for no event."""
+
     event_type: str
     trigger: str
     arguments: tuple[tuple[str, str], ...] = ()
@@ -185,15 +189,30 @@ def load_ontology(path: str | Path) -> Ontology:
 
 
 def _event_definition(record: dict) -> EventDefinition:
-    for field in ("type", "definition"):
-        if not isinstance(record[field], str):
-            raise ValueError(f"{field} must be a string, got {record[field]!r}")
     return EventDefinition(
-        type_id=record["type"],
-        definition_text=record["definition"],
+        type_id=_string(record, "type"),
+        definition_text=_string(record, "definition"),
         typical_triggers=_strings(record, "typical_triggers"),
         roles=_strings(record, "roles"),
     )
+
+
+def _string(record: dict, field: str, default: str | None = None) -> str:
+    """`record[field]`, or `default` when one is given and the field is
+    left out; a value that is not a string is a ValueError."""
+    value = record[field] if default is None else record.get(field, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _array(record: dict, field: str) -> list:
+    """`record[field]`, empty when left out; a value that is not an array
+    is a ValueError."""
+    values = record.get(field, [])
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be an array, got {values!r}")
+    return values
 
 
 def _strings(record: dict, field: str) -> tuple[str, ...]:
@@ -211,20 +230,23 @@ def load_corpus(path: str | Path) -> list[ReferenceEntry]:
 
 
 def _reference_entry(record: dict) -> ReferenceEntry:
-    sentence = Sentence.from_text(record["id"], record["text"])
+    sentence = Sentence.from_text(_string(record, "id"), _string(record, "text"))
+    split = _string(record, "split", "train")
     events = tuple(
         EventMention(
-            event_type=event["type"],
-            trigger=event["trigger"],
-            arguments=tuple((arg["role"], arg["content"]) for arg in event.get("arguments", ())),
+            event_type=_string(event, "type"),
+            trigger=_string(event, "trigger"),
+            arguments=tuple(
+                (_string(arg, "role"), _string(arg, "content")) for arg in _array(event, "arguments")
+            ),
         )
-        for event in record.get("events", ())
+        for event in _array(record, "events")
     )
     for event in events:
         _check_span(sentence, event.trigger, "trigger")
         for _, content in event.arguments:
             _check_span(sentence, content, "argument content")
-    return ReferenceEntry(sentence=sentence, events=events, split=record.get("split", "train"))
+    return ReferenceEntry(sentence=sentence, events=events, split=split)
 
 
 def embed_sentence(embedder: EmbeddingBackend, sentence: Sentence, dim: int) -> np.ndarray:

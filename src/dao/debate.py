@@ -13,6 +13,12 @@ calibration's (prompt, gold answer) pairs. A debate's outcome is its
 agreed answers: `()` when the judge finds no event or, at the round cap,
 no answer passes the gate.
 
+One type carries an event through every step: a `corpus.EventMention` is
+a gold annotation, a debater's answer, an answer the judge agrees on and
+an output record alike, and `None` is no event. A detection answer holds
+a (type, trigger); an argument-extraction answer holds its filled rows
+too, so answers from any source compare with `==`.
+
 Every model call of a session goes through one batch runner, `run(calls)`,
 which returns the calls' results in call order; a stage is one batch. The
 first round's batch holds the query embed with the one top-K scan, and
@@ -55,39 +61,11 @@ Runner = Callable[[Sequence[Callable[[], Any]]], list]
 
 
 # ---------------------------------------------------------------------------
-# Structured answers
+# Serialized answers
 
 
-@dataclass(frozen=True)
-class TriggerAnswer:
-    """A detection answer: (type, trigger), or (None, None) for no event."""
-
-    event_type: str | None = None
-    trigger: str | None = None
-
-    def __post_init__(self):
-        if (self.event_type is None) != (self.trigger is None):
-            raise ValueError("event_type and trigger must both be set or both be None")
-
-    @property
-    def is_no_event(self) -> bool:
-        return self.event_type is None
-
-
-@dataclass(frozen=True)
-class ArgumentAnswer:
-    """An argument-extraction answer: one (role, content) row per role."""
-
-    event_type: str
-    rows: tuple[tuple[str, str | None], ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return all(content is None for _, content in self.rows)
-
-
-def serialize_trigger_answer(answer: TriggerAnswer | None) -> str:
-    if answer is None or answer.is_no_event:
+def serialize_trigger_answer(answer: EventMention | None) -> str:
+    if answer is None:
         return "[]"
     return f'["{answer.event_type}", "{answer.trigger}"]'
 
@@ -113,24 +91,19 @@ _ANSWER_PAIR = re.compile(r'\[\s*"([^"\[\]]+)"\s*,\s*"([^"\[\]]+)"\s*\]')
 _ANSWER_EMPTY = re.compile(r"\[\s*\]")
 
 
-def parse_debater_ed(text: str) -> TriggerAnswer:
+def parse_debater_ed(text: str) -> EventMention | None:
     """Parse a detection answer out of free-form debater text.
 
     The last well-formed two-element quoted list wins; a later bare `[]`
-    means no event. Role prefixes and surrounding prose are tolerated.
+    means no event (None). Role prefixes and surrounding prose are tolerated.
     """
-    best_pos = -1
-    best: TriggerAnswer | None = None
-    for match in _ANSWER_PAIR.finditer(text):
-        best_pos, best = match.start(), TriggerAnswer(
-            match.group(1).strip(), match.group(2).strip()
-        )
-    for match in _ANSWER_EMPTY.finditer(text):
-        if match.start() > best_pos:
-            best_pos, best = match.start(), TriggerAnswer()
-    if best is None:
+    found: list[tuple[int, EventMention | None]] = [
+        (m.start(), EventMention(m.group(1).strip(), m.group(2).strip())) for m in _ANSWER_PAIR.finditer(text)
+    ]
+    found += [(m.start(), None) for m in _ANSWER_EMPTY.finditer(text)]
+    if not found:
         raise ParseFailure(f"no answer pattern in reply sha256:{sha256_prefix(text, 12)}")
-    return best
+    return max(found, key=lambda match: match[0])[1]
 
 
 def _strip_emphasis(cell: str) -> str:
@@ -186,7 +159,7 @@ def parse_table(text: str, expected_header: Sequence[str]) -> list[tuple[str | N
     raise HeaderMismatch(f"no table with header {list(expected_header)!r}")
 
 
-def parse_judge(text: str, task: Task) -> tuple[Answer, ...] | None:
+def parse_judge(text: str, task: Task) -> tuple[EventMention, ...] | None:
     """The answers the judge's reply agrees on, `()` for no event, or None
     for another round; sentinels take precedence over tables.
 
@@ -207,8 +180,6 @@ def parse_judge(text: str, task: Task) -> tuple[Answer, ...] | None:
 
 # ---------------------------------------------------------------------------
 # Debate tasks: what differs between detection and argument extraction
-
-Answer = TriggerAnswer | ArgumentAnswer
 
 
 @dataclass(frozen=True)
@@ -233,35 +204,31 @@ class Detection:
             f'"trigger token"]**, or **{name}: []**.'
         )
 
-    def parse(self, text: str) -> TriggerAnswer:
+    def parse(self, text: str) -> EventMention | None:
         return parse_debater_ed(text)
 
-    def serialize(self, answer: TriggerAnswer | None) -> str:
+    def serialize(self, answer: EventMention | None) -> str:
         return serialize_trigger_answer(answer)
 
-    def exempt(self, answer: TriggerAnswer | None) -> bool:
+    def exempt(self, answer: EventMention | None) -> bool:
         """Abstentions and no-event answers bypass the gate."""
-        return answer is None or answer.is_no_event
+        return answer is None
 
-    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> tuple[TriggerAnswer, ...]:
+    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> tuple[EventMention, ...]:
         """The distinct agreed (type, trigger) rows; rows with an empty
         cell are skipped, and a table with none left is a ParseFailure."""
-        answers: list[TriggerAnswer] = []
+        answers: list[EventMention] = []
         for event_type, trigger in dict.fromkeys(rows):
             if event_type is None or trigger is None:
                 logger.warning("judge table row with empty cell skipped")
                 continue
-            answers.append(TriggerAnswer(event_type, trigger))
+            answers.append(EventMention(event_type, trigger))
         if not answers:
             raise ParseFailure("judge agreement table had no usable rows")
         return tuple(answers)
 
     def example(self, entry: ReferenceEntry) -> str:
-        answers = (
-            serialize_trigger_answer(TriggerAnswer(e.event_type, e.trigger))
-            for e in entry.events
-        )
-        return "; ".join(answers) or "[]"
+        return "; ".join(map(serialize_trigger_answer, entry.events)) or "[]"
 
 
 @dataclass(frozen=True)
@@ -292,20 +259,20 @@ class ArgumentExtraction:
             "| event type | argument role | argument content |."
         )
 
-    def parse(self, text: str) -> ArgumentAnswer:
-        rows = parse_table(text, EAE_HEADER)
-        return ArgumentAnswer(self.event_type, self._clean([row[1:] for row in rows]))
+    def parse(self, text: str) -> EventMention:
+        return self.agreement(parse_table(text, EAE_HEADER))[0]
 
-    def serialize(self, answer: ArgumentAnswer | None) -> str:
-        filled = dict(answer.rows) if answer is not None else {}
+    def serialize(self, answer: EventMention | None) -> str:
+        filled = dict(answer.arguments) if answer is not None else {}
         return serialize_argument_table(self.event_type, canonical_argument_rows(self.roles, filled))
 
-    def exempt(self, answer: ArgumentAnswer | None) -> bool:
-        """Abstentions and empty tables bypass the gate."""
-        return answer is None or answer.is_empty
+    def exempt(self, answer: EventMention | None) -> bool:
+        """Abstentions and tables with no filled role bypass the gate."""
+        return answer is None or not answer.arguments
 
-    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> tuple[ArgumentAnswer]:
-        return (ArgumentAnswer(self.event_type, self._clean([row[1:] for row in rows])),)
+    def agreement(self, rows: Sequence[tuple[str | None, ...]]) -> tuple[EventMention]:
+        """The table's filled rows as one answer for this (type, trigger)."""
+        return (EventMention(self.event_type, self.trigger, self._clean([row[1:] for row in rows])),)
 
     def example(self, entry: ReferenceEntry) -> str:
         for event in entry.events:
@@ -314,11 +281,9 @@ class ArgumentExtraction:
                 return "\n" + serialize_argument_table(event.event_type, tuple(filled.items()))
         return "[]"
 
-    def _clean(
-        self, rows: Sequence[tuple[str | None, str | None]]
-    ) -> tuple[tuple[str, str | None], ...]:
-        """Keep the first row per known role, in ontology order; unknown
-        roles are dropped."""
+    def _clean(self, rows: Sequence[tuple[str | None, str | None]]) -> tuple[tuple[str, str], ...]:
+        """Keep the first row per known role, in ontology order, then drop
+        the roles whose content is None; unknown roles are dropped."""
         known = set(self.roles)
         seen: dict[str, str | None] = {}
         for role, content in rows:
@@ -326,7 +291,7 @@ class ArgumentExtraction:
                 seen.setdefault(role, content)
             elif role is not None:
                 logger.warning("dropping row for unknown argument role %r", role)
-        return tuple((role, seen[role]) for role in self.roles if role in seen)
+        return tuple((role, content) for role in self.roles if (content := seen.get(role)) is not None)
 
 
 Task = Detection | ArgumentExtraction
@@ -346,8 +311,7 @@ def calibration_pairs(
         sentence, events = entry.sentence, entry.events
         if task == "ed":
             prompt = detection.prompt(sentence, ontology)
-            golds = [TriggerAnswer(e.event_type, e.trigger) for e in events] or [TriggerAnswer()]
-            pairs.extend((prompt, detection.serialize(gold)) for gold in golds)
+            pairs.extend((prompt, detection.serialize(gold)) for gold in events or [None])
             continue
         for event in events:
             if event.event_type not in ontology:
@@ -356,8 +320,7 @@ def calibration_pairs(
                 continue
             roles = ontology[event.event_type].roles
             extraction = ArgumentExtraction(event.event_type, event.trigger, roles)
-            gold = ArgumentAnswer(event.event_type, event.arguments)
-            pairs.append((extraction.prompt(sentence, ontology), extraction.serialize(gold)))
+            pairs.append((extraction.prompt(sentence, ontology), extraction.serialize(event)))
     return pairs
 
 
@@ -445,7 +408,7 @@ class DebateState:
     radius: float
     threshold: float
     round_index: int = 0
-    live_opinions: dict[int, Answer | None] = field(default_factory=dict)
+    live_opinions: dict[int, EventMention | None] = field(default_factory=dict)
     gated_out: set[int] = field(default_factory=set)
     packet_text: str = ""
 
@@ -560,7 +523,7 @@ class _Session:
 
     # -- the round state machine
 
-    def run_round(self, state: DebateState) -> tuple[Answer, ...] | None:
+    def run_round(self, state: DebateState) -> tuple[EventMention, ...] | None:
         """One debate round: the judge's agreed answers, `()` for no event,
         or None for another round. Decays radius and threshold before every
         round after the first, and advances the round counter at its end."""
@@ -650,35 +613,34 @@ class _Session:
     ) -> None:
         """Take the debaters' replies to `prompts`, in debater order.
 
-        A parsed reply becomes the debater's live answer; an unparseable one
-        keeps it (an abstention before the first answer) and is noted with
-        `unparsed`. A gated-out debater's new answer is re-gated, all
-        re-gates in one batch, and leaves `gated_out` when it passes or is
-        exempt. Each debater's exchange, note and gate verdict are written
-        in debater order.
+        A parsed reply becomes the debater's live answer, a parsed `[]`
+        too; an unparseable one keeps it (an abstention, None, before the
+        first answer) and is noted with `unparsed`. A gated-out debater's
+        new answer is re-gated, all re-gates in one batch, and leaves
+        `gated_out` when it passes or is exempt. Each debater's exchange,
+        note and gate verdict are written in debater order.
         """
         ctx, rnd, debaters = state.ctx, state.round_index, self.config.team.debaters
-        parsed: list[Answer | None] = []
-        for reply in replies:
+        failed: set[int] = set()
+        for i, reply in enumerate(replies):
             try:
-                parsed.append(ctx.parse(reply))
+                state.live_opinions[i] = ctx.parse(reply)
             except ParseFailure as exc:
                 # The message only: a record kept by a handler would keep
                 # `exc`'s traceback and, through this frame, the session.
                 logger.warning("debater reply unparseable: %s", str(exc))
-                parsed.append(None)
-        for i, answer in enumerate(parsed):
-            state.live_opinions[i] = state.live_opinions.get(i) if answer is None else answer
+                failed.add(i)
+                state.live_opinions.setdefault(i, None)
         revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out}
         regated = self._score(state, revised)
         for i, binding in enumerate(debaters):
             self._note(rnd, f"{ctx.task}.{stage}", f"debater_{binding.name}", replies[i], prompts[i])
-            if parsed[i] is None:
+            if i in failed:
                 self._note(rnd, f"{ctx.task}.{stage}", "engine", f"debater_{binding.name} {unparsed}")
             if i not in regated or self._log_gate(state, *regated[i]):
                 state.gated_out.discard(i)
 
-    def _scorable(self, state: DebateState) -> dict[int, Answer]:
+    def _scorable(self, state: DebateState) -> dict[int, EventMention]:
         """The live answers, by debater, that the gate scores: all but
         abstentions and no-event answers."""
         return {
@@ -688,7 +650,7 @@ class _Session:
         }
 
     def _score(
-        self, state: DebateState, answers: Mapping[int, Answer]
+        self, state: DebateState, answers: Mapping[int, EventMention]
     ) -> dict[int, tuple[RiskRecord, str]]:
         """Score answers, by debater, in the round's context against the
         threshold in force; each one's record and note text.
@@ -729,7 +691,7 @@ class _Session:
         )
         return record.accepted
 
-    def run_debate(self, ctx: Task) -> tuple[Answer, ...]:
+    def run_debate(self, ctx: Task) -> tuple[EventMention, ...]:
         """Run one task's debate to its agreed answers, `()` for no event,
         by the judge or, at the round cap, by adjudication."""
         state = DebateState(
@@ -744,7 +706,7 @@ class _Session:
                 return agreed
         return self._adjudicate(state)
 
-    def _adjudicate(self, state: DebateState) -> tuple[Answer, ...]:
+    def _adjudicate(self, state: DebateState) -> tuple[EventMention, ...]:
         """Round cap reached without agreement: adopt the lowest-risk answer
         that passes the final round's gate, otherwise fail closed."""
         ctx, rnd = state.ctx, state.round_index
@@ -772,26 +734,9 @@ class _Session:
 
     # -- summarization
 
-    def _summarize(
-        self,
-        ed_answer: TriggerAnswer,
-        argument_rows: tuple[tuple[str, str | None], ...],
-    ) -> EventMention:
-        record = EventMention(
-            event_type=ed_answer.event_type,
-            trigger=ed_answer.trigger,
-            arguments=tuple(
-                (role, content) for role, content in argument_rows if content is not None
-            ),
-        )
-        self._note(
-            0,
-            "session.summary",
-            "summarizer",
-            serialize_argument_table(record.event_type, record.arguments)
-            + f"\ntrigger: {record.trigger}",
-        )
-        return record
+    def _summarize(self, record: EventMention) -> None:
+        table = serialize_argument_table(record.event_type, record.arguments)
+        self._note(0, "session.summary", "summarizer", f"{table}\ntrigger: {record.trigger}")
 
 
 def run_session(
@@ -816,21 +761,21 @@ def debate_sentence(
     session = _Session(sentence, ontology, index, config, run)
     try:
         records: list[EventMention] = []
-        for answer in session.run_debate(Detection()):
-            rows: tuple[tuple[str, str | None], ...] = ()
-            if answer.event_type not in ontology:
+        for record in session.run_debate(Detection()):
+            if record.event_type not in ontology:
                 session._note(
                     0,
                     "session.summary",
                     "engine",
-                    f"agreed type {answer.event_type!r} unknown to the ontology; "
+                    f"agreed type {record.event_type!r} unknown to the ontology; "
                     "emitting record without arguments",
                 )
-            elif roles := ontology[answer.event_type].roles:
-                extraction = ArgumentExtraction(answer.event_type, answer.trigger, roles)
+            elif roles := ontology[record.event_type].roles:
+                extraction = ArgumentExtraction(record.event_type, record.trigger, roles)
                 if extracted := session.run_debate(extraction):
-                    rows = extracted[0].rows
-            records.append(session._summarize(answer, rows))
+                    record = extracted[0]
+            session._summarize(record)
+            records.append(record)
     except BackendError as exc:
         # Abort the session but keep everything recorded so far inspectable.
         exc.transcript = session.transcript  # type: ignore[attr-defined]

@@ -973,6 +973,9 @@ def test_eval_prediction_absent_from_gold_counts_as_false_positives(tmp_path, ta
 NOT_UTF8 = "line 1: not UTF-8: 'utf-8' codec can't decode byte 0xe9"
 BAD_TRIGGER_LINE = json.dumps(_row("s1", "The town was shelled .", [{"type": "Conflict:Attack", "trigger": "bombed"}]))
 BAD_TRIGGER = "line 1: s1: trigger 'bombed' not found in sentence text"
+# Every field of this row has the wrong JSON type; the first one checked is named.
+WRONG_TYPES_EVENT = {"type": 9, "trigger": "killed", "arguments": [{"role": 3, "content": "general"}]}
+WRONG_TYPES_LINE = json.dumps({"id": 5, "text": "The general was killed .", "split": 7, "events": [WRONG_TYPES_EVENT]})
 # The fixture ontology's first row, whose type a second copy repeats.
 FIRST_TYPE_LINE = (FIXTURES / "ontology_ace.jsonl").read_bytes().splitlines()[0]
 # The fixture corpus's first row, and a row with the generated input's first id.
@@ -988,6 +991,7 @@ FIRST_INPUT_ID_LINE = json.dumps(_row("gen-000", "Delegates met .", [])).encode(
         ("ontology", NON_UTF8_LINE, NOT_UTF8),
         ("input", BAD_TRIGGER_LINE.encode(), BAD_TRIGGER),
         ("reference_corpus", BAD_TRIGGER_LINE.encode(), BAD_TRIGGER),
+        ("input", WRONG_TYPES_LINE.encode(), "line 1: id must be a string, got 5"),
         ("ontology", FIRST_TYPE_LINE, "line 2: duplicate event type 'Life:Be-Born'"),
         ("input", FIRST_INPUT_ID_LINE, "line 2: duplicate sentence id 'gen-000'"),
         ("reference_corpus", FIRST_CORPUS_LINE, "line 2: duplicate sentence id 'train-001'"),
@@ -998,6 +1002,7 @@ FIRST_INPUT_ID_LINE = json.dumps(_row("gen-000", "Delegates met .", [])).encode(
         "not-utf8-ontology",
         "span-input",
         "span-reference_corpus",
+        "types-input",
         "duplicate-ontology",
         "duplicate-input",
         "duplicate-reference_corpus",

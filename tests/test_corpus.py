@@ -115,6 +115,61 @@ def test_empty_span_rejected(tmp_path, event, message):
     assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 2: {message}"
 
 
+_TYPED_ROW = {
+    "id": "s1",
+    "text": "The general was killed .",
+    "split": "train",
+    "events": [{"type": "Life:Die", "trigger": "killed", "arguments": [{"role": "Victim", "content": "general"}]}],
+}
+
+
+def _typed_row(path, value):
+    """`_TYPED_ROW` with the field at `path` (keys and list indexes) set to `value`."""
+    row = json.loads(json.dumps(_TYPED_ROW))
+    *parents, last = path
+    target = row
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return row
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("id",), 5, "id must be a string, got 5"),
+        (("text",), ["The"], "text must be a string, got ['The']"),
+        (("split",), 7, "split must be a string, got 7"),
+        (("events",), {"type": "Life:Die"}, "events must be an array, got {'type': 'Life:Die'}"),
+        (("events", 0, "type"), 9, "type must be a string, got 9"),
+        (("events", 0, "trigger"), None, "trigger must be a string, got None"),
+        (("events", 0, "arguments"), "Victim", "arguments must be an array, got 'Victim'"),
+        (("events", 0, "arguments", 0, "role"), 3, "role must be a string, got 3"),
+        (("events", 0, "arguments", 0, "content"), 1.5, "content must be a string, got 1.5"),
+    ],
+    ids=["id", "text", "split", "events", "type", "trigger", "arguments", "role", "content"],
+)
+def test_value_of_the_wrong_type_rejected(tmp_path, path, value, message):
+    _write_jsonl(tmp_path / "c.jsonl", [{"id": "s0", "text": "Nothing happened ."}, _typed_row(path, value)])
+    with pytest.raises(FormatError) as raised:
+        load_corpus(tmp_path / "c.jsonl")
+    assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 2: {message}"
+
+
+def test_row_of_wrong_types_rejected(tmp_path):
+    # Each field of this row has the wrong type; the first one checked is named.
+    row = {
+        "id": 5,
+        "text": "The general was killed .",
+        "split": 7,
+        "events": [{"type": 9, "trigger": "killed", "arguments": [{"role": 3, "content": "general"}]}],
+    }
+    _write_jsonl(tmp_path / "c.jsonl", [row])
+    with pytest.raises(FormatError) as raised:
+        load_corpus(tmp_path / "c.jsonl")
+    assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 1: id must be a string, got 5"
+
+
 def test_double_spaced_text_rejected(tmp_path):
     _write_jsonl(tmp_path / "c.jsonl", [{"id": "s1", "text": "Two  spaces .", "events": []}])
     with pytest.raises(FormatError):

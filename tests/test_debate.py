@@ -10,7 +10,6 @@ from dao.corpus import EventMention, build_index
 from dao.debate import (
     AgentTeam,
     SessionConfig,
-    TriggerAnswer,
     calibration_pairs,
     canonical_argument_rows,
     debate_sentence,
@@ -301,7 +300,7 @@ def test_replay_revision_after_retrieval(replay_3a):
 
 def test_replay_rejected_answer_kept_from_judge(replay_3a):
     team, result = replay_3a
-    gated = serialize_trigger_answer(TriggerAnswer("Personnel:Start-Position", "holding"))
+    gated = serialize_trigger_answer(EventMention("Personnel:Start-Position", "holding"))
     round0_judge = [
         e.prompt
         for e in result.transcript
@@ -372,7 +371,7 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
     for entry in calib:
         (event,) = entry.events
         roles = ontology[event.event_type].roles
-        answer = serialize_trigger_answer(TriggerAnswer(event.event_type, event.trigger))
+        answer = serialize_trigger_answer(event)
         table = helpers.eae_table(event.event_type, canonical_argument_rows(roles, dict(event.arguments)))
         script = [("*", answer), ("*", f"I keep {answer} ."), ("*", table), ("*", f"Kept .\n{table}")]
         team = helpers.make_team(

@@ -1,12 +1,11 @@
 import pytest
 
+from dao.corpus import EventMention
 from dao.debate import (
     EAE_HEADER,
     ED_JUDGE_HEADER,
-    ArgumentAnswer,
     ArgumentExtraction,
     Detection,
-    TriggerAnswer,
     parse_debater_ed,
     parse_judge,
     parse_table,
@@ -20,11 +19,11 @@ from dao.errors import HeaderMismatch, NoTableFound, ParseFailure
 
 def test_role_prefixed_answer():
     answer = parse_debater_ed('A: ["Personnel:End-Position", "former"]')
-    assert answer == TriggerAnswer("Personnel:End-Position", "former")
+    assert answer == EventMention("Personnel:End-Position", "former")
 
 
 def test_bare_empty_list_is_no_event():
-    assert parse_debater_ed("[]").is_no_event
+    assert parse_debater_ed("[]") is None
 
 
 def test_single_element_list_is_parse_failure():
@@ -34,12 +33,12 @@ def test_single_element_list_is_parse_failure():
 
 def test_last_answer_wins():
     text = 'I first thought ["Life:Die", "killed"] but now I say ["Conflict:Attack", "war"] .'
-    assert parse_debater_ed(text) == TriggerAnswer("Conflict:Attack", "war")
+    assert parse_debater_ed(text) == EventMention("Conflict:Attack", "war")
 
 
 def test_later_empty_list_overrides_pair():
     text = 'I said ["Life:Die", "killed"] before, but there is no event: []'
-    assert parse_debater_ed(text).is_no_event
+    assert parse_debater_ed(text) is None
 
 
 def test_prose_without_answer_is_parse_failure():
@@ -49,18 +48,14 @@ def test_prose_without_answer_is_parse_failure():
 
 def test_answer_with_surrounding_prose():
     text = 'After reviewing the examples, my answer is **B: ["Life:Divorce", "divorced"]** .'
-    assert parse_debater_ed(text) == TriggerAnswer("Life:Divorce", "divorced")
+    assert parse_debater_ed(text) == EventMention("Life:Divorce", "divorced")
 
 
 def test_serialize_round_trip():
-    answer = TriggerAnswer("Life:Die", "killed")
+    answer = EventMention("Life:Die", "killed")
     assert parse_debater_ed(serialize_trigger_answer(answer)) == answer
-    assert serialize_trigger_answer(TriggerAnswer()) == "[]"
-
-
-def test_trigger_answer_requires_both_or_neither():
-    with pytest.raises(ValueError):
-        TriggerAnswer(event_type="Life:Die", trigger=None)
+    assert serialize_trigger_answer(None) == "[]"
+    assert parse_debater_ed("[]") is None
 
 
 # -- parse_table
@@ -137,7 +132,9 @@ def test_no_event_sentinel():
 
 def test_ed_agreement_table():
     text = "| event type | event trigger |\n|---|---|\n| Life:Die | killed |"
-    assert parse_judge(text, Detection()) == (TriggerAnswer("Life:Die", "killed"),)
+    assert parse_judge(text, Detection()) == (EventMention("Life:Die", "killed"),)
+    # A debater's answer and the judge's agreed row are one value.
+    assert parse_debater_ed('A: ["Life:Die", "killed"]') == parse_judge(text, Detection())[0]
 
 
 def test_ed_agreement_multiple_rows_deduplicated():
@@ -146,21 +143,19 @@ def test_ed_agreement_multiple_rows_deduplicated():
         "| Life:Die | kill |\n| Conflict:Attack | war |\n| Life:Die | kill |"
     )
     assert parse_judge(text, Detection()) == (
-        TriggerAnswer("Life:Die", "kill"),
-        TriggerAnswer("Conflict:Attack", "war"),
+        EventMention("Life:Die", "kill"),
+        EventMention("Conflict:Attack", "war"),
     )
 
 
 def test_eae_agreement_rows():
-    text = (
-        "| event type | argument role | argument content |\n"
-        "| --- | --- | --- |\n"
-        "| Life:Die | Victim | the general |\n"
-        "| Life:Die | Place | None |"
-    )
-    assert parse_judge(text, _LIFE_DIE) == (
-        ArgumentAnswer("Life:Die", (("Victim", "the general"), ("Place", None))),
-    )
+    header = "| event type | argument role | argument content |\n| --- | --- | --- |\n"
+    victim = "| Life:Die | Victim | the general |"
+    text = f"{header}{victim}\n| Life:Die | Place | None |"
+    answer = EventMention("Life:Die", "killed", (("Victim", "the general"),))
+    assert parse_judge(text, _LIFE_DIE) == (answer,)
+    # A debater's table with a None row is the judge's table without it.
+    assert _LIFE_DIE.parse(text) == parse_judge(header + victim, _LIFE_DIE)[0] == answer
 
 
 def test_eae_disagreement_sentinel():

@@ -3,7 +3,7 @@
 Usage:
     dao calibrate -c config.json [--corpus ref.jsonl]
     dao run -c config.json --input test.jsonl --out runs/exp1/ [--replay b.json]
-    dao eval --pred p.jsonl --gold g.jsonl --task ed|eae|ee --metric exact|head|types
+    dao eval --pred p.jsonl --gold g.jsonl --task ed|eae --metric exact|head|types
 
 Exit codes: 0 ok, 1 usage error, 2 runtime (backend, I/O or config) failure.
 """
@@ -31,7 +31,9 @@ from .backends import (
     ScoringBackend,
     sha256_prefix,
 )
-from .corpus import ReferenceEntry, build_index, in_slices, load_corpus, load_ontology, read_keyed
+from .corpus import (
+    ReferenceEntry, build_index, event_row, in_slices, load_corpus, load_ontology, parse_event_row, read_keyed
+)
 from .debate import (
     DEFAULT_MAX_ROUNDS,
     AgentTeam,
@@ -263,16 +265,7 @@ def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -
 
 def _write_prediction(fh, result: SessionResult) -> None:
     """One sentence's `predictions.jsonl` row."""
-    events = [
-        {
-            "type": record.event_type,
-            "trigger": record.trigger,
-            "arguments": [{"role": role, "content": content} for role, content in record.arguments],
-        }
-        for record in result.records
-    ]
-    row = {"id": result.sentence.id, "text": result.sentence.text, "events": events}
-    fh.write(json.dumps(row, sort_keys=True) + "\n")
+    fh.write(json.dumps(event_row(result.sentence, result.records), sort_keys=True) + "\n")
 
 
 def _histograms(by_round: dict[tuple[str, int], list[float]], bins: int = 20) -> dict:
@@ -399,47 +392,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 # eval
 
 
-# (id, text, events), each event (type, trigger, ((role, content), ...))
-_EvalRow = tuple[str, str, tuple[tuple[str, str, tuple[tuple[str, str | None], ...]], ...]]
-
-
-def _eval_row(record: dict) -> _EvalRow:
-    """A predictions or gold row. Spans are not checked against the text:
-    predictions may contain spans that do not occur in the sentence."""
-    events = tuple(
-        (
-            event["type"],
-            event["trigger"],
-            tuple((arg["role"], arg.get("content")) for arg in event.get("arguments", ())),
-        )
-        for event in record.get("events", ())
-    )
-    return record["id"], record["text"], events
-
-
-def _items(rows: list[_EvalRow], task: str) -> list[Item]:
+def _items(entries: list[ReferenceEntry], task: str) -> list[Item]:
     """(id, label, span) items: for "ed" one per trigger, labelled by its
-    event type; otherwise one per filled argument, labelled (type, role)."""
+    event type; for "eae" one per argument, labelled (type, role)."""
     if task == "ed":
-        return [
-            (sentence_id, event_type, trigger)
-            for sentence_id, _, events in rows
-            for event_type, trigger, _ in events
-        ]
+        return [(e.sentence.id, event.event_type, event.trigger) for e in entries for event in e.events]
     return [
-        (sentence_id, (event_type, role), content)
-        for sentence_id, _, events in rows
-        for event_type, _, arguments in events
-        for role, content in arguments
-        if content is not None
+        (e.sentence.id, (event.event_type, role), content)
+        for e in entries
+        for event in e.events
+        for role, content in event.arguments
     ]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    pred_rows = list(read_keyed(args.pred, "id", "sentence id", _eval_row).values())
-    gold_rows = list(read_keyed(args.gold, "id", "sentence id", _eval_row).values())
+    # Rows are type-checked like the corpus's, but their spans are not: a
+    # prediction may hold a span that is not in its sentence.
+    pred_rows = list(read_keyed(args.pred, "id", "sentence id", parse_event_row).values())
+    gold_rows = list(read_keyed(args.gold, "id", "sentence id", parse_event_row).values())
     # A gold text wins over a predicted one for the same id.
-    texts = {sentence_id: text for sentence_id, text, _ in pred_rows + gold_rows}
+    texts = {e.sentence.id: e.sentence.text for e in pred_rows + gold_rows}
 
     preds, golds = _items(pred_rows, args.task), _items(gold_rows, args.task)
     note = None
@@ -505,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score predictions against gold")
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--gold", required=True)
-    p_eval.add_argument("--task", required=True, choices=["ed", "eae", "ee"])
+    p_eval.add_argument("--task", required=True, choices=["ed", "eae"])
     p_eval.add_argument("--metric", default="exact", choices=["exact", "head", "types"])
     p_eval.add_argument("--report", default=None)
     p_eval.set_defaults(func=cmd_eval)

@@ -3,14 +3,14 @@ corpus, and the embedded index searched by retrieval.
 
 Ontology rows are `{"type", "definition", "typical_triggers", "roles"}`;
 the ontology is a mapping from each type to its `EventDefinition`, in
-file order. Corpus rows are `{"id", "text", "split", "events": [{"type",
-"trigger", "arguments": [{"role", "content"}]}]}`. Each row becomes a
-`ReferenceEntry` holding its sentence, events and split; an entry with
-events is a positive example, whatever else the row holds. A row
-whose text is not single-spaced, whose trigger or argument is empty or
-not in its sentence, or whose id an earlier row has, is rejected by
-`read_jsonl`, which rejects every bad row of every JSON Lines input,
-naming the file and the line.
+file order. Every sentence row, of the corpus, `--input`, predictions
+and `dao eval`'s files, is `{"id", "text", "split", "events": [{"type",
+"trigger", "arguments": [{"role", "content"}]}]}`: `parse_event_row`
+reads one into a `ReferenceEntry`, type-checking every field, and
+`event_row` writes one. `load_corpus` also rejects text that is not
+single-spaced and a trigger or argument that is empty or not whole
+tokens of its sentence. `read_jsonl` rejects every bad row of every
+JSON Lines input, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def l2_normalize(vector: np.ndarray, name: str = "") -> np.ndarray:
 def _check_span(sentence: Sentence, span: str, what: str) -> None:
     if not span:
         raise ValueError(f"{sentence.id}: {what} is empty")
-    if span not in sentence.text:
+    if f" {span} " not in f" {sentence.text} ":
         raise ValueError(f"{sentence.id}: {what} {span!r} not found in sentence text")
 
 
@@ -223,14 +223,27 @@ def _strings(record: dict, field: str) -> tuple[str, ...]:
 
 
 def load_corpus(path: str | Path) -> list[ReferenceEntry]:
-    """Load reference entries from a JSONL corpus file. Every trigger and
-    argument content must be non-empty and occur verbatim in the sentence
-    text, and no id may repeat; rows without events are negative examples."""
+    """Load reference entries from a JSONL corpus file: text must be
+    single-spaced, triggers and argument contents non-empty whole tokens
+    of it, and ids unique; rows without events are negative examples."""
     return list(read_keyed(path, "id", "sentence id", _reference_entry).values())
 
 
 def _reference_entry(record: dict) -> ReferenceEntry:
-    sentence = Sentence.from_text(_string(record, "id"), _string(record, "text"))
+    entry = parse_event_row(record)
+    sentence = Sentence.from_text(entry.sentence.id, entry.sentence.text)
+    for event in entry.events:
+        _check_span(sentence, event.trigger, "trigger")
+        for _, content in event.arguments:
+            _check_span(sentence, content, "argument content")
+    return entry
+
+
+def parse_event_row(record: dict) -> ReferenceEntry:
+    """A sentence row's entry: `id`, `text`, `split` (default "train"),
+    `type`, `trigger`, `role` and `content` must be strings, `events` and
+    `arguments` arrays (empty when left out); spans are not checked."""
+    sentence = Sentence(_string(record, "id"), _string(record, "text"))
     split = _string(record, "split", "train")
     events = tuple(
         EventMention(
@@ -242,11 +255,23 @@ def _reference_entry(record: dict) -> ReferenceEntry:
         )
         for event in _array(record, "events")
     )
-    for event in events:
-        _check_span(sentence, event.trigger, "trigger")
-        for _, content in event.arguments:
-            _check_span(sentence, content, "argument content")
     return ReferenceEntry(sentence=sentence, events=events, split=split)
+
+
+def event_row(sentence: Sentence, events: Iterable[EventMention]) -> dict:
+    """The row of `sentence` and its `events`, as `parse_event_row` reads it."""
+    return {
+        "id": sentence.id,
+        "text": sentence.text,
+        "events": [
+            {
+                "type": event.event_type,
+                "trigger": event.trigger,
+                "arguments": [{"role": role, "content": content} for role, content in event.arguments],
+            }
+            for event in events
+        ],
+    }
 
 
 def embed_sentence(embedder: EmbeddingBackend, sentence: Sentence, dim: int) -> np.ndarray:

@@ -131,7 +131,7 @@ def _mentions(entry: ReferenceEntry, event_type: str) -> bool:
 
 
 def gather_event_info(
-    event_types: Sequence[str | None],
+    event_types: Sequence[str],
     ontology: Ontology,
     candidates: EmbeddedIndex,
     radius: float,
@@ -141,19 +141,18 @@ def gather_event_info(
     """Assemble the per-round retrieval packet.
 
     Definitions are `ontology`'s entries for every distinct type in
-    `event_types`, the live answers' event types with None for no event;
-    a type the ontology lacks is recorded in `unknown_types`, not fatal.
-    Examples come from the sentence's top-K `candidates`, leader
-    clustering at `radius`, and diversity selection. During argument
-    extraction, `event_type_filter` narrows candidates to entries
-    mentioning the identified type before clustering; if that leaves
-    nothing, the unfiltered set is used.
+    `event_types`, the live answers' event types; a type the ontology
+    lacks is recorded in `unknown_types`, not fatal. Examples come from
+    the sentence's top-K `candidates`, leader clustering at `radius`, and
+    diversity selection. During argument extraction, `event_type_filter`
+    narrows candidates to entries mentioning the identified type before
+    clustering; if that leaves nothing, the unfiltered set is used.
     """
     definitions: list[EventDefinition] = []
     unknown: list[str] = []
     seen: set[str] = set()
     for type_id in event_types:
-        if type_id is None or type_id in seen:
+        if type_id in seen:
             continue
         seen.add(type_id)
         if type_id in ontology:

@@ -18,7 +18,7 @@ import dao.cli
 import helpers
 from dao.backends import HashEmbedder
 from dao.cli import RunConfig, _backends, main
-from dao.corpus import INDEX_SLICES
+from dao.corpus import INDEX_SLICES, event_row, parse_event_row
 from dao.debate import debater_name
 from dao.errors import InvalidConfig, TransportError
 from dao.prompts import TEMPLATES, render_prompt
@@ -632,6 +632,16 @@ def test_run_replay_artifacts_byte_identical_to_recorded_digests(tmp_path, bundl
     assert digests == REPLAY_DIGESTS[bundle]
 
 
+@pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))
+def test_predictions_round_trip_through_the_row_reader_and_writer(tmp_path, bundle):
+    out_dir = _run_bundled_replay(tmp_path, bundle)
+    lines = (out_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:
+        entry = parse_event_row(json.loads(line))
+        assert json.dumps(event_row(entry.sentence, entry.events), sort_keys=True) == line
+
+
 def test_bundled_replays_render_every_prompt_template(tmp_path, monkeypatch):
     rendered = []
 
@@ -816,15 +826,7 @@ def test_eval_argument_exact_and_types_metrics(tmp_path, metric, counts):
         return _row("s1", text, [event])
 
     golds = [row([{"role": "Attacker", "content": "Rebels"}, {"role": "Place", "content": "the town"}])]
-    preds = [
-        row(
-            [
-                {"role": "Attacker", "content": "Rebels"},
-                {"role": "Place", "content": "town"},
-                {"role": "Target", "content": None},
-            ]
-        )
-    ]
+    preds = [row([{"role": "Attacker", "content": "Rebels"}, {"role": "Place", "content": "town"}])]
     pred_path, gold_path = _eval_files(tmp_path, preds, golds)
     report_path = tmp_path / "report.json"
     assert (
@@ -868,7 +870,7 @@ def _event(event_type, trigger, **arguments):
     return {"type": event_type, "trigger": trigger, "arguments": args}
 
 
-# s1's predicted Attacker is not in its sentence and its Target is null;
+# s1's predicted Attacker is not in its sentence;
 # s2's text is double-spaced; s3's type changed, its predicted Destination
 # is not in its sentence and its Time is a role gold does not fill.
 _EVAL_TEXTS = {
@@ -882,7 +884,7 @@ _EVAL_GOLDS = {
     "s3": [_event("Movement:Transport", "moved", Artifact="Troops", Destination="the border")],
 }
 _EVAL_PREDS = {
-    "s1": [_event("Conflict:Attack", "attacked the town", Attacker="the rebels", Place="town", Target=None)],
+    "s1": [_event("Conflict:Attack", "attacked the town", Attacker="the rebels", Place="town")],
     "s2": [_event("Life:Die", "was killed", Victim="general", Place="in  Baghdad")],
     "s3": [
         _event("Conflict:Attack", "moved", Artifact="Troops", Destination="the border of Iraq", Time="Monday")
@@ -899,9 +901,6 @@ _EVAL_PREDS = {
         ("eae", "exact", (0, 7, 6)),
         ("eae", "head", (3, 4, 3)),
         ("eae", "types", (3, 4, 3)),
-        ("ee", "exact", (0, 7, 6)),
-        ("ee", "head", (3, 4, 3)),
-        ("ee", "types", (3, 4, 3)),
     ],
 )
 def test_eval_counts_for_every_task_and_metric(tmp_path, capsys, task, metric, counts):
@@ -924,8 +923,14 @@ def test_eval_counts_for_every_task_and_metric(tmp_path, capsys, task, metric, c
         (json.dumps({"text": "Rebels attacked the town .", "events": []}).encode(), "line 2: missing key 'id'"),
         (json.dumps(_row("s2", "A b .", [{"type": "Conflict:Attack"}])).encode(), "line 2: missing key 'trigger'"),
         (NON_UTF8_LINE, "line 2: not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+        (json.dumps(_row("s2", "A b .", [{"type": 5, "trigger": "b"}])).encode(), "line 2: type must be a string, got 5"),
+        (json.dumps(_row("s2", "A b .", "nope")).encode(), "line 2: events must be an array, got 'nope'"),
+        (
+            json.dumps(_row("s2", "A b .", [_event("Conflict:Attack", "b", Target=None)])).encode(),
+            "line 2: content must be a string, got None",
+        ),
     ],
-    ids=["not-json", "no-id", "no-trigger", "not-utf8"],
+    ids=["not-json", "no-id", "no-trigger", "not-utf8", "type-not-string", "events-not-array", "null-content"],
 )
 @pytest.mark.parametrize("side", ["pred", "gold"])
 def test_eval_malformed_row_exits_two_naming_the_line(tmp_path, capsys, bad_line, message, side):
@@ -1546,6 +1551,7 @@ def test_run_with_parse_warnings_still_exits_zero(tmp_path):
 
 def test_usage_error_exits_one():
     assert main(["run"]) == 1
+    assert main(["eval", "--pred", "p.jsonl", "--gold", "g.jsonl", "--task", "ee"]) == 1
 
 
 def test_unknown_command_exits_one():

@@ -91,6 +91,17 @@ def test_argument_span_not_in_text_rejected(tmp_path):
     assert str(raised.value) == message
 
 
+def test_span_inside_a_token_rejected(tmp_path):
+    # "ill" is a substring of "killed" but not whole tokens of the sentence.
+    _write_jsonl(
+        tmp_path / "c.jsonl",
+        [{"id": "s1", "text": "The general was killed .", "events": [{"type": "Life:Die", "trigger": "ill"}]}],
+    )
+    with pytest.raises(FormatError) as raised:
+        load_corpus(tmp_path / "c.jsonl")
+    assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 1: s1: trigger 'ill' not found in sentence text"
+
+
 @pytest.mark.parametrize(
     "event, message",
     [

@@ -370,7 +370,7 @@ def test_definitions_for_mentioned_types(ontology, train_index):
 
 
 def test_no_event_opinions_still_retrieve(ontology, train_index):
-    event_types = [None, None]
+    event_types = []
     candidates = retrieve_topk(train_index, train_index.vectors[3], 128)
     result = gather_event_info(event_types, ontology, candidates, 1.35, DragConfig())
     assert result.definitions == ()

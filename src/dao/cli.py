@@ -1,8 +1,8 @@
 """Operator entry point: calibrate thresholds, run extraction, evaluate.
 
 Usage:
-    dao calibrate -c config.json [--corpus ref.jsonl]
-    dao run -c config.json --input test.jsonl --out runs/exp1/ [--replay b.json]
+    dao calibrate -c config.json
+    dao run -c config.json --input test.jsonl --out runs/exp1/
     dao eval --pred p.jsonl --gold g.jsonl --task ed|eae --metric exact|head|types
 
 Exit codes: 0 ok, 1 usage error, 2 runtime (backend, I/O or config) failure.
@@ -176,20 +176,17 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _backends(
-    config: RunConfig, replay: str | None
-) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam], int]:
+def _backends(config: RunConfig) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam], int]:
     """The embedder, the scorer, `team_for(sentence_id)` and the most
     debaters any team of the run has.
 
-    A replay bundle (`--replay`, else `backends.replay_bundle`) gives the
-    offline twins and fresh scripted agents per sentence; otherwise one
-    team of the HTTP clients in `config.backends` serves every sentence.
+    The replay bundle that `backends.replay_bundle` names gives the offline
+    twins and fresh scripted agents per sentence; without one, one team of
+    the HTTP clients in `config.backends` serves every sentence.
     """
     backends = config.backends
-    bundle_path = replay or backends["replay_bundle"]
-    if bundle_path:
-        bundle = ReplayBundle.load(bundle_path)
+    if backends["replay_bundle"]:
+        bundle = ReplayBundle.load(backends["replay_bundle"])
         return bundle.embedder(), bundle.scorer(), bundle.team_for, bundle.most_debaters()
     chat, emb = backends["chat"], backends["embedding"]
     retry = {name: chat[name] for name in _RETRY_DEFAULTS}
@@ -221,8 +218,8 @@ def _backends(
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config)
     ontology = load_ontology(config.ontology)
-    _, scorer, _, _ = _backends(config, args.replay)
-    rows = [e for e in load_corpus(args.corpus or config.reference_corpus) if e.split == "calib"]
+    _, scorer, _, _ = _backends(config)
+    rows = [e for e in load_corpus(config.reference_corpus) if e.split == "calib"]
     thresholds = dict(config.adacp.initial_threshold)
     for task in ("ed", "eae"):
         override = thresholds.get(task)
@@ -316,7 +313,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         e for e in load_corpus(config.reference_corpus) if config.reference_split in ("all", e.split)
     ]
     inputs = load_corpus(args.input)
-    embedder, scorer, team_for, most_debaters = _backends(config, args.replay)
+    embedder, scorer, team_for, most_debaters = _backends(config)
     index = build_index(split_entries, embedder)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -463,15 +460,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="compute initial acceptance thresholds")
     p_cal.add_argument("-c", "--config", required=True)
-    p_cal.add_argument("--corpus", default=None, help="corpus with a calib split")
-    p_cal.add_argument("--replay", default=None, help="replay bundle for offline scoring")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_run = sub.add_parser("run", help="run extraction over a corpus")
     p_run.add_argument("-c", "--config", required=True)
     p_run.add_argument("--input", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--replay", default=None, help="replay bundle for offline agents")
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")

@@ -206,12 +206,14 @@ def _string(record: dict, field: str, default: str | None = None) -> str:
     return value
 
 
-def _array(record: dict, field: str) -> list:
+def _array(record: dict, field: str) -> list[dict]:
     """`record[field]`, empty when left out; a value that is not an array
-    is a ValueError."""
+    of objects is a ValueError."""
     values = record.get(field, [])
     if not isinstance(values, list):
         raise ValueError(f"{field} must be an array, got {values!r}")
+    if not all(isinstance(v, dict) for v in values):
+        raise ValueError(f"{field} must be an array of objects, got {values!r}")
     return values
 
 
@@ -242,7 +244,8 @@ def _reference_entry(record: dict) -> ReferenceEntry:
 def parse_event_row(record: dict) -> ReferenceEntry:
     """A sentence row's entry: `id`, `text`, `split` (default "train"),
     `type`, `trigger`, `role` and `content` must be strings, `events` and
-    `arguments` arrays (empty when left out); spans are not checked."""
+    `arguments` arrays of objects (empty when left out); spans are not
+    checked."""
     sentence = Sentence(_string(record, "id"), _string(record, "text"))
     split = _string(record, "split", "train")
     events = tuple(

@@ -578,8 +578,8 @@ class _Session:
         # (4) Cross-examination, simultaneous: every prompt, the critic's
         # too, shows the answers as they stood after the gate. Survivors
         # defend or update, gated debaters revise, and the critic flags
-        # likely mistakes; revised answers are re-gated before they may
-        # reach the judge.
+        # likely mistakes; revised and updated answers are re-gated before
+        # they may reach the judge.
         prompts = [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))]
         critic_prompt = self._critic_prompt(state)
         calls = self._debater_calls(prompts) + [_chat(team.critic, critic_prompt)]
@@ -616,11 +616,13 @@ class _Session:
         A parsed reply becomes the debater's live answer, a parsed `[]`
         too; an unparseable one keeps it (an abstention, None, before the
         first answer) and is noted with `unparsed`. A gated-out debater's
-        new answer is re-gated, all re-gates in one batch, and leaves
-        `gated_out` when it passes or is exempt. Each debater's exchange,
-        note and gate verdict are written in debater order.
+        answer, and any other that differs from the one held, is re-gated,
+        all in one batch; it leaves `gated_out` if it passes or is exempt,
+        and joins it if not. Each debater's exchange, note and gate
+        verdict are written in debater order.
         """
         ctx, rnd, debaters = state.ctx, state.round_index, self.config.team.debaters
+        held = dict(state.live_opinions)
         failed: set[int] = set()
         for i, reply in enumerate(replies):
             try:
@@ -631,7 +633,7 @@ class _Session:
                 logger.warning("debater reply unparseable: %s", str(exc))
                 failed.add(i)
                 state.live_opinions.setdefault(i, None)
-        revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out}
+        revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out or held.get(i, a) != a}
         regated = self._score(state, revised)
         for i, binding in enumerate(debaters):
             self._note(rnd, f"{ctx.task}.{stage}", f"debater_{binding.name}", replies[i], prompts[i])
@@ -639,6 +641,8 @@ class _Session:
                 self._note(rnd, f"{ctx.task}.{stage}", "engine", f"debater_{binding.name} {unparsed}")
             if i not in regated or self._log_gate(state, *regated[i]):
                 state.gated_out.discard(i)
+            else:
+                state.gated_out.add(i)
 
     def _scorable(self, state: DebateState) -> dict[int, EventMention]:
         """The live answers, by debater, that the gate scores: all but

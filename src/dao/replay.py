@@ -8,17 +8,16 @@ embeddings come from the trigram hash embedder. Bundle JSON shape:
       "embedder": {"dimension": 64},
       "scorer": {"keys": [["<matcher>", "<key phrase>"], ...],
                  "match_cost": ..., "miss_cost": ..., "scale": ...},
-      "default": {"debaters": [[["*", "reply"], ...], ...],
-                  "critic": [...], "judge": [...]},
-      "sessions": {"<sentence id>": {...same shape as default...}}
+      "sessions": {"<sentence id>": {"debaters": [[["*", "reply"], ...], ...],
+                                     "critic": [...], "judge": [...]}}
     }
 
 Scorer costs left out keep the `KeyedScorer` defaults. A script is an
 array of (matcher, reply) string pairs as consumed by the scripted chat
-backend; a missing critic or judge script is empty. A session uses its
-own entry under `sessions`, falling back to `default`. `load` checks the
-whole bundle before any work, so a run never meets a malformed script
-midway; other keys of an agents entry are not read.
+backend; a missing critic or judge script is empty. `load` checks the
+whole bundle before any work, so a run never meets a malformed script or
+an unknown top-level key midway; other keys of a session entry are not
+read.
 """
 
 from __future__ import annotations
@@ -47,18 +46,18 @@ class ReplayBundle:
     dimension: int
     scorer_keys: Script
     scorer_costs: dict[str, float]
-    default_agents: Agents | None
     sessions: dict[str, Agents]
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayBundle":
         """The bundle in the JSON file at `path`. A file that is not UTF-8 JSON,
-        a bundle, `embedder`, `scorer`, `default`, `sessions` or session
-        entry that is not a JSON object, an embedding dimension that is not
-        an integer of at least 8, `scorer.keys` or a script that is not an
-        array of pairs of strings, a `debaters` that is not an array of at
-        least two scripts, or a scorer cost that is not a finite number of
-        at least 0 raises `InvalidConfig` naming the bundle and the field."""
+        a bundle, `embedder`, `scorer`, `sessions` or session entry that is
+        not a JSON object, a top-level key other than those three, an
+        embedding dimension that is not an integer of at least 8,
+        `scorer.keys` or a script that is not an array of pairs of strings,
+        a `debaters` that is not an array of at least two scripts, or a
+        scorer cost that is not a finite number of at least 0 raises
+        `InvalidConfig` naming the bundle and the field."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -92,6 +91,8 @@ class ReplayBundle:
             )
 
         data = section("top level", data)
+        if unknown := sorted(data.keys() - {"embedder", "scorer", "sessions"}):
+            raise InvalidConfig(f"{path}: unknown key {unknown[0]}")
         embedder = section("embedder", data.get("embedder", {}))
         dimension = embedder.get("dimension", DEFAULT_DIMENSION)
         # JSON booleans load as bool, which `type(...) is int` turns away.
@@ -103,14 +104,11 @@ class ReplayBundle:
         for name, cost in costs.items():
             finite = type(cost) in (int, float) and 0 <= cost < math.inf
             check(finite, f"scorer.{name}", cost, "a finite number of at least 0")
-        default = data.get("default")
-        default_agents = None if default is None else agents("default", default)
         sessions = section("sessions", data.get("sessions", {}))
         return cls(
             dimension=dimension,
             scorer_keys=keys,
             scorer_costs={name: float(cost) for name, cost in costs.items()},
-            default_agents=default_agents,
             sessions={sid: agents(f"sessions[{sid!r}]", entry) for sid, entry in sessions.items()},
         )
 
@@ -121,14 +119,13 @@ class ReplayBundle:
         return KeyedScorer(keys=list(self.scorer_keys), **self.scorer_costs)
 
     def most_debaters(self) -> int:
-        """The longest debater list among the bundle's scripts, and at
+        """The longest debater list among the bundle's sessions, and at
         least one."""
-        scripts = [self.default_agents, *self.sessions.values()]
-        return max((len(agents[0]) for agents in scripts if agents), default=1)
+        return max((len(agents[0]) for agents in self.sessions.values()), default=1)
 
     def team_for(self, sentence_id: str) -> AgentTeam:
         """Fresh scripted backends for one session."""
-        agents = self.sessions.get(sentence_id, self.default_agents)
+        agents = self.sessions.get(sentence_id)
         if agents is None:
             raise ScriptNoMatch(f"replay bundle has no scripts for sentence {sentence_id!r}")
         debaters, critic, judge = agents

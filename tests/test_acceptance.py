@@ -349,7 +349,7 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
     paths = helpers.build_replay_run(
         tmp_path, 20, FIXTURES, thresholds={"ed": None, "eae": None}
     )
-    assert main(["calibrate", "-c", str(paths["config"]), "--replay", str(paths["bundle"])]) == 0
+    assert main(["calibrate", "-c", str(paths["config"])]) == 0
     out_dir = tmp_path / "run"
     assert (
         main(

@@ -193,7 +193,7 @@ def test_readme_configuration_table_matches_defaults():
 
 
 def _live_team(**config):
-    _, _, team_for, _ = _backends(RunConfig.from_dict(config), None)
+    _, _, team_for, _ = _backends(RunConfig.from_dict(config))
     return team_for("s1")
 
 
@@ -206,7 +206,7 @@ def test_team_for_without_bundle_binds_debater_models():
             }
         }
     )
-    embedder, scorer, team_for, _ = _backends(config, None)
+    embedder, scorer, team_for, _ = _backends(config)
     team = team_for("s1")
     assert [d.name for d in team.debaters] == ["A", "B"]
     assert [d.backend.model for d in team.debaters] == ["model-a", "base"]
@@ -226,8 +226,8 @@ def test_unnamed_live_debaters_are_named_as_replay_names_them(tmp_path):
     assert [d.name for d in team.debaters] == ["A", "B", "Z", "D"]
     bundle = tmp_path / "bundle.json"
     script = [["*", "reply"]]
-    bundle.write_text(json.dumps({"default": {"debaters": [script] * 4}}), encoding="utf-8")
-    _, _, team_for, _ = _backends(RunConfig(), str(bundle))
+    bundle.write_text(json.dumps({"sessions": {"s1": {"debaters": [script] * 4}}}), encoding="utf-8")
+    _, _, team_for, _ = _backends(RunConfig.from_dict({"backends": {"replay_bundle": str(bundle)}}))
     assert [d.name for d in team_for("s1").debaters] == ["A", "B", "C", "D"]
 
 
@@ -237,7 +237,7 @@ def test_default_debater_names_are_distinct_for_any_team_size():
 
 
 def test_team_for_shares_one_client_for_critic_and_judge():
-    _, _, team_for, _ = _backends(RunConfig(), None)
+    _, _, team_for, _ = _backends(RunConfig())
     team = team_for("s1")
     assert team.critic is team.judge
     assert team.critic.model == ""
@@ -329,8 +329,8 @@ def test_calibrate_overlaps_scorer_calls(tmp_path, monkeypatch):
     config_path, _ = _calibration_setup(tmp_path, total_rows=10)
     backends = dao.cli._backends
 
-    def barrier_backends(config, replay):
-        embedder, scorer, team_for, most = backends(config, replay)
+    def barrier_backends(config):
+        embedder, scorer, team_for, most = backends(config)
         return embedder, _BarrierScorer(scorer), team_for, most
 
     monkeypatch.setattr(dao.cli, "_backends", barrier_backends)
@@ -348,8 +348,8 @@ def test_calibrate_overlaps_at_most_index_slices_scorer_calls(tmp_path, monkeypa
     backends = dao.cli._backends
     scores = []
 
-    def peak_backends(config, replay):
-        embedder, scorer, team_for, most = backends(config, replay)
+    def peak_backends(config):
+        embedder, scorer, team_for, most = backends(config)
         scores.append(helpers.InFlight(scorer.negative_log_likelihood))
         return embedder, SimpleNamespace(negative_log_likelihood=scores[-1]), team_for, most
 
@@ -383,8 +383,8 @@ def _failing_calibration(tmp_path, monkeypatch, total_rows, scorer):
     config_path, _ = _calibration_setup(tmp_path, total_rows=total_rows)
     backends = dao.cli._backends
 
-    def failing_backends(config, replay):
-        embedder, _, team_for, most = backends(config, replay)
+    def failing_backends(config):
+        embedder, _, team_for, most = backends(config)
         return embedder, scorer, team_for, most
 
     monkeypatch.setattr(dao.cli, "_backends", failing_backends)
@@ -435,17 +435,11 @@ def test_calibrate_empty_split_without_override_fails(tmp_path):
     assert main(["calibrate", "-c", str(config_path)]) == 2
 
 
-def test_calibrate_corpus_option_needs_no_reference_corpus(tmp_path, capsys):
-    config_path, corpus_path = _calibration_setup(tmp_path)
-    config = json.loads(config_path.read_text())
-    config["reference_corpus"] = str(tmp_path / "missing.jsonl")
-    bundle = config["backends"].pop("replay_bundle")
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    argv = ["calibrate", "-c", str(config_path), "--corpus", str(corpus_path), "--replay", bundle]
-    assert main(argv) == 0
-    thresholds = json.loads(config_path.read_text())["adacp"]["initial_threshold"]
-    assert thresholds["ed"] is not None and thresholds["eae"] is not None
-    assert "task=ed n=9 delta=0.1" in capsys.readouterr().out
+def test_calibrate_keeps_the_bundle_whose_scorer_fit_the_thresholds(tmp_path):
+    config_path, _ = _calibration_setup(tmp_path)
+    bundle = json.loads(config_path.read_text())["backends"]["replay_bundle"]
+    assert main(["calibrate", "-c", str(config_path)]) == 0
+    assert json.loads(config_path.read_text())["backends"]["replay_bundle"] == bundle
 
 
 def test_calibrate_live_config_with_one_debater_exits_two(tmp_path, capsys):
@@ -630,6 +624,17 @@ def test_run_replay_artifacts_byte_identical_to_recorded_digests(tmp_path, bundl
         for name in ("predictions.jsonl", "transcripts.jsonl", "risk_histogram.json")
     )
     assert digests == REPLAY_DIGESTS[bundle]
+
+
+@pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))
+def test_run_is_reproduced_from_the_config_it_wrote(tmp_path, bundle):
+    # The config names every input of a run, its replay bundle too.
+    first = _run_bundled_replay(tmp_path, bundle)
+    second = tmp_path / "second"
+    argv = ["run", "-c", str(first / "config.json"), "--input", str(tmp_path / "input.jsonl"), "--out", str(second)]
+    assert main(argv) == 0
+    for name in ("config.json", "predictions.jsonl", "transcripts.jsonl", "risk_histogram.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))
@@ -1119,7 +1124,8 @@ def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
         ({"scorer": []}, "scorer must be a JSON object, got []"),
         ({"scorer": {"keys": 5}}, "scorer.keys must be a JSON array, got 5"),
         ({"embedder": 64}, "embedder must be a JSON object, got 64"),
-        ({"default": []}, "default must be a JSON object, got []"),
+        # Older bundles may still hold a `default` session entry.
+        ({"default": {"debaters": [[], []]}}, "unknown key default"),
         ({"sessions": []}, "sessions must be a JSON object, got []"),
         ({"sessions": {"gen-000": []}}, "sessions['gen-000'] must be a JSON object, got []"),
         ({"sessions": {"gen-000": {"debaters": 5}}}, "sessions['gen-000'].debaters must be a JSON array, got 5"),
@@ -1139,12 +1145,7 @@ def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
             {"sessions": {"gen-000": {"debaters": [[], []], "judge": [["*", 5]]}}},
             "sessions['gen-000'].judge[0] must be a pair of strings, got ['*', 5]",
         ),
-        ({"default": {"debaters": [[["*", "x"]]]}}, "default.debaters must be an array of at least two scripts, got 1"),
-        ({"default": {"debaters": [[], []], "critic": "reply"}}, "default.critic must be a JSON array, got 'reply'"),
-        (
-            {"default": {"debaters": [[], []], "judge": [["*", "reply", "extra"]]}},
-            "default.judge[0] must be a pair of strings, got ['*', 'reply', 'extra']",
-        ),
+        ({"agents": {}}, "unknown key agents"),
         # Bytes are written as the whole file.
         (b"{not json", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         (
@@ -1169,9 +1170,8 @@ def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit,
 def test_run_with_nine_default_debaters_exits_zero(tmp_path):
     paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
     bundle = json.loads(paths["bundle"].read_text())
-    agents = bundle.pop("sessions")["gen-000"]
+    agents = bundle["sessions"]["gen-000"]
     agents["debaters"] = [agents["debaters"][i % 2] for i in range(9)]
-    bundle["default"] = agents
     paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
@@ -1552,6 +1552,21 @@ def test_run_with_parse_warnings_still_exits_zero(tmp_path):
 def test_usage_error_exits_one():
     assert main(["run"]) == 1
     assert main(["eval", "--pred", "p.jsonl", "--gold", "g.jsonl", "--task", "ee"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "-c", "config.json", "--input", "in.jsonl", "--out", "out", "--replay", "bundle.json"],
+        ["calibrate", "-c", "config.json", "--replay", "bundle.json"],
+        ["calibrate", "-c", "config.json", "--corpus", "ref.jsonl"],
+    ],
+    ids=["run-replay", "calibrate-replay", "calibrate-corpus"],
+)
+def test_removed_input_options_exit_one(capsys, argv):
+    # The config alone names the replay bundle and the calibration corpus.
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_one():

@@ -157,8 +157,12 @@ def _typed_row(path, value):
         (("events", 0, "arguments"), "Victim", "arguments must be an array, got 'Victim'"),
         (("events", 0, "arguments", 0, "role"), 3, "role must be a string, got 3"),
         (("events", 0, "arguments", 0, "content"), 1.5, "content must be a string, got 1.5"),
+        (("events",), ["x"], "events must be an array of objects, got ['x']"),
+        (("events", 0, "arguments"), [7], "arguments must be an array of objects, got [7]"),
     ],
-    ids=["id", "text", "split", "events", "type", "trigger", "arguments", "role", "content"],
+    ids=[
+        "id", "text", "split", "events", "type", "trigger", "arguments", "role", "content", "event_entry", "argument_entry"
+    ],
 )
 def test_value_of_the_wrong_type_rejected(tmp_path, path, value, message):
     _write_jsonl(tmp_path / "c.jsonl", [{"id": "s0", "text": "Nothing happened ."}, _typed_row(path, value)])

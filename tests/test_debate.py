@@ -6,7 +6,8 @@ import pytest
 
 import helpers
 from dao.cli import _write_transcript
-from dao.corpus import EventMention, build_index
+from dao.backends import KeyedScorer
+from dao.corpus import EventMention, Sentence, build_index
 from dao.debate import (
     AgentTeam,
     SessionConfig,
@@ -361,6 +362,37 @@ def test_full_pipeline_scripted_life_die(ontology, train_index, embedder, pool):
             arguments=(("Victim", "the mayor"), ("Instrument", "the blast")),
         )
     ]
+
+
+def test_survivor_that_changes_its_answer_is_regated(ontology, train_index, embedder, pool):
+    # Both debaters pass the gate with Life:Die; in cross-examination A
+    # switches to an answer the gate rejects, so A's statement never
+    # reaches the judge.
+    sentence = Sentence.from_text("pipeline-2", "Witnesses said the blast killed the mayor instantly .")
+    answer, switched = '["Life:Die", "killed"]', '["Conflict:Attack", "blast"]'
+    rows = (("Agent", None), ("Victim", "the mayor"), ("Instrument", "the blast"), ("Place", None))
+    table = helpers.eae_table("Life:Die", rows)
+    team = helpers.make_team(
+        [
+            [("*", f"A: {answer}"), ("*", f"A: on reflection {switched} .")] + [("*", f"A: keeping\n{table}")] * 2,
+            [("*", f"B: {answer}"), ("*", f"B: agreeing {answer} .")] + [("*", f"B: keeping\n{table}")] * 2,
+        ],
+        [("*", "Assessment .")] * 2,
+        [("*", helpers.ed_table("Life:Die", "killed"))],
+    )
+    scorer = KeyedScorer(keys=[("*", answer)])
+    config = SessionConfig(team=team, scorer=scorer, embedder=embedder, max_rounds=1)
+    result = run_session(sentence, ontology, train_index, config, pool)
+    ((judge_messages, _),) = team.judge.calls
+    judge_prompt = judge_messages[-1].content
+    assert "Debater B's statement" in judge_prompt
+    assert "Debater A's statement" not in judge_prompt and switched not in judge_prompt
+    ed = [(e.stage, e.role, e.text) for e in result.transcript if e.stage.startswith("ed.")]
+    ce = ed.index(("ed.cross_examination", "debater_A", f"A: on reflection {switched} ."))
+    stage, role, note = ed[ce + 1]
+    assert (stage, role) == ("ed.gate", "scorer")
+    assert note.startswith(f"debater_A answer {switched!r} risk=2.000000 ") and note.endswith("accepted=False")
+    assert result.records == [EventMention("Life:Die", "killed")]
 
 
 def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, train_index, embedder, pool):

@@ -26,7 +26,6 @@ from .errors import (
     MalformedResponse,
     RateLimited,
     ScriptExhausted,
-    ScriptNoMatch,
     TransportError,
     ZeroVector,
 )
@@ -219,43 +218,31 @@ class HttpScoringBackend(HttpTransport):
 
 
 class ScriptedChatBackend:
-    """Chat backend that replays a fixed script.
+    """Chat backend that replays a fixed list of replies.
 
-    Each entry is `(matcher, reply)`: a call consumes and returns the
-    first unconsumed entry whose matcher is `"*"` or a substring of the
-    latest user message. Calls are serialized internally so script order
-    is preserved under concurrency. All calls are recorded in `.calls`
-    for inspection by tests.
+    Each call returns the next reply, whatever the messages, and raises
+    `ScriptExhausted` when none is left. Calls are serialized internally
+    so script order is preserved under concurrency. All calls are
+    recorded in `.calls` for inspection by tests.
     """
 
-    def __init__(self, script: Sequence[tuple[str, str]]):
-        self._script = [(matcher, reply) for matcher, reply in script]
-        self._consumed = [False] * len(self._script)
+    def __init__(self, replies: Sequence[str]):
+        self._replies = list(replies)
         self._lock = threading.Lock()
         self.calls: list[tuple[tuple[ChatMessage, ...], str]] = []
 
     def complete(self, messages: Sequence[ChatMessage], temperature: float = 0.0) -> str:
-        latest_user = ""
-        for message in reversed(messages):
-            if message.role == "user":
-                latest_user = message.content
-                break
         with self._lock:
-            for i, (matcher, reply) in enumerate(self._script):
-                if self._consumed[i]:
-                    continue
-                if matcher == "*" or matcher in latest_user:
-                    self._consumed[i] = True
-                    self.calls.append((tuple(messages), reply))
-                    return reply
-            if all(self._consumed):
-                raise ScriptExhausted(f"no replies left after {len(self._script)} calls")
-            raise ScriptNoMatch(f"no scripted reply matches message sha256:{sha256_prefix(latest_user, 12)}")
+            if len(self.calls) == len(self._replies):
+                raise ScriptExhausted(f"no replies left after {len(self._replies)} calls")
+            reply = self._replies[len(self.calls)]
+            self.calls.append((tuple(messages), reply))
+            return reply
 
 
 def scripted_chat(script: Sequence[tuple[str, str]]) -> ScriptedChatBackend:
-    """Build a scripted chat backend from ordered (matcher, reply) pairs."""
-    return ScriptedChatBackend(script)
+    """A scripted chat backend from a bundle's ("*", reply) pairs."""
+    return ScriptedChatBackend([reply for _, reply in script])
 
 
 class HashEmbedder:
@@ -312,13 +299,15 @@ class HashEmbedder:
 class KeyedScorer:
     """Deterministic scorer with controllable, ordered risks.
 
-    The expected answer (key phrase) for a prompt is the first entry in
-    `keys` whose matcher is `"*"` or a substring of the prompt. The score
-    is a sum of per-token costs over the completion's whitespace tokens:
-    `match_cost` where the token equals the key token at the same
-    position, `miss_cost` otherwise, times `scale`. Sums over tokens are
-    non-negative and grow monotonically when the completion is extended;
-    among equal-length completions the key phrase itself scores lowest.
+    A key (expected answer) applies to a prompt when its matcher is `"*"`
+    or a substring of the prompt. A completion's cost against one key is
+    a sum of per-token costs over its whitespace tokens: `match_cost`
+    where the token equals the key token at the same position,
+    `miss_cost` otherwise, times `scale`. The score is the lowest cost
+    over every key that applies, or the cost against `""` when none does.
+    Sums over tokens are non-negative and grow monotonically when the
+    completion is extended; among equal-length completions a key that
+    applies scores lowest.
     """
 
     keys: Sequence[tuple[str, str]] = ()
@@ -326,16 +315,13 @@ class KeyedScorer:
     miss_cost: float = 1.0
     scale: float = 1.0
 
-    def key_phrase(self, prompt: str) -> str:
-        for matcher, key in self.keys:
-            if matcher == "*" or matcher in prompt:
-                return key
-        return ""
-
     def negative_log_likelihood(self, prompt: str, completion: str) -> float:
-        key_tokens = self.key_phrase(prompt).split()
+        keys = [key.split() for matcher, key in self.keys if matcher == "*" or matcher in prompt]
+        return min(self._cost(key, completion.split()) for key in keys or [[]]) * self.scale
+
+    def _cost(self, key_tokens: list[str], tokens: list[str]) -> float:
         total = 0.0
-        for i, token in enumerate(completion.split()):
+        for i, token in enumerate(tokens):
             matched = i < len(key_tokens) and token == key_tokens[i]
             total += self.match_cost if matched else self.miss_cost
-        return total * self.scale
+        return total

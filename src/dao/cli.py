@@ -46,7 +46,7 @@ from .debate import (
     run_session,
 )
 from .drag import DragConfig
-from .errors import BackendError, DaoError, EmptyCalibrationSet, InvalidConfig
+from .errors import DaoError, EmptyCalibrationSet, InvalidConfig
 from .evalkit import PRF, Item, head_f1, trigger_f1, type_overlap_f1
 from .replay import DEFAULT_DIMENSION, ReplayBundle
 
@@ -296,10 +296,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     2 × `workers` sentences ahead of the oldest one not yet written. A
     sentence's `predictions.jsonl` and `transcripts.jsonl` rows are written
     in input order once it and all before it have finished, and its result
-    is dropped. A completed run then writes `risk_histogram.json`; a
-    `BackendError` leaves the earlier sentences' rows and the failed one's
-    `aborted_transcript.jsonl`. Each of these two that an earlier run into
-    `--out` left is removed first.
+    is dropped. A completed run then writes `risk_histogram.json`. A
+    failed session stops the run when its turn to be written comes: the
+    earlier sentences' rows are kept, its own transcript rows, if it has
+    any, go to `aborted_transcript.jsonl`, and its error is raised. Each
+    of these two files that an earlier run into `--out` left is removed
+    first.
     """
     config = RunConfig.load(args.config)
     for task in ("ed", "eae"):
@@ -346,6 +348,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         def write(result: SessionResult) -> None:
             nonlocal written, extracted
+            if result.error is not None:
+                if result.transcript:
+                    aborted = out_dir / "aborted_transcript.jsonl"
+                    with open(aborted, "w", encoding="utf-8") as fh:
+                        _write_transcript(fh, result.sentence.id, result.transcript)
+                    print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
+                raise result.error
             _write_prediction(predictions, result)
             _write_transcript(transcripts, result.sentence.id, result.transcript)
             # A killed run keeps every row written so far.
@@ -366,14 +375,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                     write(window.popleft().result())
             for future in window:
                 write(future.result())
-        except BackendError as exc:
-            transcript = getattr(exc, "transcript", None)
-            if transcript:
-                aborted = out_dir / "aborted_transcript.jsonl"
-                with open(aborted, "w", encoding="utf-8") as fh:
-                    _write_transcript(fh, getattr(exc, "sentence_id", ""), transcript)
-                print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
-            raise
         finally:
             sessions.shutdown(cancel_futures=True)
 

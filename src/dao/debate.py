@@ -45,7 +45,7 @@ from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend, sha256_prefix
 from .corpus import EmbeddedIndex, EventMention, Ontology, ReferenceEntry, Sentence, embed_sentence
 from .drag import DragConfig, RetrievalResult, decay_radius, gather_event_info
-from .errors import BackendError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
+from .errors import DaoError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
 from .prompts import render_prompt
 
 logger = logging.getLogger(__name__)
@@ -415,10 +415,14 @@ class DebateState:
 
 @dataclass
 class SessionResult:
+    """A session's outcome. A session that an engine error ended holds it in
+    `error`, no records, and the transcript and risks written before it."""
+
     sentence: Sentence
     records: list[EventMention]
     transcript: list[TranscriptEntry]
     risk_log: list[RiskRecord]
+    error: DaoError | None = None
 
 
 def render_packet(result: RetrievalResult, ctx: Task) -> str:
@@ -747,7 +751,8 @@ def run_session(
     sentence: Sentence, ontology: Ontology, index: EmbeddedIndex, config: SessionConfig, pool: Executor
 ) -> SessionResult:
     """`debate_sentence` with each batch fanned out on `pool`, the run's
-    call pool; with a free pool thread per debater, no call waits for one."""
+    call pool; with a free pool thread per debater, no call waits for one.
+    A failed batch has no call left running when its error is returned."""
     return debate_sentence(sentence, ontology, index, config, partial(fan_out, pool))
 
 
@@ -761,6 +766,10 @@ def debate_sentence(
     never available to this code path. A no-event outcome skips argument
     extraction entirely, as does an agreed type that `ontology` lacks or
     that has no roles; its record carries no arguments.
+
+    A `DaoError`, such as a failed model call or query embed, ends the
+    session and is returned, not raised, as the result's `error`, with the
+    transcript and risks written before it; other exceptions propagate.
     """
     session = _Session(sentence, ontology, index, config, run)
     try:
@@ -780,14 +789,6 @@ def debate_sentence(
                     record = extracted[0]
             session._summarize(record)
             records.append(record)
-    except BackendError as exc:
-        # Abort the session but keep everything recorded so far inspectable.
-        exc.transcript = session.transcript  # type: ignore[attr-defined]
-        exc.sentence_id = sentence.id  # type: ignore[attr-defined]
-        raise
-    return SessionResult(
-        sentence=sentence,
-        records=records,
-        transcript=session.transcript,
-        risk_log=session.risk_log,
-    )
+    except DaoError as exc:
+        return SessionResult(sentence, [], session.transcript, session.risk_log, exc)
+    return SessionResult(sentence, records, session.transcript, session.risk_log)

@@ -56,7 +56,7 @@ class ScriptExhausted(BackendError):
 
 
 class ScriptNoMatch(BackendError):
-    """No unconsumed scripted reply matches the incoming message."""
+    """A replay bundle has no scripts for a sentence of the run."""
 
 
 class InvalidTeam(DaoError):

@@ -12,12 +12,13 @@ embeddings come from the trigram hash embedder. Bundle JSON shape:
                                      "critic": [...], "judge": [...]}}
     }
 
-Scorer costs left out keep the `KeyedScorer` defaults. A script is an
-array of (matcher, reply) string pairs as consumed by the scripted chat
-backend; a missing critic or judge script is empty. `load` checks the
-whole bundle before any work, so a run never meets a malformed script or
-an unknown top-level key midway; other keys of a session entry are not
-read.
+Scorer costs left out keep the `KeyedScorer` defaults, which scores an
+answer against every key whose matcher applies to the prompt. A chat
+script is an array of ("*", reply) string pairs, whose replies the
+scripted chat backend returns in order, whatever the prompt; a missing
+critic or judge script is empty. `load` checks the whole bundle before
+any work, so a run never meets a malformed script or an unknown
+top-level key midway; other keys of a session entry are not read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import HashEmbedder, KeyedScorer, scripted_chat
+from .backends import HashEmbedder, KeyedScorer, ScriptedChatBackend
 from .debate import AgentTeam, DebaterBinding, debater_name
 from .errors import InvalidConfig, ScriptNoMatch
 
@@ -35,10 +36,11 @@ from .errors import InvalidConfig, ScriptNoMatch
 DEFAULT_DIMENSION = 64
 
 
-# Ordered (matcher, reply) pairs: a chat script, or the scorer's keys.
+# Ordered (matcher, value) string pairs: a chat script, or the scorer's keys.
 Script = tuple[tuple[str, str], ...]
-# A session's scripts: (debater scripts, critic script, judge script).
-Agents = tuple[tuple[Script, ...], Script, Script]
+# A session's replies in call order: (each debater's, the critic's, the judge's).
+Replies = tuple[str, ...]
+Agents = tuple[tuple[Replies, ...], Replies, Replies]
 
 
 @dataclass
@@ -55,9 +57,10 @@ class ReplayBundle:
         not a JSON object, a top-level key other than those three, an
         embedding dimension that is not an integer of at least 8,
         `scorer.keys` or a script that is not an array of pairs of strings,
-        a `debaters` that is not an array of at least two scripts, or a
-        scorer cost that is not a finite number of at least 0 raises
-        `InvalidConfig` naming the bundle and the field."""
+        a chat-script matcher other than `"*"`, a `debaters` that is not an
+        array of at least two scripts, or a scorer cost that is not a finite
+        number of at least 0 raises `InvalidConfig` naming the bundle and
+        the field."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -79,15 +82,21 @@ class ReplayBundle:
                 check(ok, f"{name}[{i}]", pair, "a pair of strings")
             return tuple(tuple(pair) for pair in value)
 
+        def chat(name: str, value: object) -> Replies:
+            script = pairs(name, value)
+            for i, (matcher, _) in enumerate(script):
+                check(matcher == "*", f"{name}[{i}][0]", matcher, '"*"')
+            return tuple(reply for _, reply in script)
+
         def agents(name: str, value: object) -> Agents:
             entry = section(name, value)
             debaters = entry.get("debaters", [])
             check(isinstance(debaters, list), f"{name}.debaters", debaters, "a JSON array")
             check(len(debaters) >= 2, f"{name}.debaters", len(debaters), "an array of at least two scripts")
             return (
-                tuple(pairs(f"{name}.debaters[{i}]", script) for i, script in enumerate(debaters)),
-                pairs(f"{name}.critic", entry.get("critic", [])),
-                pairs(f"{name}.judge", entry.get("judge", [])),
+                tuple(chat(f"{name}.debaters[{i}]", script) for i, script in enumerate(debaters)),
+                chat(f"{name}.critic", entry.get("critic", [])),
+                chat(f"{name}.judge", entry.get("judge", [])),
             )
 
         data = section("top level", data)
@@ -131,9 +140,9 @@ class ReplayBundle:
         debaters, critic, judge = agents
         return AgentTeam(
             debaters=tuple(
-                DebaterBinding(name=debater_name(i), backend=scripted_chat(script))
-                for i, script in enumerate(debaters)
+                DebaterBinding(name=debater_name(i), backend=ScriptedChatBackend(replies))
+                for i, replies in enumerate(debaters)
             ),
-            critic=scripted_chat(critic),
-            judge=scripted_chat(judge),
+            critic=ScriptedChatBackend(critic),
+            judge=ScriptedChatBackend(judge),
         )

@@ -26,7 +26,6 @@ from dao.errors import (
     MalformedResponse,
     RateLimited,
     ScriptExhausted,
-    ScriptNoMatch,
     TransportError,
 )
 
@@ -340,30 +339,6 @@ def test_scripted_exhausted_on_extra_call():
         backend.complete([ChatMessage("user", "c")])
 
 
-def test_scripted_matcher_selects_by_substring():
-    backend = scripted_chat([("alpha", "A"), ("beta", "B")])
-    assert backend.complete([ChatMessage("user", "the beta case")]) == "B"
-    assert backend.complete([ChatMessage("user", "the alpha case")]) == "A"
-
-
-def test_scripted_no_match_is_error():
-    backend = scripted_chat([("alpha", "A"), ("beta", "B")])
-    backend.complete([ChatMessage("user", "alpha")])
-    with pytest.raises(ScriptNoMatch):
-        backend.complete([ChatMessage("user", "gamma")])
-
-
-def test_scripted_matches_latest_user_message():
-    backend = scripted_chat([("later", "yes")])
-    messages = [
-        ChatMessage("user", "later appears here but is stale"),
-        ChatMessage("assistant", "noted"),
-        ChatMessage("user", "this mentions later too"),
-    ]
-    assert backend.complete(messages) == "yes"
-    assert backend.calls[0][0][-1].content == "this mentions later too"
-
-
 # ---------------------------------------------------------------------------
 # Hash embedder
 
@@ -478,6 +453,13 @@ def test_keyed_scorer_matcher_routes_by_prompt():
     scorer = KeyedScorer(keys=[("alpha", "x"), ("beta", "y")])
     assert scorer.negative_log_likelihood("beta prompt", "y") == pytest.approx(0.05)
     assert scorer.negative_log_likelihood("alpha prompt", "y") == pytest.approx(1.0)
+
+
+def test_keyed_scorer_scores_against_every_matching_key():
+    scorer = KeyedScorer(keys=[("alpha", "x"), ("alpha", "y"), ("beta", "z")])
+    assert scorer.negative_log_likelihood("alpha prompt", "x") == pytest.approx(0.05)
+    assert scorer.negative_log_likelihood("alpha prompt", "y") == pytest.approx(0.05)
+    assert scorer.negative_log_likelihood("alpha prompt", "z") == pytest.approx(1.0)
 
 
 def test_keyed_scorer_no_key_all_misses():

@@ -1040,18 +1040,32 @@ def test_run_bad_row_exits_two_before_the_index_build(tmp_path, capsys, monkeypa
     assert not out_dir.exists()
 
 
-def test_run_aborted_session_writes_partial_transcript(tmp_path):
-    paths = helpers.build_replay_run(tmp_path, 1, FIXTURES)
-    bundle = json.loads(paths["bundle"].read_text())
-    # Starve one debater's script so the session dies mid-round.
-    bundle["sessions"]["gen-000"]["debaters"][1] = [["*", 'B: ["Contact:Meet", "met"]']]
-    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
-    out_dir = tmp_path / "out"
-    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
-    aborted = out_dir / "aborted_transcript.jsonl"
-    assert aborted.exists()
-    rows = _read_jsonl(aborted)
-    assert any(row["stage"] == "ed.opinion" for row in rows)
+def test_run_aborted_session_writes_partial_transcript(tmp_path, capsys):
+    # A starved debater script fails the second sentence's session
+    # mid-round; an empty one fails its first batch, before any row, so
+    # no partial transcript is written.
+    for case, script, calls in [("starved", [["*", 'B: ["Contact:Meet", "met"]']], 1), ("empty", [], 0)]:
+        paths = helpers.build_replay_run(tmp_path / case, 2, FIXTURES)
+        bundle = json.loads(paths["bundle"].read_text())
+        bundle["sessions"]["gen-001"]["debaters"][1] = script
+        paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+        out_dir = tmp_path / case / "out"
+        argv = ["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]
+        assert main(argv) == 2
+        assert [row["id"] for row in _read_jsonl(out_dir / "predictions.jsonl")] == ["gen-000"]
+        aborted = out_dir / "aborted_transcript.jsonl"
+        # Logged warnings share stderr; these are the run's own lines.
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if line.startswith(("dao:", "session aborted"))]
+        error = f"dao: ScriptExhausted: no replies left after {calls} calls"
+        if calls:
+            assert lines == [f"session aborted; partial transcript written to {aborted}", error]
+            rows = _read_jsonl(aborted)
+            assert any(row["stage"] == "ed.opinion" for row in rows)
+            assert {row["id"] for row in rows} == {"gen-001"}
+        else:
+            assert lines == [error]
+            assert not aborted.exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1151,6 +1165,11 @@ def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
         (
             NON_UTF8_LINE,
             "not valid JSON: 'utf-8' codec can't decode byte 0xe9 in position 24: invalid continuation byte",
+        ),
+        # A chat script replays in order; its matchers are all "*".
+        (
+            {"sessions": {"gen-000": {"debaters": [[["*", "x"]], [["*", "y"], ["alpha", "x"]]]}}},
+            """sessions['gen-000'].debaters[1][1][0] must be "*", got 'alpha'""",
         ),
     ],
 )

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .backends import ScoringBackend
-from .errors import EmptyCalibrationSet
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,16 @@ def calibrate(risks: Sequence[float], delta: float) -> float:
     Returns the ceil((n+1)(1-delta))-th smallest risk (1-based); when the
     index exceeds n the threshold is +infinity (accept everything). The
     index is computed in exact rational arithmetic because a float ceil
-    misrounds near integral values of (n+1)(1-delta).
+    misrounds near integral values of (n+1)(1-delta). No risks at all
+    raises `ValueError`: `dao calibrate` rejects an empty calibration set
+    before it calls this.
     """
     # Imported here, not at module top: only calibration needs it, and a
     # run would otherwise pay its import memory.
     from fractions import Fraction
 
     if not risks:
-        raise EmptyCalibrationSet("cannot calibrate from zero risk scores")
+        raise ValueError("cannot calibrate from zero risk scores")
     ordered = sorted(risks)
     n = len(ordered)
     index = math.ceil((n + 1) * (1 - Fraction(delta)))

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 import numpy as np
 
 from .errors import (
-    EmptyText,
     HttpStatusError,
     MalformedResponse,
     RateLimited,
@@ -173,7 +172,8 @@ class HttpChatBackend(HttpTransport):
 @dataclass
 class HttpEmbeddingBackend(HttpTransport):
     """Embedding client for servers accepting `{model, input}` and
-    answering with `data[0].embedding`."""
+    answering with `data[0].embedding`. The corpus checks keep every text
+    non-empty, so an empty one is a caller's bug and raises `ValueError`."""
 
     model: str
     dim: int
@@ -184,7 +184,7 @@ class HttpEmbeddingBackend(HttpTransport):
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
-            raise EmptyText("cannot embed the empty string")
+            raise ValueError("cannot embed the empty string")
         data = self._post({"model": self.model, "input": text}, self.api_key_env)
         try:
             vector = np.asarray(data["data"][0]["embedding"], dtype=np.float64)
@@ -249,7 +249,8 @@ class HashEmbedder:
     """Deterministic sentence embedder: signed character-trigram hashing.
 
     Each trigram is hashed to a bucket and a sign; counts are accumulated
-    and L2-normalized. Identical strings always map to identical vectors.
+    and L2-normalized. Identical strings always map to identical vectors,
+    and the empty string raises `ValueError`, as the HTTP client does.
     Signed hashing spreads cosine distances over (0, 2) rather than
     capping them at 1, which keeps radius schedules above 1 meaningful.
 
@@ -277,7 +278,7 @@ class HashEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
-            raise EmptyText("cannot embed the empty string")
+            raise ValueError("cannot embed the empty string")
         grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
         # Counts are whole numbers, so summing in a list first gives the
         # same floats as adding into the array one trigram at a time.

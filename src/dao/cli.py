@@ -19,7 +19,7 @@ import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .adacp import AdaCPConfig, calibrate, risk_score
 from .backends import (
@@ -70,11 +70,6 @@ _DEFAULT_BACKENDS = {
     "scoring": {"endpoint": ""},
 }
 
-# Keys older versions wrote; a config that still holds one is rejected.
-_RETIRED = {
-    "seed", "use_llm_summarizer", "drag.freeze_topk", "drag.positive_quota", "drag.negative_quota"
-}
-
 # The JSON values a setting takes, by the type of its default, and their
 # name; a `null` default is an unset path.
 _TAKES = {
@@ -111,8 +106,6 @@ def _check(value, default, path: str = "") -> None:
     elif kind is dict:
         for key, item in value.items():
             name = f"{path}.{key}" if path else key
-            if name in _RETIRED:
-                raise InvalidConfig(f"{name} was removed; delete it from the config")
             if key not in default:
                 raise InvalidConfig(f"unknown key {name}")
             _check(item, default[key], name)
@@ -176,17 +169,21 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _backends(config: RunConfig) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam], int]:
+def _backends(
+    config: RunConfig, ids: Iterable[str] = ()
+) -> tuple[EmbeddingBackend, ScoringBackend, Callable[[str], AgentTeam], int]:
     """The embedder, the scorer, `team_for(sentence_id)` and the most
-    debaters any team of the run has.
+    debaters any team of the run has, for a run of the input sentences
+    `ids`.
 
     The replay bundle that `backends.replay_bundle` names gives the offline
-    twins and fresh scripted agents per sentence; without one, one team of
-    the HTTP clients in `config.backends` serves every sentence.
+    twins and fresh scripted agents per sentence, and must script each of
+    `ids`; without one, one team of the HTTP clients in `config.backends`
+    serves every sentence.
     """
     backends = config.backends
     if backends["replay_bundle"]:
-        bundle = ReplayBundle.load(backends["replay_bundle"])
+        bundle = ReplayBundle.load(backends["replay_bundle"], ids)
         return bundle.embedder(), bundle.scorer(), bundle.team_for, bundle.most_debaters()
     chat, emb = backends["chat"], backends["embedding"]
     retry = {name: chat[name] for name in _RETRY_DEFAULTS}
@@ -315,7 +312,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         e for e in load_corpus(config.reference_corpus) if config.reference_split in ("all", e.split)
     ]
     inputs = load_corpus(args.input)
-    embedder, scorer, team_for, most_debaters = _backends(config)
+    embedder, scorer, team_for, most_debaters = _backends(config, (e.sentence.id for e in inputs))
     index = build_index(split_entries, embedder)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -45,7 +45,7 @@ from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
 from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend, sha256_prefix
 from .corpus import EmbeddedIndex, EventMention, Ontology, ReferenceEntry, Sentence, embed_sentence
 from .drag import DragConfig, RetrievalResult, decay_radius, gather_event_info
-from .errors import DaoError, HeaderMismatch, InvalidTeam, NoTableFound, ParseFailure
+from .errors import DaoError, InvalidTeam, ParseFailure
 from .prompts import render_prompt
 
 logger = logging.getLogger(__name__)
@@ -135,11 +135,12 @@ def parse_table(text: str, expected_header: Sequence[str]) -> list[tuple[str | N
 
     Header comparison is case-insensitive on trimmed cells. Separator
     rows are skipped, rows of the wrong width are dropped with a warning,
-    and a cell spelled "None" becomes None.
+    and a cell spelled "None" becomes None. Text with no pipe table, or
+    with none under the expected header, raises `ParseFailure`.
     """
     tables = _find_pipe_tables(text)
     if not tables:
-        raise NoTableFound(f"no pipe-delimited table in reply sha256:{sha256_prefix(text, 12)}")
+        raise ParseFailure(f"no pipe-delimited table in reply sha256:{sha256_prefix(text, 12)}")
     wanted = [header.strip().lower() for header in expected_header]
     for table in tables:
         header = [cell.lower() for cell in table[0]]
@@ -156,7 +157,7 @@ def parse_table(text: str, expected_header: Sequence[str]) -> list[tuple[str | N
                 continue
             rows.append(tuple(None if cell.lower() == "none" else cell for cell in cells))
         return rows
-    raise HeaderMismatch(f"no table with header {list(expected_header)!r}")
+    raise ParseFailure(f"no table with header {list(expected_header)!r}")
 
 
 def parse_judge(text: str, task: Task) -> tuple[EventMention, ...] | None:
@@ -767,9 +768,11 @@ def debate_sentence(
     extraction entirely, as does an agreed type that `ontology` lacks or
     that has no roles; its record carries no arguments.
 
-    A `DaoError`, such as a failed model call or query embed, ends the
-    session and is returned, not raised, as the result's `error`, with the
-    transcript and risks written before it; other exceptions propagate.
+    A `DaoError` here is a fault of this sentence's backend calls, such as
+    a failed model call or query embed: it ends the session and is
+    returned, not raised, as the result's `error`, with the transcript and
+    risks written before it. Any other exception is a programming error
+    and propagates.
     """
     session = _Session(sentence, ontology, index, config, run)
     try:

@@ -1,10 +1,17 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine.
+
+A `DaoError` is a fault of a run's inputs or backends, never of the code.
+`dao run` raises an input fault (in the config, the bundle, the ontology,
+the corpus or `--input`) before the index build. A backend fault inside a
+session ends that session and reaches `dao run`'s writer as the result's
+`error`. A programming error is a plain Python exception and propagates.
+"""
 
 from os import PathLike
 
 
 class DaoError(Exception):
-    """Base class for all engine errors."""
+    """Base class for faults of a run's inputs or backends."""
 
 
 class FormatError(DaoError):
@@ -21,10 +28,6 @@ class DimensionMismatch(DaoError):
 
 class ZeroVector(DaoError):
     """A zero vector cannot be L2-normalized."""
-
-
-class EmptyText(DaoError):
-    """An embedding backend was asked to embed the empty string."""
 
 
 class BackendError(DaoError):
@@ -55,32 +58,16 @@ class ScriptExhausted(BackendError):
     """A scripted backend ran out of replies."""
 
 
-class ScriptNoMatch(BackendError):
-    """A replay bundle has no scripts for a sentence of the run."""
-
-
 class InvalidTeam(DaoError):
     """An agent team is malformed."""
 
 
 class EmptyCalibrationSet(DaoError):
-    """Calibration was requested with no risk scores available."""
-
-
-class MissingBinding(DaoError):
-    """A prompt template placeholder has no value bound."""
+    """A task has no calibration pairs, or no initial threshold to run with."""
 
 
 class ParseFailure(DaoError):
     """Agent output could not be parsed into a structured answer."""
-
-
-class NoTableFound(ParseFailure):
-    """The text contains no pipe-delimited table."""
-
-
-class HeaderMismatch(ParseFailure):
-    """Pipe tables exist but none carries the expected header."""
 
 
 class InvalidConfig(DaoError, ValueError):

@@ -9,8 +9,6 @@ a binding.
 
 from __future__ import annotations
 
-from .errors import MissingBinding
-
 DEBATER_ED = (
     'Consider the sentence: "{SENT}". Carefully read the event definition, event type, '
     "and trigger tokens in the given examples. Examine whether it mentions any possible "
@@ -94,8 +92,8 @@ TEMPLATES: dict[str, str] = {
 def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
     """Fill a template's placeholders from `bindings` in one pass.
 
-    Raises MissingBinding when a placeholder in the template has no
-    binding. Extra bindings are ignored.
+    An unknown template, or a placeholder with no binding, is a bug in the
+    caller and raises `KeyError`. Extra bindings are ignored.
     """
     try:
         template = TEMPLATES[template_id]
@@ -104,4 +102,4 @@ def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
     try:
         return template.format_map(bindings)
     except KeyError as exc:
-        raise MissingBinding(f"{template_id}: no binding for {exc.args[0]!r}") from None
+        raise KeyError(f"{template_id}: no binding for {exc.args[0]!r}") from None

@@ -16,9 +16,10 @@ Scorer costs left out keep the `KeyedScorer` defaults, which scores an
 answer against every key whose matcher applies to the prompt. A chat
 script is an array of ("*", reply) string pairs, whose replies the
 scripted chat backend returns in order, whatever the prompt; a missing
-critic or judge script is empty. `load` checks the whole bundle before
-any work, so a run never meets a malformed script or an unknown
-top-level key midway; other keys of a session entry are not read.
+critic or judge script is empty. `load` checks the whole bundle, and
+that it scripts every input sentence of the run, before any work, so a
+run never meets a malformed or missing script or an unknown top-level
+key midway; other keys of a session entry are not read.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .backends import HashEmbedder, KeyedScorer, ScriptedChatBackend
 from .debate import AgentTeam, DebaterBinding, debater_name
-from .errors import InvalidConfig, ScriptNoMatch
+from .errors import InvalidConfig
 
 # The embedding dimension when a bundle, or a live config, leaves it out.
 DEFAULT_DIMENSION = 64
@@ -51,8 +53,9 @@ class ReplayBundle:
     sessions: dict[str, Agents]
 
     @classmethod
-    def load(cls, path: str | Path) -> "ReplayBundle":
-        """The bundle in the JSON file at `path`. A file that is not UTF-8 JSON,
+    def load(cls, path: str | Path, ids: Iterable[str] = ()) -> "ReplayBundle":
+        """The bundle in the JSON file at `path`, for a run whose input
+        sentences have the ids `ids`. A file that is not UTF-8 JSON,
         a bundle, `embedder`, `scorer`, `sessions` or session entry that is
         not a JSON object, a top-level key other than those three, an
         embedding dimension that is not an integer of at least 8,
@@ -60,7 +63,7 @@ class ReplayBundle:
         a chat-script matcher other than `"*"`, a `debaters` that is not an
         array of at least two scripts, or a scorer cost that is not a finite
         number of at least 0 raises `InvalidConfig` naming the bundle and
-        the field."""
+        the field; so does an id of `ids` that has no session."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -114,11 +117,15 @@ class ReplayBundle:
             finite = type(cost) in (int, float) and 0 <= cost < math.inf
             check(finite, f"scorer.{name}", cost, "a finite number of at least 0")
         sessions = section("sessions", data.get("sessions", {}))
+        scripts = {sid: agents(f"sessions[{sid!r}]", entry) for sid, entry in sessions.items()}
+        for sid in ids:
+            if sid not in scripts:
+                raise InvalidConfig(f"{path}: no scripts for input sentence {sid!r}")
         return cls(
             dimension=dimension,
             scorer_keys=keys,
             scorer_costs={name: float(cost) for name, cost in costs.items()},
-            sessions={sid: agents(f"sessions[{sid!r}]", entry) for sid, entry in sessions.items()},
+            sessions=scripts,
         )
 
     def embedder(self) -> HashEmbedder:
@@ -133,11 +140,10 @@ class ReplayBundle:
         return max((len(agents[0]) for agents in self.sessions.values()), default=1)
 
     def team_for(self, sentence_id: str) -> AgentTeam:
-        """Fresh scripted backends for one session."""
-        agents = self.sessions.get(sentence_id)
-        if agents is None:
-            raise ScriptNoMatch(f"replay bundle has no scripts for sentence {sentence_id!r}")
-        debaters, critic, judge = agents
+        """Fresh scripted backends for one session. `load` checked that
+        every input sentence of the run has scripts, so any other id is a
+        caller's bug and raises `KeyError`."""
+        debaters, critic, judge = self.sessions[sentence_id]
         return AgentTeam(
             debaters=tuple(
                 DebaterBinding(name=debater_name(i), backend=ScriptedChatBackend(replies))

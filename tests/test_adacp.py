@@ -14,7 +14,6 @@ from dao.adacp import (
     risk_score,
 )
 from dao.backends import KeyedScorer
-from dao.errors import EmptyCalibrationSet
 
 
 # -- calibrate
@@ -34,7 +33,7 @@ def test_calibrate_singleton():
 
 
 def test_calibrate_empty_rejected():
-    with pytest.raises(EmptyCalibrationSet):
+    with pytest.raises(ValueError, match="zero risk scores"):
         calibrate([], 0.1)
 
 

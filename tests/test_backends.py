@@ -21,7 +21,6 @@ from dao.backends import (
     scripted_chat,
 )
 from dao.errors import (
-    EmptyText,
     HttpStatusError,
     MalformedResponse,
     RateLimited,
@@ -355,7 +354,7 @@ def test_hash_embedder_distinct_inputs_differ():
 
 
 def test_hash_embedder_empty_text():
-    with pytest.raises(EmptyText):
+    with pytest.raises(ValueError, match="cannot embed the empty string"):
         HashEmbedder(32).embed("")
 
 

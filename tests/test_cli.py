@@ -111,10 +111,10 @@ def test_config_rejects_fewer_than_one_worker(tmp_path, workers):
         ("calibrate", {"adacp": {"beta": True}}, "adacp.beta must be a number, got True"),
         ("run", {"drag": {"radius_decay": True}}, "drag.radius_decay must be a number, got True"),
         ("calibrate", {"drag": {"radius_decay": True}}, "drag.radius_decay must be a number, got True"),
-        ("run", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
-        ("calibrate", {"drag": {"positive_quota": 3}}, ": drag.positive_quota was removed"),
-        ("run", {"use_llm_summarizer": True}, ": use_llm_summarizer was removed; delete it from the config"),
-        ("calibrate", {"use_llm_summarizer": False}, ": use_llm_summarizer was removed; delete it from the config"),
+        ("run", {"drag": {"positive_quota": 3}}, ": unknown key drag.positive_quota"),
+        ("calibrate", {"drag": {"positive_quota": 3}}, ": unknown key drag.positive_quota"),
+        ("run", {"use_llm_summarizer": True}, ": unknown key use_llm_summarizer"),
+        ("calibrate", {"use_llm_summarizer": False}, ": unknown key use_llm_summarizer"),
         ("run", {"drag": {"initial_radius": math.nan}}, "drag.initial_radius must be a finite number, got nan"),
         ("calibrate", {"drag": {"initial_radius": math.nan}}, "drag.initial_radius must be a finite number, got nan"),
         ("run", {"drag": {"initial_radius": math.inf}}, "drag.initial_radius must be a finite number, got inf"),
@@ -173,7 +173,7 @@ def test_config_with_removed_keys_is_rejected(tmp_path, data, key):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(InvalidConfig) as raised:
         RunConfig.load(path)
-    assert str(raised.value) == f"{path}: {key} was removed; delete it from the config"
+    assert str(raised.value) == f"{path}: unknown key {key}"
 
 
 def test_readme_configuration_table_matches_defaults():
@@ -1110,17 +1110,6 @@ def test_rerun_into_the_same_out_leaves_no_earlier_artifact(tmp_path):
         assert not (out_dir / gone).exists()
 
 
-def test_run_sentence_without_script_exits_two_naming_it(tmp_path, capsys):
-    paths = helpers.build_replay_run(tmp_path, 2, FIXTURES)
-    bundle = json.loads(paths["bundle"].read_text())
-    del bundle["sessions"]["gen-001"]
-    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
-    out_dir = tmp_path / "out"
-    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("dao: ScriptNoMatch:") and "'gen-001'" in line
-
-
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1475,6 +1464,22 @@ def test_run_malformed_last_script_fails_before_index_build(tmp_path, monkeypatc
     assert counting.calls == 0
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"dao: InvalidConfig: {paths['bundle']}: sessions['gen-002'].debaters[0][0] must be")
+    assert not out_dir.exists()
+
+
+def test_run_sentence_without_script_exits_two_naming_it(tmp_path, monkeypatch, capsys):
+    paths = helpers.build_replay_run(tmp_path, 3, FIXTURES)
+    bundle = json.loads(paths["bundle"].read_text())
+    del bundle["sessions"]["gen-002"]
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    counting = _CountingEmbedder()
+    monkeypatch.setattr(ReplayBundle, "embedder", lambda self: counting)
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 2
+    assert counting.calls == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"dao: InvalidConfig: {paths['bundle']}: no scripts for input sentence 'gen-002'"
+    ]
     assert not out_dir.exists()
 
 

@@ -524,6 +524,28 @@ def test_backend_failure_aborts_with_transcript_preserved(ontology, train_index,
     assert any(e.stage == "ed.retrieval" for e in transcript)
 
 
+def test_unbound_placeholder_propagates_out_of_the_session(ontology, train_index, embedder, pool, monkeypatch):
+    import dao.prompts
+    from dao.corpus import Sentence
+
+    # A template bug is not a backend fault: it leaves the session as a
+    # plain error, never as the result's `error`.
+    monkeypatch.setitem(dao.prompts.TEMPLATES, "judge_ed", dao.prompts.TEMPLATES["judge_ed"] + " {UNBOUND}")
+    answer = '["Life:Die", "killed"]'
+    team = helpers.make_team(
+        [
+            [("*", f"A: {answer}"), ("*", f"A: defending {answer} .")],
+            [("*", f"B: {answer}"), ("*", f"B: agreeing {answer} .")],
+        ],
+        [("*", "Assessment .")],
+        [("*", helpers.ed_table("Life:Die", "killed"))],
+    )
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    sentence = Sentence.from_text("unbound-1", "The blast killed the mayor .")
+    with pytest.raises(KeyError, match="judge_ed: no binding for 'UNBOUND'"):
+        run_session(sentence, ontology, train_index, config, pool)
+
+
 def test_multi_row_agreement_runs_one_eae_per_row(ontology, train_index, embedder, pool):
     from dao.corpus import Sentence
 

@@ -11,7 +11,7 @@ from dao.debate import (
     parse_table,
     serialize_trigger_answer,
 )
-from dao.errors import HeaderMismatch, NoTableFound, ParseFailure
+from dao.errors import ParseFailure
 
 
 # -- parse_debater_ed
@@ -76,13 +76,13 @@ def test_none_cell_becomes_none():
 
 
 def test_no_pipes_is_no_table():
-    with pytest.raises(NoTableFound):
+    with pytest.raises(ParseFailure, match="no pipe-delimited table"):
         parse_table("just some prose without any tables", ED_JUDGE_HEADER)
 
 
 def test_wrong_header_is_mismatch():
     text = "| foo | bar |\n| a | b |"
-    with pytest.raises(HeaderMismatch):
+    with pytest.raises(ParseFailure, match="no table with header"):
         parse_table(text, ED_JUDGE_HEADER)
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-from dao.errors import MissingBinding
 from dao.prompts import TEMPLATES, render_prompt
 
 
@@ -29,7 +28,7 @@ def test_debater_eae_binds_trigger():
 
 
 def test_missing_binding_raises():
-    with pytest.raises(MissingBinding, match="debater_eae: no binding for 'role list'"):
+    with pytest.raises(KeyError, match="debater_eae: no binding for 'role list'"):
         render_prompt(
             "debater_eae",
             {"SENT": "x", "event type": "Life:Die", "trigger": "killed"},
@@ -37,7 +36,7 @@ def test_missing_binding_raises():
 
 
 def test_missing_sent_raises():
-    with pytest.raises(MissingBinding):
+    with pytest.raises(KeyError):
         render_prompt("critic_ed", {})
 
 

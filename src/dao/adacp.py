@@ -3,7 +3,8 @@
 An initial acceptance threshold is either fixed per task or calibrated
 as a conformal quantile of risk scores on annotated pairs; during a
 debate it is tightened geometrically each round, so answers must become
-more plausible as the discussion accumulates evidence.
+more plausible as the discussion accumulates evidence. A risk scores an
+answer in one context string, which the caller builds.
 """
 
 from __future__ import annotations
@@ -64,16 +65,14 @@ def calibrate(risks: Sequence[float], delta: float) -> float:
     return float(ordered[index - 1])
 
 
-def risk_score(scorer: ScoringBackend, input_text: str, retrieved: str, answer: str) -> float:
-    """Risk of `answer` given the input plus whatever has been retrieved.
-
-    Concatenating an empty retrieval block is an identity, so calibration
-    (which has no retrieval) and in-debate scoring share one code path.
+def risk_score(scorer: ScoringBackend, context: str, answer: str) -> float:
+    """Risk of `answer` in `context`: the scorer's negative log-likelihood
+    of the answer given that exact string. The gate's context is
+    `debate.DebateState.context`; calibration's is the bare task prompt.
     """
     if not answer:
         raise ValueError("cannot score an empty answer")
-    prompt = input_text if not retrieved else f"{input_text}\n\n{retrieved}"
-    return scorer.negative_log_likelihood(prompt, answer)
+    return scorer.negative_log_likelihood(context, answer)
 
 
 def accept(risk: float, threshold: float) -> bool:

@@ -218,18 +218,22 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     _, scorer, _, _ = _backends(config)
     rows = [e for e in load_corpus(config.reference_corpus) if e.split == "calib"]
     thresholds = dict(config.adacp.initial_threshold)
-    for task in ("ed", "eae"):
-        override = thresholds.get(task)
-        if override is not None:
-            print(f"task={task} threshold fixed at {override} (calibration skipped)")
-            continue
-        pairs = calibration_pairs(task, rows, ontology)
-        if not pairs:
+    # An empty set fails before the first scorer call: an input fault costs no backend call.
+    pairs = {
+        task: calibration_pairs(task, rows, ontology) for task in ("ed", "eae") if thresholds.get(task) is None
+    }
+    for task, task_pairs in pairs.items():
+        if not task_pairs:
             raise EmptyCalibrationSet(
                 f"no calibration pairs for task {task!r}; provide a calib split or an override"
             )
+    for task in ("ed", "eae"):
+        if task not in pairs:
+            print(f"task={task} threshold fixed at {thresholds[task]} (calibration skipped)")
+            continue
+        task_pairs = pairs[task]
         # The scorer's round trips overlap, as the index build's embeds do.
-        risks = in_slices(lambda i: risk_score(scorer, pairs[i][0], "", pairs[i][1]), len(pairs))
+        risks = in_slices(lambda i: risk_score(scorer, *task_pairs[i]), len(task_pairs))
         thresholds[task] = calibrate(risks, config.adacp.delta)
         print(f"task={task} n={len(risks)} delta={config.adacp.delta} q0={thresholds[task]}")
     config.adacp = dataclasses.replace(config.adacp, initial_threshold=thresholds)

@@ -303,9 +303,9 @@ def calibration_pairs(
 ) -> list[tuple[str, str]]:
     """(prompt, gold answer) pairs for one task ("ed" or "eae") over
     annotated entries; an "eae" event whose type `ontology` lacks is
-    skipped. Each prompt is the task prompt that the in-debate gate's
-    context starts with; the gate also scores the round's packet after
-    it, which calibration has none of."""
+    skipped. Each prompt is the task prompt: `DebateState.context` starts
+    with it and adds the round's retrieval packet, which calibration has
+    none of."""
     pairs: list[tuple[str, str]] = []
     detection = Detection()
     for entry in entries:
@@ -386,32 +386,49 @@ class TranscriptEntry:
 
 @dataclass(frozen=True)
 class RiskRecord:
+    """One gate verdict: a debater's serialized answer, its risk in the
+    round's context and the threshold it was judged against. Its `str` is
+    the transcript's gate and adjudication note."""
+
     task: str
     round_index: int
     debater: str
     answer_text: str
     risk: float
+    threshold: float
     accepted: bool
+
+    def __str__(self) -> str:
+        return (
+            f"debater_{self.debater} answer {self.answer_text!r} risk={self.risk:.6f} "
+            f"threshold={self.threshold:.6f} accepted={self.accepted}"
+        )
 
 
 @dataclass
 class DebateState:
     """Mutable per-debate state; one instance per task per session.
 
-    Answers are scored in `risk_base` (the task prompt) plus
-    `packet_text` (the round's retrieval packet) against `threshold`, the
-    one in force; it decays when a later round starts, so round-cap
-    adjudication applies the last round's threshold.
+    Answers are scored in `context` against `threshold`, the one in
+    force; it decays when a later round starts, so round-cap adjudication
+    applies the last round's threshold.
     """
 
     ctx: Task
-    risk_base: str
+    task_prompt: str
     radius: float
     threshold: float
     round_index: int = 0
     live_opinions: dict[int, EventMention | None] = field(default_factory=dict)
     gated_out: set[int] = field(default_factory=set)
     packet_text: str = ""
+
+    @property
+    def context(self) -> str:
+        """The round's scoring context: the task prompt, a blank line, then
+        the round's retrieval packet. It is the exact prompt the scorer
+        receives and the prompt of the round's gate notes."""
+        return f"{self.task_prompt}\n\n{self.packet_text}"
 
 
 @dataclass
@@ -477,8 +494,8 @@ class _Session:
     candidates: EmbeddedIndex | None = None
     transcript: list[TranscriptEntry] = field(default_factory=list)
     risk_log: list[RiskRecord] = field(default_factory=list)
-    # (scoring prompt, packet, serialized answer) -> risk
-    risks: dict[tuple[str, str, str], float] = field(default_factory=dict)
+    # (scoring context, serialized answer) -> risk
+    risks: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def _embed_and_scan(self) -> EmbeddedIndex:
         """The top-K candidates that all of the sentence's debates retrieve from."""
@@ -576,8 +593,8 @@ class _Session:
 
         # (3) Gate every extraction answer against the current threshold.
         state.gated_out = set()
-        for i, scored in self._score(state, self._scorable(state)).items():
-            if not self._log_gate(state, *scored):
+        for i, record in self._score(state, self._scorable(state)).items():
+            if not self._log_gate(state, record):
                 state.gated_out.add(i)
 
         # (4) Cross-examination, simultaneous: every prompt, the critic's
@@ -644,7 +661,7 @@ class _Session:
             self._note(rnd, f"{ctx.task}.{stage}", f"debater_{binding.name}", replies[i], prompts[i])
             if i in failed:
                 self._note(rnd, f"{ctx.task}.{stage}", "engine", f"debater_{binding.name} {unparsed}")
-            if i not in regated or self._log_gate(state, *regated[i]):
+            if i not in regated or self._log_gate(state, regated[i]):
                 state.gated_out.discard(i)
             else:
                 state.gated_out.add(i)
@@ -658,46 +675,31 @@ class _Session:
             if not state.ctx.exempt(answer)
         }
 
-    def _score(
-        self, state: DebateState, answers: Mapping[int, EventMention]
-    ) -> dict[int, tuple[RiskRecord, str]]:
-        """Score answers, by debater, in the round's context against the
-        threshold in force; each one's record and note text.
+    def _score(self, state: DebateState, answers: Mapping[int, EventMention]) -> dict[int, RiskRecord]:
+        """Score answers, by debater, in `state.context` against the
+        threshold in force; each one's `RiskRecord`, which the caller logs.
 
         Requests this session has not sent before go to the scorer in one batch;
         a repeated request reuses its risk, since the scorer is a frozen
         model. The gate, the re-gate and adjudication all score here, so
         they score in the same context.
         """
-        keys = {
-            i: (state.risk_base, state.packet_text, state.ctx.serialize(answer))
-            for i, answer in answers.items()
-        }
+        context = state.context
+        keys = {i: (context, state.ctx.serialize(answer)) for i, answer in answers.items()}
         new = list(dict.fromkeys(key for key in keys.values() if key not in self.risks))
         risks = self.run([partial(risk_score, self.config.scorer, *key) for key in new])
         self.risks.update(zip(new, risks))
-        scored = {}
+        records = {}
         for i, key in keys.items():
-            name, serialized, risk = self.config.team.debaters[i].name, key[-1], self.risks[key]
+            name, risk = self.config.team.debaters[i].name, self.risks[key]
             ok = accept(risk, state.threshold)
-            note = (
-                f"debater_{name} answer {serialized!r} risk={risk:.6f} "
-                f"threshold={state.threshold:.6f} accepted={ok}"
-            )
-            record = RiskRecord(state.ctx.task, state.round_index, name, serialized, risk, ok)
-            scored[i] = (record, note)
-        return scored
+            records[i] = RiskRecord(state.ctx.task, state.round_index, name, key[1], risk, state.threshold, ok)
+        return records
 
-    def _log_gate(self, state: DebateState, record: RiskRecord, note: str) -> bool:
+    def _log_gate(self, state: DebateState, record: RiskRecord) -> bool:
         """Log one gate verdict; whether the answer passed."""
         self.risk_log.append(record)
-        self._note(
-            state.round_index,
-            f"{state.ctx.task}.gate",
-            "scorer",
-            note,
-            prompt=f"{state.risk_base}\n\n{state.packet_text}",
-        )
+        self._note(record.round_index, f"{record.task}.gate", "scorer", str(record), state.context)
         return record.accepted
 
     def run_debate(self, ctx: Task) -> tuple[EventMention, ...]:
@@ -705,7 +707,7 @@ class _Session:
         by the judge or, at the round cap, by adjudication."""
         state = DebateState(
             ctx=ctx,
-            risk_base=ctx.prompt(self.sentence, self.ontology),
+            task_prompt=ctx.prompt(self.sentence, self.ontology),
             radius=self.config.drag.initial_radius,
             threshold=float(self.config.adacp.initial_threshold[ctx.task]),
         )
@@ -716,29 +718,20 @@ class _Session:
         return self._adjudicate(state)
 
     def _adjudicate(self, state: DebateState) -> tuple[EventMention, ...]:
-        """Round cap reached without agreement: adopt the lowest-risk answer
-        that passes the final round's gate, otherwise fail closed."""
-        ctx, rnd = state.ctx, state.round_index
-        best: tuple[float, int] | None = None
-        for i, (record, note) in self._score(state, self._scorable(state)).items():
-            self._note(rnd, f"{ctx.task}.adjudication", "scorer", note)
-            if record.accepted and (best is None or record.risk < best[0]):
-                best = (record.risk, i)
-        if best is None:
-            self._note(
-                rnd,
-                f"{ctx.task}.adjudication",
-                "engine",
-                "round cap reached with no acceptable answer; emitting empty result",
-            )
+        """Round cap reached without agreement: note every answer's verdict,
+        then adopt the first lowest-risk answer that passes the final
+        round's gate, otherwise fail closed."""
+        ctx, rnd, stage = state.ctx, state.round_index, f"{state.ctx.task}.adjudication"
+        records = self._score(state, self._scorable(state))
+        for record in records.values():
+            self._note(rnd, stage, "scorer", str(record))
+        accepted = [i for i, record in records.items() if record.accepted]
+        if not accepted:
+            self._note(rnd, stage, "engine", "round cap reached with no acceptable answer; emitting empty result")
             return ()
-        answer = state.live_opinions[best[1]]
-        self._note(
-            rnd,
-            f"{ctx.task}.adjudication",
-            "engine",
-            f"round cap reached; adopting lowest-risk answer {ctx.serialize(answer)!r}",
-        )
+        answer = state.live_opinions[min(accepted, key=lambda i: records[i].risk)]
+        note = f"round cap reached; adopting lowest-risk answer {ctx.serialize(answer)!r}"
+        self._note(rnd, stage, "engine", note)
         return (answer,)
 
     # -- summarization

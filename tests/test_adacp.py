@@ -67,40 +67,35 @@ def test_coverage_on_lognormal_draws():
 # -- risk_score
 
 
-def test_empty_retrieved_is_identity():
-    scorer = KeyedScorer(keys=[("*", "a b")])
-    assert risk_score(scorer, "input text", "", "a b") == scorer.negative_log_likelihood(
-        "input text", "a b"
-    )
-
-
 def test_retrieved_block_changes_prompt():
+    # The scorer receives the context exactly as given, a retrieval block
+    # in it included: `risk_score` joins nothing.
     calls = []
 
     class Spy:
         def negative_log_likelihood(self, prompt, completion):
-            calls.append(prompt)
+            calls.append((prompt, completion))
             return 0.0
 
-    risk_score(Spy(), "input", "retrieved block", "answer")
-    assert calls == ["input\n\nretrieved block"]
+    risk_score(Spy(), "input\n\nretrieved block", "answer")
+    assert calls == [("input\n\nretrieved block", "answer")]
 
 
 def test_keyed_ordering():
     scorer = KeyedScorer(keys=[("*", '["Conflict:Attack", "war"]')])
-    risk_a = risk_score(scorer, "p", "", '["Conflict:Attack", "war"]')
-    risk_b = risk_score(scorer, "p", "", '["Conflict:Attack", "raid"]')
+    risk_a = risk_score(scorer, "p", '["Conflict:Attack", "war"]')
+    risk_b = risk_score(scorer, "p", '["Conflict:Attack", "raid"]')
     assert risk_a < risk_b
 
 
 def test_risk_score_deterministic():
     scorer = KeyedScorer(keys=[("*", "x")])
-    assert risk_score(scorer, "p", "r", "x y") == risk_score(scorer, "p", "r", "x y")
+    assert risk_score(scorer, "p\n\nr", "x y") == risk_score(scorer, "p\n\nr", "x y")
 
 
 def test_risk_score_rejects_empty_answer():
     with pytest.raises(ValueError):
-        risk_score(KeyedScorer(), "p", "", "")
+        risk_score(KeyedScorer(), "p", "")
 
 
 # -- accept

@@ -435,6 +435,32 @@ def test_calibrate_empty_split_without_override_fails(tmp_path):
     assert main(["calibrate", "-c", str(config_path)]) == 2
 
 
+def test_calibrate_without_eae_pairs_fails_before_scoring(tmp_path, monkeypatch, capsys):
+    # Six no-event calib rows give six `ed` pairs and no `eae` pair: the
+    # empty set is rejected before any `ed` pair is scored.
+    config_path, corpus_path = _calibration_setup(tmp_path, total_rows=6)
+    rows = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+    corpus_path.write_text("".join(json.dumps({**r, "events": []}) + "\n" for r in rows), encoding="utf-8")
+    before = config_path.read_bytes()
+    backends = dao.cli._backends
+    scorers = []
+
+    def recording_backends(config):
+        embedder, scorer, team_for, most = backends(config)
+        scorers.append(helpers.RecordingScorer(scorer))
+        return embedder, scorers[-1], team_for, most
+
+    monkeypatch.setattr(dao.cli, "_backends", recording_backends)
+    assert main(["calibrate", "-c", str(config_path)]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert line.startswith("dao: EmptyCalibrationSet:") and "'eae'" in line
+    assert "task=" not in out
+    (scorer,) = scorers
+    assert scorer.calls == []
+    assert config_path.read_bytes() == before
+
+
 def test_calibrate_keeps_the_bundle_whose_scorer_fit_the_thresholds(tmp_path):
     config_path, _ = _calibration_setup(tmp_path)
     bundle = json.loads(config_path.read_text())["backends"]["replay_bundle"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
+from dao.adacp import decay_threshold
 from dao.cli import _write_transcript
 from dao.backends import KeyedScorer
 from dao.corpus import EventMention, Sentence, build_index
@@ -223,6 +224,37 @@ def test_adjudication_uses_the_last_gate_threshold(seed, ontology, train_index, 
             adjudicated += task == "ed"
     assert adjudicated >= 1
     assert last_gate["ed"] == "0.250000"
+
+
+def test_gate_notes_render_their_records_and_prompt_the_scored_context(ontology, train_index, embedder, pool):
+    # A gate note is its `risk_log` record's rendering, in log order, and its
+    # prompt is the context the scorer received; an adjudication note
+    # renders the verdict that the debater's last gate record gave.
+    adjudicated = 0
+    for seed in range(12):
+        scenario, config, result = _run_scenario(seed, ontology, train_index, embedder, pool)
+        sent = {(prompt, completion) for prompt, completion, _ in config.scorer.calls}
+        records = iter(result.risk_log)
+        last: dict[tuple[str, str], str] = {}
+        for entry in result.transcript:
+            if entry.role != "scorer":
+                continue
+            task, kind = entry.stage.split(".")
+            if kind == "adjudication":
+                debater = entry.text.split(" ", 1)[0]
+                assert entry.text == last[task, debater], scenario.name
+                adjudicated += 1
+                continue
+            record = next(records)
+            threshold = config.adacp.initial_threshold[task]
+            for _ in range(record.round_index):
+                threshold = decay_threshold(threshold, config.adacp.beta)
+            assert (record.task, record.round_index, record.threshold) == (task, entry.round_index, threshold)
+            assert entry.text == str(record) and f" threshold={threshold:.6f} " in entry.text, scenario.name
+            assert (entry.prompt, record.answer_text) in sent, scenario.name
+            last[task, f"debater_{record.debater}"] = entry.text
+        assert next(records, None) is None, scenario.name
+    assert adjudicated >= 2
 
 
 def _no_stage_after_the_opinions(config):
@@ -1028,11 +1060,11 @@ def test_every_model_call_goes_through_the_runner(ontology, train_index, embedde
         for backend in backends:
             sent = [c.args[0] for c in seen if getattr(c.func, "__self__", None) is backend]
             assert sent == [list(messages) for messages, _ in backend.calls], scenario.name
-        # A scoring call is `risk_score` on the scorer, the prompt, the
-        # packet and the answer; the scorer sees prompt and packet joined.
+        # A scoring call is `risk_score` on the scorer, the context and the
+        # answer; the scorer sees that context unchanged.
         scored = [c.args for c in seen if c.func is dao.debate.risk_score]
         assert all(args[0] is config.scorer for args in scored)
-        requests = [(f"{prompt}\n\n{packet}", answer) for _, prompt, packet, answer in scored]
+        requests = [(context, answer) for _, context, answer in scored]
         assert requests == [(prompt, answer) for prompt, answer, _ in config.scorer.calls]
         assert len(seen) == sum(len(b.calls) for b in backends) + len(scored)
 

@@ -19,16 +19,16 @@ an output record alike, and `None` is no event. A detection answer holds
 a (type, trigger); an argument-extraction answer holds its filled rows
 too, so answers from any source compare with `==`.
 
-Every model call of a session goes through one batch runner, `run(calls)`,
-which returns the calls' results in call order; a stage is one batch. The
-first round's batch holds the query embed with the one top-K scan, and
-the debaters' opinions; then come the gate scores, the cross-examination
-replies with the critic's (which sees the same answers), the re-gates,
-the judge's call and, at the round cap, the adjudication scores.
-`run_session` runs each batch with `fan_out` on the run's call pool, so a
-batch's calls run at once. Transcript entries are written in debater
-order, the critic's last, once a batch is back, so a transcript depends
-on the batch order, never on which call finished first.
+A session is a generator, `_Session.steps()`: it yields each stage's
+model calls as one batch, never an empty one, and is sent back their
+results in call order. The first round's batch holds the query embed
+with the one top-K scan, and the debaters' opinions; then come the gate
+scores, the cross-examination replies with the critic's (which sees the
+same answers), the re-gates, the judge's call and, at the round cap, the
+adjudication scores. `run_session`, its one driver, runs each batch with
+`fan_out` on the run's call pool. Transcript entries are written in
+debater order, the critic's last, once a batch is back, so a transcript
+depends on the batch order, never on which call finished first.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import re
 from concurrent.futures import Executor, wait
 from dataclasses import InitVar, dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Mapping, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Generator, Mapping, Sequence, TypeVar
 
 from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
@@ -56,8 +56,8 @@ EAE_HEADER = ("event type", "argument role", "argument content")
 DEFAULT_MAX_ROUNDS = 3
 
 T = TypeVar("T")
-# Runs a batch of independent calls; their results in call order.
-Runner = Callable[[Sequence[Callable[[], Any]]], list]
+# Yields batches of independent calls, is sent their results in call order.
+Steps = Generator[list[Callable[[], Any]], list, T]
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +433,9 @@ class DebateState:
 
 @dataclass
 class SessionResult:
-    """A session's outcome. A session that an engine error ended holds it in
-    `error`, no records, and the transcript and risks written before it."""
+    """A session's outcome. A session that a fault of its backend calls
+    ended holds it in `error`, no records, and the transcript and risks
+    written before it."""
 
     sentence: Sentence
     records: list[EventMention]
@@ -483,14 +484,13 @@ def _chat(backend: ChatBackend, prompt: str, temperature: float = 0.0) -> Callab
 @dataclass
 class _Session:
     """Holds the immutable context of one sentence's debates, the index
-    they retrieve from, the runner their model calls go through, the
-    sentence's top-K candidates once scanned and the risks scored so far."""
+    they retrieve from, the sentence's top-K candidates once scanned and
+    the risks scored so far; `steps()` runs its debates."""
 
     sentence: Sentence
     ontology: Ontology
     index: EmbeddedIndex
     config: SessionConfig
-    run: Runner
     candidates: EmbeddedIndex | None = None
     transcript: list[TranscriptEntry] = field(default_factory=list)
     risk_log: list[RiskRecord] = field(default_factory=list)
@@ -545,7 +545,7 @@ class _Session:
 
     # -- the round state machine
 
-    def run_round(self, state: DebateState) -> tuple[EventMention, ...] | None:
+    def run_round(self, state: DebateState) -> Steps[tuple[EventMention, ...] | None]:
         """One debate round: the judge's agreed answers, `()` for no event,
         or None for another round. Decays radius and threshold before every
         round after the first, and advances the round counter at its end."""
@@ -564,13 +564,13 @@ class _Session:
         if rnd == 0:
             prompts = [ctx.prompt(self.sentence, self.ontology, b.name) for b in team.debaters]
             scan = [self._embed_and_scan] if self.candidates is None else []
-            replies = self.run(scan + self._debater_calls(prompts))
+            replies = yield scan + self._debater_calls(prompts)
             if scan:
                 self.candidates = replies.pop(0)
                 note = f"query embedded, dim={self.config.embedder.dimension()}"
                 self._note(0, "session.embed", "embedder", note, self.sentence.text)
             unparsed = "reply unparseable; treated as abstention"
-            self._take_replies(state, "opinion", prompts, replies, unparsed)
+            yield from self._take_replies(state, "opinion", prompts, replies, unparsed)
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
         packet = gather_event_info(
@@ -593,7 +593,7 @@ class _Session:
 
         # (3) Gate every extraction answer against the current threshold.
         state.gated_out = set()
-        for i, record in self._score(state, self._scorable(state)).items():
+        for i, record in (yield from self._score(state, self._scorable(state))).items():
             if not self._log_gate(state, record):
                 state.gated_out.add(i)
 
@@ -605,16 +605,16 @@ class _Session:
         prompts = [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))]
         critic_prompt = self._critic_prompt(state)
         calls = self._debater_calls(prompts) + [_chat(team.critic, critic_prompt)]
-        *replies, critic_reply = self.run(calls)
+        *replies, critic_reply = yield calls
         kept = "statement restates no parseable answer; previous answer kept"
-        self._take_replies(state, "cross_examination", prompts, replies, kept)
+        yield from self._take_replies(state, "cross_examination", prompts, replies, kept)
         self._note(rnd, stage("cross_examination"), "critic", critic_reply, critic_prompt)
         statements = {i: reply for i, reply in enumerate(replies) if i not in state.gated_out}
 
         # (5) Judgement on this round's admissible statements only.
         if statements:
             judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
-            (reply,) = self.run([_chat(team.judge, judge_prompt)])
+            (reply,) = yield [_chat(team.judge, judge_prompt)]
             self._note(rnd, stage("judgement"), "judge", reply, judge_prompt)
             agreed = parse_judge(reply, ctx)
         else:
@@ -632,7 +632,7 @@ class _Session:
 
     def _take_replies(
         self, state: DebateState, stage: str, prompts: Sequence[str], replies: Sequence[str], unparsed: str
-    ) -> None:
+    ) -> Steps[None]:
         """Take the debaters' replies to `prompts`, in debater order.
 
         A parsed reply becomes the debater's live answer, a parsed `[]`
@@ -656,7 +656,7 @@ class _Session:
                 failed.add(i)
                 state.live_opinions.setdefault(i, None)
         revised = {i: a for i, a in self._scorable(state).items() if i in state.gated_out or held.get(i, a) != a}
-        regated = self._score(state, revised)
+        regated = yield from self._score(state, revised)
         for i, binding in enumerate(debaters):
             self._note(rnd, f"{ctx.task}.{stage}", f"debater_{binding.name}", replies[i], prompts[i])
             if i in failed:
@@ -675,19 +675,19 @@ class _Session:
             if not state.ctx.exempt(answer)
         }
 
-    def _score(self, state: DebateState, answers: Mapping[int, EventMention]) -> dict[int, RiskRecord]:
+    def _score(self, state: DebateState, answers: Mapping[int, EventMention]) -> Steps[dict[int, RiskRecord]]:
         """Score answers, by debater, in `state.context` against the
         threshold in force; each one's `RiskRecord`, which the caller logs.
 
-        Requests this session has not sent before go to the scorer in one batch;
-        a repeated request reuses its risk, since the scorer is a frozen
-        model. The gate, the re-gate and adjudication all score here, so
-        they score in the same context.
+        Requests this session has not sent before go to the scorer in one batch,
+        if there are any; a repeated request reuses its risk, since the
+        scorer is a frozen model. The gate, the re-gate and adjudication all
+        score here, so they score in the same context.
         """
         context = state.context
         keys = {i: (context, state.ctx.serialize(answer)) for i, answer in answers.items()}
         new = list(dict.fromkeys(key for key in keys.values() if key not in self.risks))
-        risks = self.run([partial(risk_score, self.config.scorer, *key) for key in new])
+        risks = (yield [partial(risk_score, self.config.scorer, *key) for key in new]) if new else []
         self.risks.update(zip(new, risks))
         records = {}
         for i, key in keys.items():
@@ -702,7 +702,7 @@ class _Session:
         self._note(record.round_index, f"{record.task}.gate", "scorer", str(record), state.context)
         return record.accepted
 
-    def run_debate(self, ctx: Task) -> tuple[EventMention, ...]:
+    def run_debate(self, ctx: Task) -> Steps[tuple[EventMention, ...]]:
         """Run one task's debate to its agreed answers, `()` for no event,
         by the judge or, at the round cap, by adjudication."""
         state = DebateState(
@@ -712,17 +712,17 @@ class _Session:
             threshold=float(self.config.adacp.initial_threshold[ctx.task]),
         )
         while state.round_index < self.config.max_rounds:
-            agreed = self.run_round(state)
+            agreed = yield from self.run_round(state)
             if agreed is not None:
                 return agreed
-        return self._adjudicate(state)
+        return (yield from self._adjudicate(state))
 
-    def _adjudicate(self, state: DebateState) -> tuple[EventMention, ...]:
+    def _adjudicate(self, state: DebateState) -> Steps[tuple[EventMention, ...]]:
         """Round cap reached without agreement: note every answer's verdict,
         then adopt the first lowest-risk answer that passes the final
         round's gate, otherwise fail closed."""
         ctx, rnd, stage = state.ctx, state.round_index, f"{state.ctx.task}.adjudication"
-        records = self._score(state, self._scorable(state))
+        records = yield from self._score(state, self._scorable(state))
         for record in records.values():
             self._note(rnd, stage, "scorer", str(record))
         accepted = [i for i, record in records.items() if record.accepted]
@@ -734,57 +734,51 @@ class _Session:
         self._note(rnd, stage, "engine", note)
         return (answer,)
 
-    # -- summarization
+    def steps(self) -> Steps[list[EventMention]]:
+        """Run detection and, when an event is found, argument extraction;
+        the session's records.
 
-    def _summarize(self, record: EventMention) -> None:
-        table = serialize_argument_table(record.event_type, record.arguments)
-        self._note(0, "session.summary", "summarizer", f"{table}\ntrigger: {record.trigger}")
+        Only the sentence text ever enters a prompt; gold annotations are
+        never available to this code path. A no-event outcome skips
+        argument extraction entirely, as does an agreed type that the
+        ontology lacks or that has no roles; its record carries no
+        arguments.
+        """
+        records: list[EventMention] = []
+        for record in (yield from self.run_debate(Detection())):
+            if record.event_type not in self.ontology:
+                unknown = f"agreed type {record.event_type!r} unknown to the ontology; "
+                self._note(0, "session.summary", "engine", unknown + "emitting record without arguments")
+            elif roles := self.ontology[record.event_type].roles:
+                extraction = ArgumentExtraction(record.event_type, record.trigger, roles)
+                if extracted := (yield from self.run_debate(extraction)):
+                    record = extracted[0]
+            table = serialize_argument_table(record.event_type, record.arguments)
+            self._note(0, "session.summary", "summarizer", f"{table}\ntrigger: {record.trigger}")
+            records.append(record)
+        return records
 
 
 def run_session(
     sentence: Sentence, ontology: Ontology, index: EmbeddedIndex, config: SessionConfig, pool: Executor
 ) -> SessionResult:
-    """`debate_sentence` with each batch fanned out on `pool`, the run's
-    call pool; with a free pool thread per debater, no call waits for one.
-    A failed batch has no call left running when its error is returned."""
-    return debate_sentence(sentence, ontology, index, config, partial(fan_out, pool))
-
-
-def debate_sentence(
-    sentence: Sentence, ontology: Ontology, index: EmbeddedIndex, config: SessionConfig, run: Runner
-) -> SessionResult:
-    """Run detection and, when an event is found, argument extraction,
-    with every model call sent through `run`, one batch per stage.
-
-    Only the sentence text ever enters a prompt; gold annotations are
-    never available to this code path. A no-event outcome skips argument
-    extraction entirely, as does an agreed type that `ontology` lacks or
-    that has no roles; its record carries no arguments.
+    """Drive one sentence's `_Session.steps()`, each batch fanned out on
+    `pool`, the run's call pool; with a free pool thread per debater, no
+    call waits for one.
 
     A `DaoError` here is a fault of this sentence's backend calls, such as
     a failed model call or query embed: it ends the session and is
     returned, not raised, as the result's `error`, with the transcript and
-    risks written before it. Any other exception is a programming error
-    and propagates.
+    risks written before it. A failed batch has no call left running when
+    its error is returned. Any other exception is a programming error and
+    propagates.
     """
-    session = _Session(sentence, ontology, index, config, run)
+    session = _Session(sentence, ontology, index, config)
+    steps, results = session.steps(), None
     try:
-        records: list[EventMention] = []
-        for record in session.run_debate(Detection()):
-            if record.event_type not in ontology:
-                session._note(
-                    0,
-                    "session.summary",
-                    "engine",
-                    f"agreed type {record.event_type!r} unknown to the ontology; "
-                    "emitting record without arguments",
-                )
-            elif roles := ontology[record.event_type].roles:
-                extraction = ArgumentExtraction(record.event_type, record.trigger, roles)
-                if extracted := session.run_debate(extraction):
-                    record = extracted[0]
-            session._summarize(record)
-            records.append(record)
+        while True:
+            results = fan_out(pool, steps.send(results))
+    except StopIteration as done:
+        return SessionResult(sentence, done.value, session.transcript, session.risk_log)
     except DaoError as exc:
         return SessionResult(sentence, [], session.transcript, session.risk_log, exc)
-    return SessionResult(sentence, records, session.transcript, session.risk_log)

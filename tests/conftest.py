@@ -48,8 +48,9 @@ def train_index(train_entries, embedder):
 
 @pytest.fixture(scope="session")
 def pool():
-    """The call pool `run_session` sends a stage's other calls to, as
-    `dao run` sizes it for one worker and up to eight debaters."""
+    """The call pool `run_session` fans out each batch a session yields
+    on, its first call aside, as `dao run` sizes it for one worker and up
+    to eight debaters."""
     with ThreadPoolExecutor(max_workers=8) as executor:
         yield executor
 

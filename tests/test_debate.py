@@ -1,5 +1,6 @@
 import io
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from dao.corpus import EventMention, Sentence, build_index
 from dao.debate import (
     AgentTeam,
     SessionConfig,
+    SessionResult,
+    _Session,
     calibration_pairs,
     canonical_argument_rows,
-    debate_sentence,
     run_session,
     serialize_trigger_answer,
 )
@@ -998,24 +1000,44 @@ def test_failed_critic_call_aborts_before_the_cross_examination_rows(
     assert [len(b.backend.calls) for b in config.team.debaters] == [2, 2]
 
 
-# -- the batch runner
+# -- the session generator
 
 
 def _sequential(calls):
     return [call() for call in calls]
 
 
-def test_session_does_not_depend_on_its_runner(ontology, train_index, embedder, pool):
+def _reversed(calls):
+    """Makes the calls last-to-first; their results in call order."""
+    return [call() for call in reversed(calls)][::-1]
+
+
+def _step(sentence, ontology, index, config, run):
+    """Step a session's `steps()` by hand, each batch made by `run`; its
+    result and every batch it yielded."""
+    session = _Session(sentence, ontology, index, config)
+    steps, results, batches = session.steps(), None, []
+    while True:
+        try:
+            batches.append(steps.send(results))
+        except StopIteration as done:
+            return SessionResult(sentence, done.value, session.transcript, session.risk_log), batches
+        results = run(batches[-1])
+
+
+@pytest.mark.parametrize("run", [_sequential, _reversed], ids=["sequential", "reversed"])
+def test_session_does_not_depend_on_its_runner(run, ontology, train_index, embedder, pool):
     # Batch order, not thread timing, fixes a session: every scenario gives
-    # the same records and the same transcript bytes on a runner that makes
-    # its calls one by one on this thread as on the call pool.
+    # the same records and the same transcript bytes when its batches are
+    # made one by one on this thread, in call order or backwards, as on
+    # the call pool.
     flows = set()
     for seed in range(50):
         scenario = helpers.build_scenario(seed, ontology)
         config = scenario.build_config(embedder)
         pooled = run_session(scenario.sentence, ontology, train_index, config, pool)
         config = scenario.build_config(embedder)
-        alone = debate_sentence(scenario.sentence, ontology, train_index, config, _sequential)
+        alone, _ = _step(scenario.sentence, ontology, train_index, config, run)
         assert alone.records == pooled.records, scenario.name
         assert _transcript_rows(alone) == _transcript_rows(pooled), scenario.name
         flows.add(scenario.flow)
@@ -1028,31 +1050,28 @@ def test_cap_disagree_on_a_sequential_runner_with_no_pool(ontology, train_index,
     config = scenario.build_config(embedder)
     pooled = run_session(scenario.sentence, ontology, train_index, config, pool)
     config = scenario.build_config(embedder)
-    alone = debate_sentence(scenario.sentence, ontology, train_index, config, _sequential)
+    alone, _ = _step(scenario.sentence, ontology, train_index, config, _sequential)
     assert any(e.stage == "ed.adjudication" for e in alone.transcript)
     assert alone.transcript == pooled.transcript
     assert alone.records == pooled.records
 
 
-def test_every_model_call_goes_through_the_runner(ontology, train_index, embedder, pool):
+def _is_scan(call):
+    return getattr(call, "__func__", None) is _Session._embed_and_scan
+
+
+def test_every_model_call_is_in_a_yielded_batch(ontology, train_index, embedder, pool):
     import dao.debate
     from dao.debate import fan_out
 
     for seed in range(12):
         scenario = helpers.build_scenario(seed, ontology)
         config = scenario.build_config(embedder)
-        seen, scans = [], []
-
-        def run(calls):
-            # The session's one other call, its bound `_embed_and_scan`,
-            # embeds the sentence and scans the index.
-            for call in calls:
-                is_scan = getattr(call, "__func__", None) is dao.debate._Session._embed_and_scan
-                (scans if is_scan else seen).append(call)
-            return fan_out(pool, calls)
-
-        debate_sentence(scenario.sentence, ontology, train_index, config, run)
-        (scan,) = scans
+        _, batches = _step(scenario.sentence, ontology, train_index, config, partial(fan_out, pool))
+        # The session's one other call, its bound `_embed_and_scan`, embeds
+        # the sentence and scans the index.
+        (scan,) = [call for batch in batches for call in batch if _is_scan(call)]
+        seen = [call for batch in batches for call in batch if not _is_scan(call)]
         assert scan.__self__.sentence == scenario.sentence and scan.__self__.index is train_index
         team = config.team
         backends = [b.backend for b in team.debaters] + [team.critic, team.judge]
@@ -1067,6 +1086,20 @@ def test_every_model_call_goes_through_the_runner(ontology, train_index, embedde
         requests = [(context, answer) for _, context, answer in scored]
         assert requests == [(prompt, answer) for prompt, answer, _ in config.scorer.calls]
         assert len(seen) == sum(len(b.calls) for b in backends) + len(scored)
+
+
+def test_a_session_yields_no_empty_batch(ontology, train_index, embedder):
+    # Each yield is one model wait: a stage with nothing to ask, such as a
+    # gate whose every request was scored before, yields no batch at all.
+    for seed in range(50):
+        scenario = helpers.build_scenario(seed, ontology)
+        config = scenario.build_config(embedder)
+        _, batches = _step(scenario.sentence, ontology, train_index, config, _sequential)
+        assert all(batches), scenario.name
+        # The first batch is the scan, then one chat call per debater.
+        scan, *opinions = batches[0]
+        assert _is_scan(scan)
+        assert [call.func.__self__ for call in opinions] == [b.backend for b in config.team.debaters]
 
 
 def test_critic_prompt_names_the_team(ontology, train_index, embedder, pool):

@@ -32,9 +32,6 @@ from .errors import (
 if TYPE_CHECKING:
     import requests
 
-VALID_ROLES = ("system", "user", "assistant")
-
-
 def sha256_prefix(text: str, length: int) -> str:
     """The first `length` hex digits of the sha256 of `text` in UTF-8,
     which names a prompt or a reply in a message or a transcript."""
@@ -43,18 +40,17 @@ def sha256_prefix(text: str, length: int) -> str:
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """A chat message, which nothing in `dao` reads: a chat call is its
+    prompt. The frozen benchmark tests (`bench/tests/test_bench.py`) still
+    build one; the benchmark change that stops them deletes it."""
+
     role: str
     content: str
 
-    def __post_init__(self):
-        if self.role not in VALID_ROLES:
-            raise ValueError(f"unknown chat role: {self.role!r}")
-        if not self.content:
-            raise ValueError("chat message content must be non-empty")
-
 
 class ChatBackend(Protocol):
-    def complete(self, messages: Sequence[ChatMessage], temperature: float = 0.0) -> str: ...
+    # One agent turn is one prompt, sent as the request's one user message.
+    def complete(self, prompt: str, temperature: float = 0.0) -> str: ...
 
 
 class EmbeddingBackend(Protocol):
@@ -148,15 +144,16 @@ class HttpTransport:
 @dataclass
 class HttpChatBackend(HttpTransport):
     """Chat client for servers accepting `{model, messages, temperature}`
-    and answering with `choices[0].message.content`."""
+    and answering with `choices[0].message.content`; the prompt is the
+    request's one user message."""
 
     model: str
     api_key_env: str | None = None
 
-    def complete(self, messages: Sequence[ChatMessage], temperature: float = 0.0) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
         body = {
             "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
+            "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
         data = self._post(body, self.api_key_env)
@@ -220,7 +217,7 @@ class HttpScoringBackend(HttpTransport):
 class ScriptedChatBackend:
     """Chat backend that replays a fixed list of replies.
 
-    Each call returns the next reply, whatever the messages, and raises
+    Each call returns the next reply, whatever the prompt, and raises
     `ScriptExhausted` when none is left. Calls are serialized internally
     so script order is preserved under concurrency. All calls are
     recorded in `.calls` for inspection by tests.
@@ -229,14 +226,14 @@ class ScriptedChatBackend:
     def __init__(self, replies: Sequence[str]):
         self._replies = list(replies)
         self._lock = threading.Lock()
-        self.calls: list[tuple[tuple[ChatMessage, ...], str]] = []
+        self.calls: list[tuple[str, str]] = []
 
-    def complete(self, messages: Sequence[ChatMessage], temperature: float = 0.0) -> str:
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
         with self._lock:
             if len(self.calls) == len(self._replies):
                 raise ScriptExhausted(f"no replies left after {len(self._replies)} calls")
             reply = self._replies[len(self.calls)]
-            self.calls.append((tuple(messages), reply))
+            self.calls.append((prompt, reply))
             return reply
 
 

@@ -9,7 +9,7 @@ and `dao eval`'s files, is `{"id", "text", "split", "events": [{"type",
 reads one into a `ReferenceEntry`, type-checking every field, and
 `event_row` writes one. `load_corpus` also rejects text that is not
 single-spaced and a trigger or argument that is empty or not whole
-tokens of its sentence. `read_jsonl` rejects every bad row of every
+tokens of its sentence. `read_keyed` rejects every bad row of every
 JSON Lines input, naming the file and the line.
 """
 
@@ -133,13 +133,15 @@ def _check_span(sentence: Sentence, span: str, what: str) -> None:
         raise ValueError(f"{sentence.id}: {what} {span!r} not found in sentence text")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """`parse` applied to every record of a JSON Lines file; blank lines
-    are skipped. A line that is not UTF-8, invalid JSON, a record that is
-    not an object, and a KeyError, TypeError, AttributeError or ValueError
-    out of `parse` are a FormatError naming the file and the line: row
-    checks raise ValueError, so that this is the one place a row fails."""
-    parsed: list[T] = []
+def read_keyed(path: str | Path, key: str, name: str, parse: Callable[[dict], T]) -> dict[str, T]:
+    """`parse` applied to every record of a JSON Lines file, keyed by its
+    `key` field, as a dict in file order; blank lines are skipped. A line
+    that is not UTF-8, invalid JSON, a record that is not an object, a row
+    whose key an earlier row has (a duplicate `name`), and a KeyError,
+    TypeError, AttributeError or ValueError out of `parse` are a FormatError
+    naming the file and the line: row checks raise ValueError, so that this
+    is the one place a row fails."""
+    rows: dict[str, T] = {}
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -155,27 +157,14 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             if not isinstance(record, dict):
                 raise FormatError(path, line_no, "record is not a JSON object")
             try:
-                parsed.append(parse(record))
+                row = parse(record)
+                if record[key] in rows:
+                    raise ValueError(f"duplicate {name} {record[key]!r}")
+                rows[record[key]] = row
             except KeyError as exc:
                 raise FormatError(path, line_no, f"missing key {exc}") from None
             except (TypeError, AttributeError, ValueError) as exc:
                 raise FormatError(path, line_no, str(exc)) from None
-    return parsed
-
-
-def read_keyed(path: str | Path, key: str, name: str, parse: Callable[[dict], T]) -> dict[str, T]:
-    """`read_jsonl` of rows keyed by their `key` field, as a dict in file
-    order; a row whose key an earlier row of the file has is rejected as
-    a duplicate `name`."""
-    rows: dict[str, T] = {}
-
-    def once(record: dict) -> None:
-        row = parse(record)
-        if record[key] in rows:
-            raise ValueError(f"duplicate {name} {record[key]!r}")
-        rows[record[key]] = row
-
-    read_jsonl(path, once)
     return rows
 
 

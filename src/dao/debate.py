@@ -42,7 +42,7 @@ from typing import Any, Callable, ClassVar, Generator, Mapping, Sequence, TypeVa
 
 from . import drag
 from .adacp import AdaCPConfig, accept, decay_threshold, risk_score
-from .backends import ChatBackend, ChatMessage, EmbeddingBackend, ScoringBackend, sha256_prefix
+from .backends import ChatBackend, EmbeddingBackend, ScoringBackend, sha256_prefix
 from .corpus import EmbeddedIndex, EventMention, Ontology, ReferenceEntry, Sentence, embed_sentence
 from .drag import DragConfig, RetrievalResult, decay_radius, gather_event_info
 from .errors import DaoError, InvalidTeam, ParseFailure
@@ -478,7 +478,7 @@ def fan_out(pool: Executor, calls: Sequence[Callable[[], T]]) -> list[T]:
 
 def _chat(backend: ChatBackend, prompt: str, temperature: float = 0.0) -> Callable[[], str]:
     """A call of `backend` with `prompt` as the one user message."""
-    return partial(backend.complete, [ChatMessage("user", prompt)], temperature=temperature)
+    return partial(backend.complete, prompt, temperature=temperature)
 
 
 @dataclass

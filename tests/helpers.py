@@ -203,13 +203,13 @@ def build_replay_run(
                 [
                     ["*", f"A: {answer}"],
                     ["*", f"A: I defend {answer} ."],
-                    ["*", f"A: {table}"],
+                    ["*", f"A: My table .\n{table}"],
                     ["*", f"A: keeping my table .\n{table}"],
                 ],
                 [
                     ["*", f"B: {answer}"],
                     ["*", f"B: I agree with {answer} ."],
-                    ["*", f"B: {table}"],
+                    ["*", f"B: My table .\n{table}"],
                     ["*", f"B: keeping my table .\n{table}"],
                 ],
             ],
@@ -279,7 +279,7 @@ def build_scenario(seed: int, ontology) -> Scenario:
         replies = ed_replies + eae_replies
         return [("*", f"{name}: {reply}") for reply in replies]
 
-    eae_opinions = [eae_answer_table, f"I keep my table .\n{eae_answer_table}",
+    eae_opinions = [f"My table .\n{eae_answer_table}", f"I keep my table .\n{eae_answer_table}",
                     f"Still my table .\n{eae_answer_table}", f"Final table .\n{eae_answer_table}"]
 
     if flow == "immediate_agree":

@@ -281,9 +281,8 @@ def test_criterion_8_state_machine_invariants(ontology, train_index, embedder, p
             assert not any(e.stage.startswith("eae.") for e in result.transcript)
             for binding in config.team.debaters:
                 assert all(
-                    "argument" not in call[0][-1].content.lower()
-                    or "Argument Extraction task" not in call[0][-1].content
-                    for call in binding.backend.calls
+                    "argument" not in prompt.lower() or "Argument Extraction task" not in prompt
+                    for prompt, _ in binding.backend.calls
                 )
         sessions += 1
     assert sessions == 50

@@ -11,7 +11,6 @@ import requests
 from hypothesis import given, strategies as st
 
 from dao.backends import (
-    ChatMessage,
     HashEmbedder,
     HttpChatBackend,
     HttpEmbeddingBackend,
@@ -116,14 +115,14 @@ def test_bearer_header_only_when_key_is_set(monkeypatch):
 
 def test_http_chat_returns_first_choice_content(stub_server):
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat", model="m")
-    reply = backend.complete([ChatMessage("user", "hello there")])
+    reply = backend.complete("hello there")
     assert reply == "echo: hello there"
 
 
 def test_http_chat_request_body_is_exactly_the_wire_contract(stub_server):
     _StubHandler.captured_bodies.clear()
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat", model="m")
-    backend.complete([ChatMessage("user", "ping")], temperature=0.0)
+    backend.complete("ping", temperature=0.0)
     assert _StubHandler.captured_bodies == [
         {
             "model": "m",
@@ -135,7 +134,7 @@ def test_http_chat_request_body_is_exactly_the_wire_contract(stub_server):
 
 def test_http_chat_retries_on_429_then_succeeds(stub_server):
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat-throttled", model="m", backoff=0.0)
-    assert backend.complete([ChatMessage("user", "x")]) == "ok after retry"
+    assert backend.complete("x") == "ok after retry"
 
 
 def test_http_chat_rate_limited_after_max_attempts(stub_server):
@@ -143,7 +142,7 @@ def test_http_chat_rate_limited_after_max_attempts(stub_server):
         endpoint=f"{stub_server}/chat-always-throttled", model="m", max_attempts=3, backoff=0.0
     )
     with pytest.raises(RateLimited):
-        backend.complete([ChatMessage("user", "x")])
+        backend.complete("x")
 
 
 class _Reply:
@@ -251,26 +250,33 @@ def test_http_scoring_body_without_a_numeric_nll_is_malformed(monkeypatch, paylo
 def test_http_chat_missing_choices_is_malformed(stub_server):
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat-missing-choices", model="m")
     with pytest.raises(MalformedResponse):
-        backend.complete([ChatMessage("user", "x")])
+        backend.complete("x")
 
 
 def test_http_chat_non_json_is_malformed(stub_server):
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat-bad-json", model="m")
     with pytest.raises(MalformedResponse):
-        backend.complete([ChatMessage("user", "x")])
+        backend.complete("x")
+
+
+def test_http_chat_content_that_is_not_a_string_is_malformed(monkeypatch):
+    _scripted_post(monkeypatch, [_Reply(200, {"choices": [{"message": {"content": 5}}]})])
+    backend = HttpChatBackend(endpoint="http://chat.invalid/chat", model="m")
+    with pytest.raises(MalformedResponse, match="^message content is not a string$"):
+        backend.complete("x")
 
 
 def test_http_chat_500_raises_status_error(stub_server):
     backend = HttpChatBackend(endpoint=f"{stub_server}/chat-500", model="m", backoff=0.0)
     with pytest.raises(HttpStatusError) as excinfo:
-        backend.complete([ChatMessage("user", "x")])
+        backend.complete("x")
     assert excinfo.value.code == 500
 
 
 def test_http_chat_unreachable_is_transport_error():
     backend = HttpChatBackend(endpoint="http://127.0.0.1:1/chat", model="m")
     with pytest.raises(TransportError):
-        backend.complete([ChatMessage("user", "x")])
+        backend.complete("x")
 
 
 def test_http_embedding_backend(stub_server):
@@ -321,21 +327,21 @@ def test_http_embedding_of_non_numbers_is_malformed(stub_server, path):
 
 def test_scripted_wildcard_reply():
     backend = scripted_chat([("*", "[]")])
-    assert backend.complete([ChatMessage("user", "anything at all")]) == "[]"
+    assert backend.complete("anything at all") == "[]"
 
 
 def test_scripted_replies_consumed_in_order():
     backend = scripted_chat([("*", "first"), ("*", "second")])
-    assert backend.complete([ChatMessage("user", "a")]) == "first"
-    assert backend.complete([ChatMessage("user", "b")]) == "second"
+    assert backend.complete("a") == "first"
+    assert backend.complete("b") == "second"
 
 
 def test_scripted_exhausted_on_extra_call():
     backend = scripted_chat([("*", "one"), ("*", "two")])
-    backend.complete([ChatMessage("user", "a")])
-    backend.complete([ChatMessage("user", "b")])
+    backend.complete("a")
+    backend.complete("b")
     with pytest.raises(ScriptExhausted):
-        backend.complete([ChatMessage("user", "c")])
+        backend.complete("c")
 
 
 # ---------------------------------------------------------------------------

@@ -733,6 +733,12 @@ def test_run_histogram_counts_match_risk_events(tmp_path):
         assert row["round"] == 0
 
 
+def test_histogram_of_zero_risks_spans_zero_to_one():
+    (row,) = dao.cli._histograms({("ed", 0): [0.0, 0.0, 0.0]})["rounds"]
+    assert row["bin_edges"][0] == 0.0 and row["bin_edges"][-1] == 1.0
+    assert row["counts"] == [3] + [0] * 19
+
+
 def test_run_without_thresholds_demands_calibration(tmp_path):
     paths = helpers.build_replay_run(tmp_path, 1, FIXTURES, thresholds={"ed": None, "eae": None})
     assert (

@@ -191,6 +191,14 @@ def test_double_spaced_text_rejected(tmp_path):
         load_corpus(tmp_path / "c.jsonl")
 
 
+@pytest.mark.parametrize("record", [["s1", "Nothing happened ."], "s1", 5, None])
+def test_record_that_is_not_an_object_rejected(tmp_path, record):
+    _write_jsonl(tmp_path / "c.jsonl", [{"id": "s0", "text": "Nothing happened ."}, record])
+    with pytest.raises(FormatError) as raised:
+        load_corpus(tmp_path / "c.jsonl")
+    assert str(raised.value) == f"{tmp_path / 'c.jsonl'}: line 2: record is not a JSON object"
+
+
 def test_tokens_reconstruct_text(corpus_entries):
     for entry in corpus_entries:
         text = entry.sentence.text

@@ -9,7 +9,7 @@ import helpers
 from dao.adacp import decay_threshold
 from dao.cli import _write_transcript
 from dao.backends import KeyedScorer
-from dao.corpus import EventMention, Sentence, build_index
+from dao.corpus import EventMention, ReferenceEntry, Sentence, build_index
 from dao.debate import (
     AgentTeam,
     SessionConfig,
@@ -164,12 +164,11 @@ def test_transcript_contains_every_chat_call_in_order(ontology, train_index, emb
         transcript_calls = [
             (e.prompt, e.text) for e in result.transcript if e.role == role and e.prompt
         ]
-        backend_calls = [(call[0][-1].content, call[1]) for call in binding.backend.calls]
-        assert transcript_calls == backend_calls
+        assert transcript_calls == binding.backend.calls
     judge_transcript = [
         (e.prompt, e.text) for e in result.transcript if e.role == "judge" and e.prompt
     ]
-    assert judge_transcript == [(c[0][-1].content, c[1]) for c in config.team.judge.calls]
+    assert judge_transcript == config.team.judge.calls
 
 
 def test_two_runs_byte_identical(ontology, train_index, embedder, pool):
@@ -419,8 +418,7 @@ def test_survivor_that_changes_its_answer_is_regated(ontology, train_index, embe
     scorer = KeyedScorer(keys=[("*", answer)])
     config = SessionConfig(team=team, scorer=scorer, embedder=embedder, max_rounds=1)
     result = run_session(sentence, ontology, train_index, config, pool)
-    ((judge_messages, _),) = team.judge.calls
-    judge_prompt = judge_messages[-1].content
+    ((judge_prompt, _),) = team.judge.calls
     assert "Debater B's statement" in judge_prompt
     assert "Debater A's statement" not in judge_prompt and switched not in judge_prompt
     ed = [(e.stage, e.role, e.text) for e in result.transcript if e.stage.startswith("ed.")]
@@ -459,6 +457,16 @@ def test_calibration_scores_the_text_the_gate_scores(ontology, corpus_entries, t
             for prompt in gate:
                 assert prompt.startswith(calib_prompt + "\n\n")
                 assert prompt[len(calib_prompt) + 2 :].startswith("Reference information:")
+
+
+def test_calibration_skips_an_argument_event_of_a_type_the_ontology_lacks(ontology):
+    sentence = Sentence.from_text("s1", "The general was killed in a coup .")
+    known = EventMention("Life:Die", "killed", (("Victim", "general"),))
+    entry = ReferenceEntry(sentence, (EventMention("Coup:Start", "coup"), known))
+    (pair,) = calibration_pairs("eae", [entry], ontology)
+    assert pair == calibration_pairs("eae", [ReferenceEntry(sentence, (known,))], ontology)[0]
+    # Detection keeps every gold answer, whatever its type.
+    assert len(calibration_pairs("ed", [entry], ontology)) == 2
 
 
 def test_team_takes_no_summarizer():
@@ -1075,10 +1083,10 @@ def test_every_model_call_is_in_a_yielded_batch(ontology, train_index, embedder,
         assert scan.__self__.sentence == scenario.sentence and scan.__self__.index is train_index
         team = config.team
         backends = [b.backend for b in team.debaters] + [team.critic, team.judge]
-        # A chat call is its backend's bound `complete`, given the messages.
+        # A chat call is its backend's bound `complete`, given the prompt.
         for backend in backends:
             sent = [c.args[0] for c in seen if getattr(c.func, "__self__", None) is backend]
-            assert sent == [list(messages) for messages, _ in backend.calls], scenario.name
+            assert sent == [prompt for prompt, _ in backend.calls], scenario.name
         # A scoring call is `risk_score` on the scorer, the context and the
         # answer; the scorer sees that context unchanged.
         scored = [c.args for c in seen if c.func is dao.debate.risk_score]

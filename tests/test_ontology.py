@@ -77,6 +77,8 @@ def test_types_in_file_order(ontology_path, ontology):
         ({"roles": ["Place", 1]}, "roles must be an array of strings, got ['Place', 1]"),
         ({"typical_triggers": "die"}, "typical_triggers must be an array of strings, got 'die'"),
         ({"typical_triggers": [None]}, "typical_triggers must be an array of strings, got [None]"),
+        ({"type": ""}, "event type id must be non-empty"),
+        ({"definition": ""}, "Life:Die: definition text must be non-empty"),
     ],
 )
 def test_row_of_the_wrong_type_is_format_error(tmp_path, change, message):

@@ -148,6 +148,14 @@ def test_ed_agreement_multiple_rows_deduplicated():
     )
 
 
+def test_ed_agreement_row_with_an_empty_cell_skipped():
+    text = (
+        "| event type | event trigger |\n|---|---|\n"
+        "| None | war |\n| Life:Die | killed |\n| Conflict:Attack | None |"
+    )
+    assert parse_judge(text, Detection()) == (EventMention("Life:Die", "killed"),)
+
+
 def test_eae_agreement_rows():
     header = "| event type | argument role | argument content |\n| --- | --- | --- |\n"
     victim = "| Life:Die | Victim | the general |"
@@ -156,6 +164,15 @@ def test_eae_agreement_rows():
     assert parse_judge(text, _LIFE_DIE) == (answer,)
     # A debater's table with a None row is the judge's table without it.
     assert _LIFE_DIE.parse(text) == parse_judge(header + victim, _LIFE_DIE)[0] == answer
+
+
+def test_eae_row_for_a_role_the_ontology_lacks_dropped():
+    text = (
+        "| event type | argument role | argument content |\n| --- | --- | --- |\n"
+        "| Life:Die | Weapon | a rifle |\n| Life:Die | Victim | the general |"
+    )
+    answer = EventMention("Life:Die", "killed", (("Victim", "the general"),))
+    assert parse_judge(text, _LIFE_DIE) == (answer,)
 
 
 def test_eae_disagreement_sentinel():

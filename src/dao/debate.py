@@ -199,12 +199,6 @@ class Detection:
         rendered = render_prompt("debater_ed", {"SENT": sentence.text, "ROLE": role_label})
         return f"{type_list}\n\n{rendered}"
 
-    def reminder(self, name: str) -> str:
-        return (
-            f'State your final answer in the format **{name}: ["event type", '
-            f'"trigger token"]**, or **{name}: []**.'
-        )
-
     def parse(self, text: str) -> EventMention | None:
         return parse_debater_ed(text)
 
@@ -252,12 +246,6 @@ class ArgumentExtraction:
                 "trigger": self.trigger,
                 "role list": ", ".join(self.roles),
             },
-        )
-
-    def reminder(self, name: str) -> str:
-        return (
-            "State your final answer as a table. The header of the table is "
-            "| event type | argument role | argument content |."
         )
 
     def parse(self, text: str) -> EventMention:
@@ -476,11 +464,6 @@ def fan_out(pool: Executor, calls: Sequence[Callable[[], T]]) -> list[T]:
     return results + [future.result() for future in pending]
 
 
-def _chat(backend: ChatBackend, prompt: str, temperature: float = 0.0) -> Callable[[], str]:
-    """A call of `backend` with `prompt` as the one user message."""
-    return partial(backend.complete, prompt, temperature=temperature)
-
-
 @dataclass
 class _Session:
     """Holds the immutable context of one sentence's debates, the index
@@ -521,7 +504,7 @@ class _Session:
                 )
         parts.append(state.packet_text)
         parts.append(render_prompt("debater_revise" if gated else "debater_ce", {}))
-        parts.append(ctx.reminder(binding.name))
+        parts.append(render_prompt(f"reminder_{ctx.task}", {"ROLE": binding.name}))
         return "\n\n".join(parts)
 
     def _critic_prompt(self, state: DebateState) -> str:
@@ -604,7 +587,7 @@ class _Session:
         # they may reach the judge.
         prompts = [self._ce_prompt(state, i, i in state.gated_out) for i in range(len(team.debaters))]
         critic_prompt = self._critic_prompt(state)
-        calls = self._debater_calls(prompts) + [_chat(team.critic, critic_prompt)]
+        calls = self._debater_calls(prompts) + [partial(team.critic.complete, critic_prompt)]
         *replies, critic_reply = yield calls
         kept = "statement restates no parseable answer; previous answer kept"
         yield from self._take_replies(state, "cross_examination", prompts, replies, kept)
@@ -614,7 +597,7 @@ class _Session:
         # (5) Judgement on this round's admissible statements only.
         if statements:
             judge_prompt = self._judge_prompt(ctx, statements, critic_reply)
-            (reply,) = yield [_chat(team.judge, judge_prompt)]
+            (reply,) = yield [partial(team.judge.complete, judge_prompt)]
             self._note(rnd, stage("judgement"), "judge", reply, judge_prompt)
             agreed = parse_judge(reply, ctx)
         else:
@@ -628,7 +611,8 @@ class _Session:
 
     def _debater_calls(self, prompts: Sequence[str]) -> list[Callable[[], str]]:
         """Each debater's call with its prompt, in debater order."""
-        return [_chat(b.backend, p, b.temperature) for b, p in zip(self.config.team.debaters, prompts)]
+        debaters = self.config.team.debaters
+        return [partial(b.backend.complete, p, temperature=b.temperature) for b, p in zip(debaters, prompts)]
 
     def _take_replies(
         self, state: DebateState, stage: str, prompts: Sequence[str], replies: Sequence[str], unparsed: str

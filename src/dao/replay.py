@@ -18,8 +18,8 @@ script is an array of ("*", reply) string pairs, whose replies the
 scripted chat backend returns in order, whatever the prompt; a missing
 critic or judge script is empty. `load` checks the whole bundle, and
 that it scripts every input sentence of the run, before any work, so a
-run never meets a malformed or missing script or an unknown top-level
-key midway; other keys of a session entry are not read.
+run never meets a malformed or missing script or an unknown key midway:
+a key that the shape above does not name is rejected, never ignored.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class ReplayBundle:
         """The bundle in the JSON file at `path`, for a run whose input
         sentences have the ids `ids`. A file that is not UTF-8 JSON,
         a bundle, `embedder`, `scorer`, `sessions` or session entry that is
-        not a JSON object, a top-level key other than those three, an
+        not a JSON object, an unknown key in any of them but `sessions`, an
         embedding dimension that is not an integer of at least 8,
         `scorer.keys` or a script that is not an array of pairs of strings,
         a chat-script matcher other than `"*"`, a `debaters` that is not an
@@ -74,8 +74,11 @@ class ReplayBundle:
             if not ok:
                 raise InvalidConfig(f"{path}: {name} must be {what}, got {value!r}")
 
-        def section(name: str, value: object) -> dict:
+        def section(name: str, value: object, keys: set[str] | None) -> dict:
             check(isinstance(value, dict), name, value, "a JSON object")
+            if keys is not None and (unknown := sorted(value.keys() - keys)):
+                where = "" if name == "top level" else f"{name}."
+                raise InvalidConfig(f"{path}: unknown key {where}{unknown[0]}")
             return value
 
         def pairs(name: str, value: object) -> Script:
@@ -92,7 +95,7 @@ class ReplayBundle:
             return tuple(reply for _, reply in script)
 
         def agents(name: str, value: object) -> Agents:
-            entry = section(name, value)
+            entry = section(name, value, {"debaters", "critic", "judge"})
             debaters = entry.get("debaters", [])
             check(isinstance(debaters, list), f"{name}.debaters", debaters, "a JSON array")
             check(len(debaters) >= 2, f"{name}.debaters", len(debaters), "an array of at least two scripts")
@@ -102,21 +105,19 @@ class ReplayBundle:
                 chat(f"{name}.judge", entry.get("judge", [])),
             )
 
-        data = section("top level", data)
-        if unknown := sorted(data.keys() - {"embedder", "scorer", "sessions"}):
-            raise InvalidConfig(f"{path}: unknown key {unknown[0]}")
-        embedder = section("embedder", data.get("embedder", {}))
+        data = section("top level", data, {"embedder", "scorer", "sessions"})
+        embedder = section("embedder", data.get("embedder", {}), {"dimension"})
         dimension = embedder.get("dimension", DEFAULT_DIMENSION)
         # JSON booleans load as bool, which `type(...) is int` turns away.
         at_least_8 = type(dimension) is int and dimension >= 8
         check(at_least_8, "embedder.dimension", dimension, "an integer of at least 8")
-        scorer = section("scorer", data.get("scorer", {}))
+        scorer = section("scorer", data.get("scorer", {}), {"keys", "match_cost", "miss_cost", "scale"})
         keys = pairs("scorer.keys", scorer.get("keys", []))
-        costs = {name: scorer[name] for name in ("match_cost", "miss_cost", "scale") if name in scorer}
+        costs = {name: cost for name, cost in scorer.items() if name != "keys"}
         for name, cost in costs.items():
             finite = type(cost) in (int, float) and 0 <= cost < math.inf
             check(finite, f"scorer.{name}", cost, "a finite number of at least 0")
-        sessions = section("sessions", data.get("sessions", {}))
+        sessions = section("sessions", data.get("sessions", {}), None)
         scripts = {sid: agents(f"sessions[{sid!r}]", entry) for sid, entry in sessions.items()}
         for sid in ids:
             if sid not in scripts:

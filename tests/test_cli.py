@@ -1192,6 +1192,10 @@ def test_rerun_into_the_same_out_leaves_no_earlier_artifact(tmp_path):
             {"sessions": {"gen-000": {"debaters": [[["*", "x"]], [["*", "y"], ["alpha", "x"]]]}}},
             """sessions['gen-000'].debaters[1][1][0] must be "*", got 'alpha'""",
         ),
+        # A misspelt section key is rejected, not read as its default.
+        ({"scorer": {"keys": [], "miss_cots": 5.0}}, "unknown key scorer.miss_cots"),
+        ({"embedder": {"dimenson": 32}}, "unknown key embedder.dimenson"),
+        ({"sessions": {"gen-000": {"debaters": [[], []], "bogus": []}}}, "unknown key sessions['gen-000'].bogus"),
     ],
 )
 def test_run_malformed_bundle_exits_two_naming_the_field(tmp_path, capsys, edit, message):
@@ -1240,11 +1244,11 @@ class _ThreadedChat:
     def __init__(self, inner, threads, barriers=()):
         self.inner, self.threads, self.barriers, self.calls = inner, threads, list(barriers), inner.calls
 
-    def complete(self, messages, temperature=0.0):
+    def complete(self, prompt, temperature=0.0):
         self.threads.append(threading.current_thread())
         if self.barriers:
             self.barriers.pop(0).wait()
-        return self.inner.complete(messages, temperature)
+        return self.inner.complete(prompt, temperature)
 
 
 def _record_threads(monkeypatch, debater_barriers=(), critic_barriers=()):
@@ -1328,9 +1332,9 @@ class _HeldChat:
     def __init__(self, inner, release):
         self.inner, self.release, self.calls = inner, release, inner.calls
 
-    def complete(self, messages, temperature=0.0):
+    def complete(self, prompt, temperature=0.0):
         assert self.release.wait(timeout=5)
-        return self.inner.complete(messages, temperature)
+        return self.inner.complete(prompt, temperature)
 
 
 def test_run_writes_rows_in_input_order_when_later_sentences_finish_first(tmp_path, monkeypatch):
@@ -1373,10 +1377,10 @@ class _PausedChat(_HeldChat):
     """A chat backend whose first call waits until `release` is set or half
     a second has passed."""
 
-    def complete(self, messages, temperature=0.0):
+    def complete(self, prompt, temperature=0.0):
         self.release.wait(timeout=0.5)
         self.release.set()
-        return self.inner.complete(messages, temperature)
+        return self.inner.complete(prompt, temperature)
 
 
 def test_run_starts_at_most_two_sessions_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):

@@ -631,10 +631,10 @@ class _BarrierChat:
         self.inner, self.barrier, self.calls = inner, barrier, inner.calls
         self.skip, self.stop = skip, stop
 
-    def complete(self, messages, temperature=0.0):
+    def complete(self, prompt, temperature=0.0):
         if self.skip <= len(self.calls) and (self.stop is None or len(self.calls) < self.stop):
             self.barrier.wait()
-        return self.inner.complete(messages, temperature)
+        return self.inner.complete(prompt, temperature)
 
 
 def test_debater_calls_of_a_stage_run_at_once(ontology, train_index, embedder, pool):
@@ -899,13 +899,13 @@ class _InFlightChat:
     def __init__(self, inner, in_flight, delay):
         self.inner, self.in_flight, self.delay, self.calls = inner, in_flight, delay, inner.calls
 
-    def complete(self, messages, temperature=0.0):
+    def complete(self, prompt, temperature=0.0):
         import time
 
         self.in_flight.add(1)
         try:
             time.sleep(self.delay)
-            return self.inner.complete(messages, temperature)
+            return self.inner.complete(prompt, temperature)
         finally:
             self.in_flight.add(-1)
 
@@ -1125,3 +1125,33 @@ def test_critic_prompt_names_the_team(ontology, train_index, embedder, pool):
     (prompt,) = [e.prompt for e in result.transcript if e.role == "critic"]
     assert "responses from Debater Ann, Debater Bo and Debater Cy. For debaters' answers" in prompt
     assert "Debater A " not in prompt
+
+
+def test_cross_examination_reminder_names_each_debater(ontology, train_index, embedder, pool):
+    from dataclasses import replace
+
+    answer = '["Life:Die", "killed"]'
+    table = helpers.eae_table("Life:Die", (("Victim", "the mayor"),))
+    script = [("*", answer), ("*", f"Defending {answer} ."), ("*", table), ("*", f"Keeping\n{table}")]
+    team = helpers.make_team(
+        [script] * 3,
+        [("*", "Assessment .")] * 2,
+        [("*", helpers.ed_table("Life:Die", "killed")), ("*", table)],
+    )
+    names = ("Ann", "Bo", "Cy")
+    team = replace(team, debaters=tuple(replace(b, name=n) for b, n in zip(team.debaters, names)))
+    config = SessionConfig(team=team, scorer=helpers.passthrough_scorer(), embedder=embedder)
+    sentence = Sentence.from_text("reminder-names", "Witnesses said the blast killed the mayor instantly .")
+    result = run_session(sentence, ontology, train_index, config, pool)
+    prompts = {
+        (e.stage, e.role): e.prompt for e in result.transcript if e.stage.endswith(".cross_examination")
+    }
+    table_reminder = (
+        "State your final answer as a table. "
+        "The header of the table is | event type | argument role | argument content |."
+    )
+    for name in names:
+        assert prompts["ed.cross_examination", f"debater_{name}"].endswith(
+            f'**{name}: ["event type", "trigger token"]**, or **{name}: []**.'
+        )
+        assert prompts["eae.cross_examination", f"debater_{name}"].endswith(table_reminder)

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -162,6 +163,20 @@ class RunConfig:
             except ValueError as exc:
                 raise InvalidConfig(f"{path}: {exc}") from exc
 
+    def resolved(self, directory: str | Path) -> "RunConfig":
+        """This config with `ontology`, `reference_corpus` and
+        `backends.replay_bundle` made absolute, a relative one taken from
+        `directory`, the config file's: a config names the same files from
+        any working directory."""
+
+        def resolve(path: str | None) -> str | None:
+            return path and os.path.abspath(os.path.join(directory, path))
+
+        backends = {**self.backends, "replay_bundle": resolve(self.backends["replay_bundle"])}
+        return dataclasses.replace(
+            self, ontology=resolve(self.ontology), reference_corpus=resolve(self.reference_corpus), backends=backends
+        )
+
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.dumps(), encoding="utf-8")
 
@@ -214,9 +229,11 @@ def _backends(
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config)
-    ontology = load_ontology(config.ontology)
-    _, scorer, _, _ = _backends(config)
-    rows = [e for e in load_corpus(config.reference_corpus) if e.split == "calib"]
+    # The files are read from the config's directory; the config is saved with its paths as written.
+    inputs = config.resolved(Path(args.config).parent)
+    ontology = load_ontology(inputs.ontology)
+    _, scorer, _, _ = _backends(inputs)
+    rows = [e for e in load_corpus(inputs.reference_corpus) if e.split == "calib"]
     thresholds = dict(config.adacp.initial_threshold)
     # An empty set fails before the first scorer call: an input fault costs no backend call.
     pairs = {
@@ -302,9 +319,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     earlier sentences' rows are kept, its own transcript rows, if it has
     any, go to `aborted_transcript.jsonl`, and its error is raised. Each
     of these two files that an earlier run into `--out` left is removed
-    first.
+    first. The run's `config.json` names its files by absolute path, so it
+    reproduces the run from any directory while those files stay put.
     """
-    config = RunConfig.load(args.config)
+    config = RunConfig.load(args.config).resolved(Path(args.config).parent)
     for task in ("ed", "eae"):
         if config.adacp.initial_threshold.get(task) is None:
             raise EmptyCalibrationSet(

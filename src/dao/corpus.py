@@ -11,11 +11,18 @@ reads one into a `ReferenceEntry`, type-checking every field, and
 single-spaced and a trigger or argument that is empty or not whole
 tokens of its sentence. `read_keyed` rejects every bad row of every
 JSON Lines input, naming the file and the line.
+
+The row reader interns `split`, `type` and `role`, whose values come
+from a split name or the ontology, so the reference rows that a run
+holds throughout share one string per distinct value of them; `id`,
+`text`, `trigger` and `content` are open vocabulary, words of their own
+sentence, and stay one copy per row.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -234,15 +241,16 @@ def parse_event_row(record: dict) -> ReferenceEntry:
     """A sentence row's entry: `id`, `text`, `split` (default "train"),
     `type`, `trigger`, `role` and `content` must be strings, `events` and
     `arguments` arrays of objects (empty when left out); spans are not
-    checked."""
+    checked. `split`, `type` and `role` are interned."""
     sentence = Sentence(_string(record, "id"), _string(record, "text"))
-    split = _string(record, "split", "train")
+    split = sys.intern(_string(record, "split", "train"))
     events = tuple(
         EventMention(
-            event_type=_string(event, "type"),
+            event_type=sys.intern(_string(event, "type")),
             trigger=_string(event, "trigger"),
             arguments=tuple(
-                (_string(arg, "role"), _string(arg, "content")) for arg in _array(event, "arguments")
+                (sys.intern(_string(arg, "role")), _string(arg, "content"))
+                for arg in _array(event, "arguments")
             ),
         )
         for event in _array(record, "events")

@@ -468,6 +468,21 @@ def test_calibrate_keeps_the_bundle_whose_scorer_fit_the_thresholds(tmp_path):
     assert json.loads(config_path.read_text())["backends"]["replay_bundle"] == bundle
 
 
+def test_calibrate_reads_relative_paths_from_the_config_directory_and_keeps_them(tmp_path, monkeypatch):
+    config_path, _ = _calibration_setup(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["reference_corpus"] = "calib.jsonl"
+    config["backends"]["replay_bundle"] = "bundle.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["calibrate", "-c", "../config.json"]) == 0
+    written = json.loads(config_path.read_text())
+    assert written["reference_corpus"] == "calib.jsonl"
+    assert written["backends"]["replay_bundle"] == "bundle.json"
+    assert None not in written["adacp"]["initial_threshold"].values()
+
+
 def test_calibrate_live_config_with_one_debater_exits_two(tmp_path, capsys):
     config_path, _ = _calibration_setup(tmp_path)
     config = json.loads(config_path.read_text())
@@ -661,6 +676,35 @@ def test_run_is_reproduced_from_the_config_it_wrote(tmp_path, bundle):
     assert main(argv) == 0
     for name in ("config.json", "predictions.jsonl", "transcripts.jsonl", "risk_histogram.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_run_is_reproduced_from_another_directory_through_its_own_config(tmp_path, monkeypatch):
+    # The config names its files relative to its own directory, as the
+    # benchmark's do; the run's config.json names them by absolute path.
+    demo, elsewhere = tmp_path / "demo", tmp_path / "elsewhere"
+    demo.mkdir()
+    elsewhere.mkdir()
+    for name in ("ontology_ace.jsonl", "corpus_small.jsonl", "replay_table3a.json"):
+        (demo / name).write_bytes((FIXTURES / name).read_bytes())
+    sessions = json.loads((FIXTURES / "replay_table3a.json").read_text())["sessions"]
+    rows = [row for row in _read_jsonl(FIXTURES / "corpus_small.jsonl") if row["id"] in sessions]
+    (demo / "input.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = {
+        "ontology": "ontology_ace.jsonl",
+        "reference_corpus": "corpus_small.jsonl",
+        "backends": {"replay_bundle": "replay_table3a.json"},
+    }
+    (demo / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(demo)
+    assert main(["run", "-c", "config.json", "--input", "input.jsonl", "--out", "run1"]) == 0
+    written = json.loads((demo / "run1" / "config.json").read_text())
+    assert written["ontology"] == str(demo / "ontology_ace.jsonl")
+    assert written["backends"]["replay_bundle"] == str(demo / "replay_table3a.json")
+    monkeypatch.chdir(elsewhere)
+    argv = ["run", "-c", "../demo/run1/config.json", "--input", "../demo/input.jsonl", "--out", "run2"]
+    assert main(argv) == 0
+    for name in ("config.json", "predictions.jsonl", "transcripts.jsonl", "risk_histogram.json"):
+        assert (elsewhere / "run2" / name).read_bytes() == (demo / "run1" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("bundle", sorted(REPLAY_DIGESTS))

@@ -18,6 +18,7 @@ from dao.corpus import (
     build_index,
     l2_normalize,
     load_corpus,
+    parse_event_row,
 )
 from dao.errors import DimensionMismatch, FormatError, ZeroVector
 
@@ -210,6 +211,31 @@ def test_corpus_records_have_no_instance_dict(corpus_entries):
     for record in (entry, entry.sentence, entry.events[0]):
         assert not hasattr(record, "__dict__"), type(record).__name__
     assert not hasattr(entry.sentence, "tokens")
+
+
+def test_row_reader_keeps_one_object_per_split_type_and_role(tmp_path):
+    # Two rows that share a split, an event type and a role.
+    rows = [
+        {
+            "id": f"s{i}",
+            "text": f"Rebels attacked {town} .",
+            "split": "calib",
+            "events": [
+                {"type": "Conflict:Attack", "trigger": "attacked", "arguments": [{"role": "Place", "content": town}]}
+            ],
+        }
+        for i, town in enumerate(["Kabul", "Herat"])
+    ]
+    _write_jsonl(tmp_path / "c.jsonl", rows)
+    # `load_corpus`, and `parse_event_row` on rows as `json.loads` gives
+    # them, each row with its own strings (`dao eval`'s path).
+    parsed = [parse_event_row(json.loads(json.dumps(row))) for row in rows]
+    for first, second in (load_corpus(tmp_path / "c.jsonl"), parsed):
+        values = [
+            (entry.split, entry.events[0].event_type, entry.events[0].arguments[0][0]) for entry in (first, second)
+        ]
+        for name, a, b in zip(("split", "type", "role"), *values):
+            assert a == b and a is b, name
 
 
 def test_build_index_shape(tmp_path):

@@ -202,8 +202,10 @@ class HttpScoringBackend(HttpTransport):
     """Scoring client for servers accepting `{prompt, completion}` and
     answering with `{nll}` (total negative log-likelihood)."""
 
+    api_key_env: str | None = None
+
     def negative_log_likelihood(self, prompt: str, completion: str) -> float:
-        data = self._post({"prompt": prompt, "completion": completion})
+        data = self._post({"prompt": prompt, "completion": completion}, self.api_key_env)
         nll = data.get("nll")
         if type(nll) not in (int, float) or not 0 <= nll < math.inf:
             raise MalformedResponse(f"bad nll field: {nll!r}")

@@ -68,7 +68,7 @@ _DEFAULT_BACKENDS = {
     "chat": {"endpoint": "", "model": "", **_KEY_ENV, **_RETRY_DEFAULTS},
     "debaters": [_debater(0, {}), _debater(1, {})],
     "embedding": {"endpoint": "", "model": "", "dimension": DEFAULT_DIMENSION, **_KEY_ENV},
-    "scoring": {"endpoint": ""},
+    "scoring": {"endpoint": "", **_KEY_ENV},
 }
 
 # The JSON values a setting takes, by the type of its default, and their
@@ -200,7 +200,7 @@ def _backends(
     if backends["replay_bundle"]:
         bundle = ReplayBundle.load(backends["replay_bundle"], ids)
         return bundle.embedder(), bundle.scorer(), bundle.team_for, bundle.most_debaters()
-    chat, emb = backends["chat"], backends["embedding"]
+    chat, emb, score = backends["chat"], backends["embedding"], backends["scoring"]
     retry = {name: chat[name] for name in _RETRY_DEFAULTS}
 
     def client(model: str) -> HttpChatBackend:
@@ -219,7 +219,7 @@ def _backends(
     embedder = HttpEmbeddingBackend(
         emb["endpoint"], model=emb["model"], dim=emb["dimension"], api_key_env=emb["api_key_env"], **retry
     )
-    scorer = HttpScoringBackend(backends["scoring"]["endpoint"], **retry)
+    scorer = HttpScoringBackend(score["endpoint"], api_key_env=score["api_key_env"], **retry)
     return embedder, scorer, lambda _: team, len(team.debaters)
 
 
@@ -263,9 +263,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # run
 
 
-def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -> None:
+def _render_transcript(sentence_id: str, transcript: list[TranscriptEntry]) -> str:
     """One sentence's `transcripts.jsonl` rows; an aborted run writes the
     failed sentence's rows in the same form."""
+    lines = []
     for entry in transcript:
         row = {
             "id": sentence_id,
@@ -275,12 +276,13 @@ def _write_transcript(fh, sentence_id: str, transcript: list[TranscriptEntry]) -
             "prompt_digest": sha256_prefix(entry.prompt, 16) if entry.prompt else "",
             "text": entry.text,
         }
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
-def _write_prediction(fh, result: SessionResult) -> None:
+def _render_prediction(result: SessionResult) -> str:
     """One sentence's `predictions.jsonl` row."""
-    fh.write(json.dumps(event_row(result.sentence, result.records), sort_keys=True) + "\n")
+    return json.dumps(event_row(result.sentence, result.records), sort_keys=True) + "\n"
 
 
 def _histograms(by_round: dict[tuple[str, int], list[float]], bins: int = 20) -> dict:
@@ -312,12 +314,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     After the index build, sessions run on `workers` threads, at most
     2 × `workers` sentences ahead of the oldest one not yet written. A
-    sentence's `predictions.jsonl` and `transcripts.jsonl` rows are written
-    in input order once it and all before it have finished, and its result
-    is dropped. A completed run then writes `risk_histogram.json`. A
-    failed session stops the run when its turn to be written comes: the
-    earlier sentences' rows are kept, its own transcript rows, if it has
-    any, go to `aborted_transcript.jsonl`, and its error is raised. Each
+    session's thread renders its `predictions.jsonl` and
+    `transcripts.jsonl` rows once `run_session` returns. The writer, on
+    this thread, only writes them: in input order, once the sentence and
+    all before it have finished, and then drops its result. A completed
+    run then writes `risk_histogram.json`. A failed session stops the run
+    when its turn to be written comes: the earlier sentences' rows are
+    kept, its own transcript rows, if it has any, go to
+    `aborted_transcript.jsonl`, and its error is raised. Each
     of these two files that an earlier run into `--out` left is removed
     first. The run's `config.json` names its files by absolute path, so it
     reproduces the run from any directory while those files stay put.
@@ -354,7 +358,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         open(out_dir / "transcripts.jsonl", "w", encoding="utf-8") as transcripts,
     ):
 
-        def process(entry: ReferenceEntry) -> SessionResult:
+        def process(entry: ReferenceEntry) -> tuple[SessionResult, str, str]:
             session_config = SessionConfig(
                 team=team_for(entry.sentence.id),
                 scorer=scorer,
@@ -363,19 +367,22 @@ def cmd_run(args: argparse.Namespace) -> int:
                 adacp=config.adacp,
                 max_rounds=config.max_rounds,
             )
-            return run_session(entry.sentence, ontology, index, session_config, calls)
+            result = run_session(entry.sentence, ontology, index, session_config, calls)
+            # Rendered on this thread, so the writer only writes bytes and
+            # never holds the next session's first batch back.
+            return result, _render_prediction(result), _render_transcript(result.sentence.id, result.transcript)
 
-        def write(result: SessionResult) -> None:
+        def write(result: SessionResult, prediction: str, transcript: str) -> None:
             nonlocal written, extracted
             if result.error is not None:
-                if result.transcript:
+                if transcript:
                     aborted = out_dir / "aborted_transcript.jsonl"
                     with open(aborted, "w", encoding="utf-8") as fh:
-                        _write_transcript(fh, result.sentence.id, result.transcript)
+                        fh.write(transcript)
                     print(f"session aborted; partial transcript written to {aborted}", file=sys.stderr)
                 raise result.error
-            _write_prediction(predictions, result)
-            _write_transcript(transcripts, result.sentence.id, result.transcript)
+            predictions.write(prediction)
+            transcripts.write(transcript)
             # A killed run keeps every row written so far.
             predictions.flush()
             transcripts.flush()
@@ -387,13 +394,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             # Sessions run at most 2 × workers ahead of the writer, so a slow
             # sentence holds that many results, not all later ones.
-            window: deque[Future[SessionResult]] = deque()
+            window: deque[Future[tuple[SessionResult, str, str]]] = deque()
             for entry in inputs:
                 window.append(sessions.submit(process, entry))
                 if len(window) == 2 * config.workers:
-                    write(window.popleft().result())
+                    write(*window.popleft().result())
             for future in window:
-                write(future.result())
+                write(*future.result())
         finally:
             sessions.shutdown(cancel_futures=True)
 

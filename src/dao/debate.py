@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Any, Callable, ClassVar, Generator, Mapping, Sequence, TypeVar
@@ -453,14 +453,17 @@ def render_packet(result: RetrievalResult, ctx: Task) -> str:
 
 def fan_out(pool: Executor, calls: Sequence[Callable[[], T]]) -> list[T]:
     """Run independent calls at once, the first on this thread and the
-    others on `pool`; their results in call order. All calls have returned
-    before the first failure, in call order, is raised, so a failed batch
-    leaves no call running."""
+    others on `pool`; their results in call order. A one-call batch
+    touches no pool. Once this thread's call has returned or raised, it
+    waits on each pool call in turn, so all calls have returned before the
+    first failure, in call order, is raised, and a failed batch leaves no
+    call running."""
     pending = [pool.submit(call) for call in calls[1:]]
     try:
         results = [call() for call in calls[:1]]
     finally:
-        wait(pending)
+        for future in pending:
+            future.exception()
     return results + [future.result() for future in pending]
 
 

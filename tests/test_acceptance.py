@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import io
 import itertools
 import json
 import math
@@ -18,7 +17,7 @@ import helpers
 from synthetic import SyntheticSpec, gen_clustered_points, gen_risks
 from dao.adacp import accept, calibrate, decay_threshold
 from dao.backends import HashEmbedder
-from dao.cli import _write_transcript, main
+from dao.cli import _render_transcript, main
 from dao.corpus import EmbeddedIndex, build_index, l2_normalize
 from dao.debate import SessionConfig, run_session
 from dao.drag import (
@@ -254,11 +253,7 @@ def test_criterion_8_state_machine_invariants(ontology, train_index, embedder, p
             result = run_session(scenario.sentence, ontology, train_index, config, pool)
             outputs.append((config, result))
         (config, result), (_, second) = outputs
-        rows = []
-        for session in (result, second):
-            out = io.StringIO()
-            _write_transcript(out, session.sentence.id, session.transcript)
-            rows.append(out.getvalue())
+        rows = [_render_transcript(session.sentence.id, session.transcript) for session in (result, second)]
         assert rows[0] == rows[1]
         for task in ("ed", "eae"):
             rounds = {e.round_index for e in result.transcript if e.stage == f"{task}.retrieval"}

@@ -35,6 +35,7 @@ from dao.errors import (
 class _StubHandler(BaseHTTPRequestHandler):
     throttle_counts: dict[str, int] = {}
     captured_bodies: list[dict] = []
+    captured_auth: list[str | None] = []
 
     def log_message(self, *args):
         pass
@@ -75,6 +76,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif self.path == "/embed":
             self._reply(200, {"data": [{"embedding": [1.0] * 8}]})
         elif self.path == "/score":
+            self.captured_auth.append(self.headers.get("Authorization"))
             self._reply(200, {"nll": 1.25})
         elif self.path == "/score-negative":
             self._reply(200, {"nll": -1.0})
@@ -294,6 +296,16 @@ def test_http_embedding_dimension_mismatch(stub_server):
 def test_http_scoring_backend(stub_server):
     backend = HttpScoringBackend(endpoint=f"{stub_server}/score")
     assert backend.negative_log_likelihood("p", "c") == 1.25
+
+
+def test_http_scoring_sends_the_key_only_when_its_variable_is_set(stub_server, monkeypatch):
+    _StubHandler.captured_auth.clear()
+    backend = HttpScoringBackend(endpoint=f"{stub_server}/score", api_key_env="DAO_TEST_KEY")
+    monkeypatch.setenv("DAO_TEST_KEY", "secret")
+    backend.negative_log_likelihood("p", "c")
+    monkeypatch.delenv("DAO_TEST_KEY")
+    backend.negative_log_likelihood("p", "c")
+    assert _StubHandler.captured_auth == ["Bearer secret", None]
 
 
 def test_http_scoring_negative_nll_is_malformed(stub_server):

@@ -216,9 +216,11 @@ def test_team_for_without_bundle_binds_debater_models():
         assert backend.endpoint == "http://localhost:9/chat"
         assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
         assert backend.api_key_env == "DAO_API_KEY"
-    # The chat section's retry policy governs every HTTP request.
+    # The chat section's retry policy governs every HTTP request, and each
+    # section reads its key from `DAO_API_KEY` unless it names another.
     for backend in (embedder, scorer):
         assert (backend.timeout, backend.max_attempts, backend.backoff) == (7.0, 5, 0.5)
+        assert backend.api_key_env == "DAO_API_KEY"
 
 
 def test_unnamed_live_debaters_are_named_as_replay_names_them(tmp_path):
@@ -1463,23 +1465,54 @@ def test_run_starts_at_most_two_sessions_per_worker_ahead_of_the_writer(tmp_path
 def test_run_with_one_worker_starts_at_most_two_sessions_ahead_of_the_writer(tmp_path, monkeypatch):
     paths = helpers.build_replay_run(tmp_path, 6, FIXTURES)
     out_dir = tmp_path / "out"
-    written, run_session, write_prediction = [], dao.cli.run_session, dao.cli._write_prediction
+    written, run_session = [], dao.cli.run_session
 
     def recorded_session(sentence, *args):
         written.append(len((out_dir / "predictions.jsonl").read_text().splitlines()))
         return run_session(sentence, *args)
 
-    def slow_write(fh, result):
-        # A slow writer, which an unbounded read-ahead would outrun.
-        time.sleep(0.05)
-        write_prediction(fh, result)
+    def slow_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == "predictions.jsonl":
+            write = fh.write
+
+            def slow_write(text):
+                # A slow writer, which an unbounded read-ahead would outrun.
+                time.sleep(0.05)
+                return write(text)
+
+            fh.write = slow_write
+        return fh
 
     monkeypatch.setattr(dao.cli, "run_session", recorded_session)
-    monkeypatch.setattr(dao.cli, "_write_prediction", slow_write)
+    monkeypatch.setattr(dao.cli, "open", slow_open, raising=False)
     assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
     # Sentence i's rows are on disk before sentence i + 2 starts.
     assert len(written) == 6
     assert all(count >= i - 1 for i, count in enumerate(written)), written
+
+
+def test_run_renders_rows_on_the_session_threads(tmp_path, monkeypatch):
+    paths = helpers.build_replay_run(tmp_path, 4, FIXTURES, workers=2)
+    _, sessions = _record_threads(monkeypatch)
+    rendered = []
+
+    def recorded(render):
+        def hook(*args):
+            rendered.append(threading.current_thread())
+            return render(*args)
+
+        return hook
+
+    for name in ("_render_prediction", "_render_transcript"):
+        monkeypatch.setattr(dao.cli, name, recorded(getattr(dao.cli, name)))
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(paths["config"]), "--input", str(paths["input"]), "--out", str(out_dir)]) == 0
+    # Each sentence's two renders run on the thread that ran its session;
+    # the writer's thread only writes.
+    assert len(rendered) == 2 * 4
+    assert threading.current_thread() not in rendered
+    assert set(rendered) <= set(sessions)
 
 
 def test_run_memory_does_not_grow_with_the_finished_sentences(tmp_path):

@@ -1,4 +1,3 @@
-import io
 import re
 from functools import partial
 
@@ -7,7 +6,7 @@ import pytest
 
 import helpers
 from dao.adacp import decay_threshold
-from dao.cli import _write_transcript
+from dao.cli import _render_transcript
 from dao.backends import KeyedScorer
 from dao.corpus import EventMention, ReferenceEntry, Sentence, build_index
 from dao.debate import (
@@ -33,9 +32,7 @@ def _run_scenario(seed, ontology, train_index, embedder, pool):
 
 def _transcript_rows(result):
     """The session's `transcripts.jsonl` rows, as `dao run` writes them."""
-    out = io.StringIO()
-    _write_transcript(out, result.sentence.id, result.transcript)
-    return out.getvalue()
+    return _render_transcript(result.sentence.id, result.transcript)
 
 
 def _retrieval_entries(result, task="ed"):
@@ -794,6 +791,51 @@ def test_aborted_session_leaves_no_scan_running(ontology, train_index, embedder,
     result = run_session(sentence, ontology, train_index, config, pool)
     assert isinstance(result.error, ScriptExhausted)
     assert len(finished) == 1
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a one-call batch submitted to the pool")
+
+
+def test_fan_out_keeps_call_order_and_raises_only_once_every_call_returned(pool):
+    import threading
+    import time
+
+    from dao.debate import fan_out
+
+    # A one-call batch runs on this thread and touches no pool.
+    here = []
+    assert fan_out(_NoPool(), [lambda: here.append(threading.current_thread()) or 7]) == [7]
+    assert here == [threading.current_thread()]
+
+    returned = []
+
+    def call(seconds, name, fails=False):
+        time.sleep(seconds)
+        returned.append(name)
+        if fails:
+            raise ValueError(name)
+        return name
+
+    # Results come back in call order, whichever call finished first.
+    delays = (0.03, 0.0, 0.05, 0.01, 0.02)
+    assert fan_out(pool, [partial(call, s, i) for i, s in enumerate(delays)]) == [0, 1, 2, 3, 4]
+
+    # A pool call that fails at once is raised only after this thread's
+    # slower call, and the other pool calls, have returned; the first
+    # failure in call order is the one raised.
+    returned.clear()
+    calls = [partial(call, 0.05, "here"), partial(call, 0.08, "first", True), partial(call, 0.0, "second", True)]
+    with pytest.raises(ValueError, match="^first$"):
+        fan_out(pool, calls)
+    assert sorted(returned) == ["first", "here", "second"]
+
+    # A failure of this thread's own call waits for the pool's calls too.
+    returned.clear()
+    with pytest.raises(ValueError, match="^here$"):
+        fan_out(pool, [partial(call, 0.0, "here", True), partial(call, 0.05, "pool")])
+    assert sorted(returned) == ["here", "pool"]
 
 
 def _ce_prompts(result):

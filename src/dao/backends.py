@@ -9,7 +9,6 @@ servers.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
@@ -32,10 +31,26 @@ from .errors import (
 if TYPE_CHECKING:
     import requests
 
+# CPython's own digest modules: `import hashlib` would load `_hashlib` and
+# with it OpenSSL, which no replay or offline run needs. Both give
+# hashlib's digests; hashlib stays the fallback where they are missing.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
+
 def sha256_prefix(text: str, length: int) -> str:
     """The first `length` hex digits of the sha256 of `text` in UTF-8,
     which names a prompt or a reply in a message or a transcript."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:length]
+    return sha256(text.encode("utf-8")).hexdigest()[:length]
 
 
 @dataclass(frozen=True)
@@ -271,7 +286,7 @@ class HashEmbedder:
 
     def _slot(self, gram: str) -> tuple[int, float]:
         """The (bucket, sign) of one trigram."""
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        digest = blake2b(gram.encode("utf-8"), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
         return value % self._dim, 1.0 if (value >> 63) & 1 == 0 else -1.0
 

@@ -21,11 +21,16 @@ too, so answers from any source compare with `==`.
 
 A session is a generator, `_Session.steps()`: it yields each stage's
 model calls as one batch, never an empty one, and is sent back their
-results in call order. The first round's batch holds the query embed
-with the one top-K scan, and the debaters' opinions; then come the gate
-scores, the cross-examination replies with the critic's (which sees the
-same answers), the re-gates, the judge's call and, at the round cap, the
-adjudication scores. `run_session`, its one driver, runs each batch with
+results in call order. The first round's batch holds the scan call and
+the debaters' opinions. The scan call embeds the sentence and scans the
+index for its top K, once per sentence, and while the opinions are out
+it prepares the retrieval that needs no answer: every detection round's
+examples and the top K's rows by event type, to which an
+argument-extraction debate narrows its candidates when it starts. A
+detection round's packet adds only the live answers' definitions. Then
+come the gate scores, the cross-examination replies with the critic's
+(which sees the same answers), the re-gates, the judge's call and, at
+the round cap, the adjudication scores. `run_session`, its one driver, runs each batch with
 `fan_out` on the run's call pool. Transcript entries are written in
 debater order, the critic's last, once a batch is back, so a transcript
 depends on the batch order, never on which call finished first.
@@ -410,6 +415,9 @@ class DebateState:
     live_opinions: dict[int, EventMention | None] = field(default_factory=dict)
     gated_out: set[int] = field(default_factory=set)
     packet_text: str = ""
+    # The rows an argument-extraction debate retrieves from; None in
+    # detection, whose examples the scan call selected.
+    candidates: EmbeddedIndex | None = None
 
     @property
     def context(self) -> str:
@@ -467,26 +475,48 @@ def fan_out(pool: Executor, calls: Sequence[Callable[[], T]]) -> list[T]:
     return results + [future.result() for future in pending]
 
 
+@dataclass(frozen=True)
+class Scan:
+    """What the scan call prepares for a sentence's debates: its top-K
+    candidates, each event type's positions in them and each detection
+    round's examples, by round."""
+
+    candidates: EmbeddedIndex
+    positions: dict[str, list[int]]
+    detection_examples: tuple[tuple[ReferenceEntry, ...], ...]
+
+
 @dataclass
 class _Session:
     """Holds the immutable context of one sentence's debates, the index
-    they retrieve from, the sentence's top-K candidates once scanned and
-    the risks scored so far; `steps()` runs its debates."""
+    they retrieve from, its `Scan` once made and the risks scored so far;
+    `steps()` runs its debates."""
 
     sentence: Sentence
     ontology: Ontology
     index: EmbeddedIndex
     config: SessionConfig
-    candidates: EmbeddedIndex | None = None
+    scan: Scan | None = None
     transcript: list[TranscriptEntry] = field(default_factory=list)
     risk_log: list[RiskRecord] = field(default_factory=list)
     # (scoring context, serialized answer) -> risk
     risks: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    def _embed_and_scan(self) -> EmbeddedIndex:
-        """The top-K candidates that all of the sentence's debates retrieve from."""
+    def _embed_and_scan(self) -> Scan:
+        """The sentence's `Scan`: the top-K candidates that all of its
+        debates retrieve from, and what needs no answer to prepare. That
+        is each event type's positions in them, and the examples of each
+        detection round, selected at the radius that round holds: the
+        initial radius, decayed once per round after the first. It writes
+        no session state; the generator keeps what it returns."""
+        config = self.config.drag
         query = embed_sentence(self.config.embedder, self.sentence, self.index.dimension)
-        return drag.retrieve_topk(self.index, query, self.config.drag.top_k)
+        candidates = drag.retrieve_topk(self.index, query, config.top_k)
+        examples, radius = [], config.initial_radius
+        for _ in range(self.config.max_rounds):
+            examples.append(gather_event_info((), self.ontology, candidates, radius, config).examples)
+            radius = decay_radius(radius, config.radius_decay)
+        return Scan(candidates, drag.positions_by_type(candidates), tuple(examples))
 
     # -- transcript and call helpers
 
@@ -545,28 +575,24 @@ class _Session:
 
         # (1) Opinions: rendered fresh in the first round, carried from the
         # previous cross-examination afterwards. The first debate's batch
-        # embeds the sentence and scans the index, first, so that call runs
-        # on the session's own thread.
+        # makes the scan call first, so it runs on the session's own thread.
         if rnd == 0:
             prompts = [ctx.prompt(self.sentence, self.ontology, b.name) for b in team.debaters]
-            scan = [self._embed_and_scan] if self.candidates is None else []
+            scan = [self._embed_and_scan] if self.scan is None else []
             replies = yield scan + self._debater_calls(prompts)
             if scan:
-                self.candidates = replies.pop(0)
+                self.scan = replies.pop(0)
                 note = f"query embedded, dim={self.config.embedder.dimension()}"
                 self._note(0, "session.embed", "embedder", note, self.sentence.text)
             unparsed = "reply unparseable; treated as abstention"
             yield from self._take_replies(state, "opinion", prompts, replies, unparsed)
 
         # (2) Retrieval, broadcast to debaters and critic but never the judge.
-        packet = gather_event_info(
-            [a.event_type for a in state.live_opinions.values() if a is not None],
-            self.ontology,
-            self.candidates,
-            state.radius,
-            self.config.drag,
-            event_type_filter=ctx.event_type,
-        )
+        types = [a.event_type for a in state.live_opinions.values() if a is not None]
+        if state.candidates is None:
+            packet = drag.with_definitions(self.scan.detection_examples[rnd], types, self.ontology)
+        else:
+            packet = gather_event_info(types, self.ontology, state.candidates, state.radius, self.config.drag)
         state.packet_text = render_packet(packet, ctx)
         notes = [
             state.packet_text,
@@ -698,6 +724,8 @@ class _Session:
             radius=self.config.drag.initial_radius,
             threshold=float(self.config.adacp.initial_threshold[ctx.task]),
         )
+        if ctx.event_type is not None:
+            state.candidates = drag.narrow(self.scan.candidates, self.scan.positions.get(ctx.event_type, ()))
         while state.round_index < self.config.max_rounds:
             agreed = yield from self.run_round(state)
             if agreed is not None:

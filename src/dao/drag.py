@@ -5,7 +5,9 @@ sentence. Its rows are grouped by greedy leader clustering under a radius
 that shrinks every round; a cluster is an array of row positions whose
 first is its leader. At most one entry per cluster is selected, ceil(m/2)
 positive examples (entries with events) and m//2 negative ones when the
-clusters have them.
+clusters have them. An argument-extraction debate retrieves from the
+top-K rows that mention its event type, found once per sentence by
+`positions_by_type`, or from all of them when none does.
 """
 
 from __future__ import annotations
@@ -126,8 +128,40 @@ def decay_radius(radius: float, decay: float) -> float:
     return decay * radius
 
 
-def _mentions(entry: ReferenceEntry, event_type: str) -> bool:
-    return any(event.event_type == event_type for event in entry.events)
+def positions_by_type(candidates: EmbeddedIndex) -> dict[str, list[int]]:
+    """Each event type's positions in `candidates`, ascending: the rows
+    whose entry mentions it, found in one pass over the rows."""
+    positions: dict[str, list[int]] = {}
+    for position, entry in enumerate(candidates.entries):
+        for event in entry.events:
+            rows = positions.setdefault(event.event_type, [])
+            if not rows or rows[-1] != position:
+                rows.append(position)
+    return positions
+
+
+def narrow(candidates: EmbeddedIndex, positions: Sequence[int]) -> EmbeddedIndex:
+    """The rows of `candidates` at `positions`, in that order, or all of
+    them when `positions` is empty."""
+    if not positions:
+        return candidates
+    return EmbeddedIndex(tuple(candidates.entries[i] for i in positions), candidates.vectors[positions])
+
+
+def with_definitions(
+    examples: Sequence[ReferenceEntry], event_types: Sequence[str], ontology: Ontology
+) -> RetrievalResult:
+    """The retrieval packet of `examples` and `ontology`'s definitions for
+    every distinct type in `event_types`, the live answers' event types;
+    a type the ontology lacks is recorded in `unknown_types`, not fatal."""
+    definitions: list[EventDefinition] = []
+    unknown: list[str] = []
+    for type_id in dict.fromkeys(event_types):
+        if type_id in ontology:
+            definitions.append(ontology[type_id])
+        else:
+            unknown.append(type_id)
+    return RetrievalResult(examples=tuple(examples), definitions=tuple(definitions), unknown_types=tuple(unknown))
 
 
 def gather_event_info(
@@ -136,38 +170,10 @@ def gather_event_info(
     candidates: EmbeddedIndex,
     radius: float,
     config: DragConfig,
-    event_type_filter: str | None = None,
 ) -> RetrievalResult:
-    """Assemble the per-round retrieval packet.
-
-    Definitions are `ontology`'s entries for every distinct type in
-    `event_types`, the live answers' event types; a type the ontology
-    lacks is recorded in `unknown_types`, not fatal. Examples come from
-    the sentence's top-K `candidates`, leader clustering at `radius`, and
-    diversity selection. During argument extraction, `event_type_filter`
-    narrows candidates to entries mentioning the identified type before
-    clustering; if that leaves nothing, the unfiltered set is used.
-    """
-    definitions: list[EventDefinition] = []
-    unknown: list[str] = []
-    seen: set[str] = set()
-    for type_id in event_types:
-        if type_id in seen:
-            continue
-        seen.add(type_id)
-        if type_id in ontology:
-            definitions.append(ontology[type_id])
-        else:
-            unknown.append(type_id)
-
-    if event_type_filter is not None:
-        keep = [i for i, e in enumerate(candidates.entries) if _mentions(e, event_type_filter)]
-        if keep:
-            candidates = EmbeddedIndex(tuple(candidates.entries[i] for i in keep), candidates.vectors[keep])
+    """Assemble one round's retrieval packet: examples from `candidates`,
+    a sentence's top-K or its rows of one event type, by leader clustering
+    at `radius` and diversity selection, with the definitions of
+    `event_types`."""
     clusters = cluster_candidates(candidates, radius)
-    examples = select_diverse(candidates, clusters, config.max_examples)
-    return RetrievalResult(
-        examples=tuple(examples),
-        definitions=tuple(definitions),
-        unknown_types=tuple(unknown),
-    )
+    return with_definitions(select_diverse(candidates, clusters, config.max_examples), event_types, ontology)

@@ -583,7 +583,12 @@ def test_replay_run_without_requests_matches_in_process_run(tmp_path):
     args = ["run", "-c", str(config_path), "--input", str(input_path), "--out"]
     assert main([*args, str(tmp_path / "in_process")]) == 0
     # A None entry in sys.modules makes `import requests` raise ImportError.
-    script = "import sys; sys.modules['requests'] = None; from dao.cli import main; sys.exit(main(sys.argv[1:]))"
+    # Nor does the run load `_hashlib`, and with it OpenSSL: a string given
+    # to sys.exit is printed and exits 1.
+    script = (
+        "import sys; sys.modules['requests'] = None; from dao.cli import main; code = main(sys.argv[1:]); "
+        "sys.exit(code or ('_hashlib' in sys.modules and 'the replay run loaded _hashlib'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script, *args, str(tmp_path / "offline")],
         capture_output=True,

@@ -1152,6 +1152,37 @@ def test_a_session_yields_no_empty_batch(ontology, train_index, embedder):
         assert [call.func.__self__ for call in opinions] == [b.backend for b in config.team.debaters]
 
 
+def test_detection_examples_are_selected_inside_the_scan_call(ontology, train_index, embedder, monkeypatch):
+    import dao.drag
+
+    # Every detection round's examples are selected while the first batch's
+    # scan call runs, so no clustering runs while `steps()` builds a batch.
+    scenario = helpers.build_scenario(4, ontology)
+    assert scenario.flow == "all_rejected"  # three detection rounds, no extraction
+    config = scenario.build_config(embedder)
+    where, clustered = ["steps"], []
+    real = dao.drag.cluster_candidates
+
+    def recording(*args):
+        clustered.append(where[0])
+        return real(*args)
+
+    def run(batch):
+        results = []
+        for call in batch:
+            where[0] = "scan" if _is_scan(call) else "model"
+            results.append(call())
+        where[0] = "steps"
+        return results
+
+    monkeypatch.setattr(dao.drag, "cluster_candidates", recording)
+    result, batches = _step(scenario.sentence, ontology, train_index, config, run)
+    assert _is_scan(batches[0][0])
+    assert not any(_is_scan(call) for batch in batches[1:] for call in batch)
+    assert {e.round_index for e in result.transcript if e.stage == "ed.retrieval"} == {0, 1, 2}
+    assert clustered == ["scan"] * config.max_rounds
+
+
 def test_critic_prompt_names_the_team(ontology, train_index, embedder, pool):
     from dataclasses import replace
 

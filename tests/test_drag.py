@@ -15,6 +15,8 @@ from dao.drag import (
     cluster_candidates,
     decay_radius,
     gather_event_info,
+    narrow,
+    positions_by_type,
     retrieve_topk,
     select_diverse,
 )
@@ -393,15 +395,19 @@ def test_decayed_radius_tightens_leaders(ontology, train_index, embedder):
             assert 1.0 - candidates.vectors[a] @ candidates.vectors[b] > radius
 
 
+def _narrowed(candidates, event_type):
+    """An argument-extraction debate's candidates, as it narrows them."""
+    return narrow(candidates, positions_by_type(candidates).get(event_type, ()))
+
+
 def test_event_type_filter_narrows_examples(ontology, train_index):
     event_types = ["Personnel:End-Position"]
     result = gather_event_info(
         event_types,
         ontology,
-        retrieve_topk(train_index, train_index.vectors[0], 128),
+        _narrowed(retrieve_topk(train_index, train_index.vectors[0], 128), "Personnel:End-Position"),
         0.2,
         DragConfig(),
-        event_type_filter="Personnel:End-Position",
     )
     for example in result.examples:
         assert any(
@@ -414,12 +420,28 @@ def test_filter_falls_back_when_type_absent(ontology, train_index):
     result = gather_event_info(
         event_types,
         ontology,
-        retrieve_topk(train_index, train_index.vectors[0], 128),
+        _narrowed(retrieve_topk(train_index, train_index.vectors[0], 128), "Justice:Pardon"),
         1.35,
         DragConfig(),
-        event_type_filter="Justice:Pardon",
     )
     assert len(result.examples) >= 1
+
+
+def test_positions_by_type_lists_each_mentioning_row_once_in_order():
+    from dao.corpus import EventMention, ReferenceEntry, Sentence
+
+    def entry(entry_id, *types):
+        events = tuple(EventMention(t, "x") for t in types)
+        return ReferenceEntry(Sentence.from_text(entry_id, "placeholder text ."), events)
+
+    entries = (entry("a", "Life:Die", "Life:Die"), entry("b"), entry("c", "Conflict:Attack", "Life:Die"))
+    candidates = EmbeddedIndex(entries, np.eye(3, 4))
+    positions = positions_by_type(candidates)
+    assert positions == {"Life:Die": [0, 2], "Conflict:Attack": [2]}
+    narrowed = narrow(candidates, positions["Life:Die"])
+    assert [e.sentence.id for e in narrowed.entries] == ["a", "c"]
+    assert np.array_equal(narrowed.vectors, candidates.vectors[[0, 2]])
+    assert narrow(candidates, ()) is candidates
 
 
 def test_retrieval_deterministic(ontology, train_index):
